@@ -63,7 +63,6 @@ from .models import (
     Embedding,
     MLPParams,
     ModelParams,
-    embedding_key,
     forward,
     init_model,
     node_states,

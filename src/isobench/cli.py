@@ -16,9 +16,10 @@ deterministic 0.000 placeholder.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import secrets
 import sys
-import tempfile
 import warnings
 
 from . import __version__
@@ -127,26 +128,40 @@ def _load_pairs(path: str, fmt: str) -> PairDataset:
         raise IsobenchError(f"{path}: {exc}") from exc
 
 
-def _cmd_transform(args) -> int:
-    spec = parse_transform_token(args.transform)
-    graphs = _load_graphs(args.input, args.format)
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=out_dir, prefix=".isobench-", suffix=".tmp")
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """Yield a text file that replaces `path` only once the block succeeds.
+
+    The file is written beside `path` and renamed over it at the end; on
+    any failure the temporary file is removed and `path` is untouched.
+    """
+    out_dir = os.path.dirname(os.path.abspath(path))
+    tmp_path = os.path.join(out_dir, f".isobench-{secrets.token_hex(8)}.tmp")
+    # Exclusive like mkstemp, but created 0o666 so the umask applies as
+    # it does for a plain open().
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            for index, g in enumerate(graphs):
-                t = apply_transform(spec, g)
-                fh.write(write_edge_list(t))
-                fh.write("\n")
-                print(
-                    f"graph {index}: nodes {g.n} -> {t.n} ({t.n - g.n:+d}), "
-                    f"edges {g.edge_count} -> {t.edge_count} ({t.edge_count - g.edge_count:+d})"
-                )
-        os.replace(tmp_path, args.out)
+            yield fh
+        os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _cmd_transform(args) -> int:
+    spec = parse_transform_token(args.transform)
+    graphs = _load_graphs(args.input, args.format)
+    with _atomic_output(args.out) as fh:
+        for index, g in enumerate(graphs):
+            t = apply_transform(spec, g)
+            fh.write(write_edge_list(t))
+            fh.write("\n")
+            print(
+                f"graph {index}: nodes {g.n} -> {t.n} ({t.n - g.n:+d}), "
+                f"edges {g.edge_count} -> {t.edge_count} ({t.edge_count - g.edge_count:+d})"
+            )
     return EXIT_OK
 
 
@@ -224,7 +239,7 @@ def _cmd_evaluate(args) -> int:
     }
     text = report_table(rows, args.emit, meta, timing=args.timing)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _atomic_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -22,6 +22,15 @@ nodes accumulates in ascending node index. That order is part of the
 contract: it keeps a single graph's embedding exactly reproducible
 while letting float reassociation under node relabeling stay visible
 instead of being canonicalized away.
+
+The passes are whole-matrix numpy operations that keep that order
+exactly. Neighbor sums run over degree slots: slot j adds, for every
+node of degree > j at once, its j-th smallest neighbor, so each node
+sees the same additions in the same order as a per-node loop (nodes
+without a j-th neighbor are left out rather than padded with zeros,
+which would turn -0.0 into +0.0). The readout is a sequential
+np.add.accumulate over a zero row and the node states, never the
+pairwise np.sum, whose different association changes the bits.
 """
 
 from __future__ import annotations
@@ -33,8 +42,6 @@ import numpy as np
 
 from .errors import ContractError
 from .graphs import Graph
-from .quant import quantize_matrix, quantized_row_bytes
-from .wl import ColorKey, _digest
 
 ARCHS = ("gin", "pna", "ds")
 
@@ -129,15 +136,38 @@ def _mlp(params: MLPParams, x: np.ndarray) -> np.ndarray:
     return np.tanh(np.tanh(x @ params.w1 + params.b1) @ params.w2 + params.b2)
 
 
+def _neighbour_slots(g: Graph) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Nodes by descending degree, and per degree slot j their j-th neighbours.
+
+    Row r of the neighbour table holds the neighbours of node order[r] in
+    ascending index. The nodes with a j-th neighbour are the first
+    count_j rows, so slot j is (count_j, table[:count_j, j]), and adding
+    slot 0, 1, ... in turn adds each node's neighbours in the order a
+    per-node loop adds them.
+    """
+    deg = g.degrees
+    order = np.argsort(-deg, kind="stable")
+    table = np.zeros((g.n, int(deg.max())), dtype=np.intp)
+    for row, v in enumerate(order):
+        table[row, : deg[v]] = g.neighbors[v]
+    slots = []
+    for j in range(table.shape[1]):
+        count = int(np.count_nonzero(deg > j))
+        slots.append((count, table[:count, j]))
+    return order, slots
+
+
 def _gin_states(m: ModelParams, g: Graph) -> np.ndarray:
     h = g.features
+    order, slots = _neighbour_slots(g)
     for layer, eps in zip(m.weights, m.epsilons):
-        agg = np.empty((g.n, h.shape[1]), dtype=np.float64)
-        for v in range(g.n):
-            acc = (1.0 + eps) * h[v]
-            for u in g.neighbors[v]:
-                acc = acc + h[u]
-            agg[v] = acc
+        acc = (1.0 + eps) * h[order]
+        # Only the rows that have a j-th neighbour: adding a zero instead
+        # would turn a -0.0 sum into +0.0.
+        for count, nbrs in slots:
+            acc[:count] += h[nbrs]
+        agg = np.empty_like(acc)
+        agg[order] = acc
         h = _mlp(layer, agg)
     return h
 
@@ -152,34 +182,45 @@ def _pna_states(m: ModelParams, g: Graph) -> np.ndarray:
     for v in range(g.n):
         delta += log_deg[v]
     delta /= g.n
+    order, slots = _neighbour_slots(g)
+    linked = deg > 0
+    n_linked = int(np.count_nonzero(linked))  # nodes with neighbours lead the order
+    linked_deg = deg[order[:n_linked], None]
+    amplification = np.ones(g.n, dtype=np.float64)
+    amplification[linked] = log_deg[linked] / delta
+    attenuation = np.ones(g.n, dtype=np.float64)
+    attenuation[linked] = delta / log_deg[linked]
+    parts_per_node = 1 + AGGREGATOR_COUNT * SCALER_COUNT
     for layer in m.weights:
         width = h.shape[1]
-        block = np.zeros((g.n, width * (1 + AGGREGATOR_COUNT * SCALER_COUNT)), dtype=np.float64)
-        for v in range(g.n):
-            own = h[v]
-            if deg[v] == 0:
-                aggs = np.zeros((AGGREGATOR_COUNT, width), dtype=np.float64)
-                scalers = (1.0, 1.0, 1.0)
+        # Rows in descending-degree order; isolated nodes keep zeros.
+        aggs = np.zeros((AGGREGATOR_COUNT, g.n, width), dtype=np.float64)
+        mean, total, high, low, std = aggs
+        for j, (count, nbrs) in enumerate(slots):
+            nbr_states = h[nbrs]
+            total[:count] += nbr_states
+            if j == 0:
+                high[:count] = nbr_states
+                low[:count] = nbr_states
             else:
-                total = np.zeros(width, dtype=np.float64)
-                for u in g.neighbors[v]:
-                    total = total + h[u]
-                mean = total / deg[v]
-                stacked = h[list(g.neighbors[v])]
-                high = np.max(stacked, axis=0)
-                low = np.min(stacked, axis=0)
-                var = np.zeros(width, dtype=np.float64)
-                for u in g.neighbors[v]:
-                    diff = h[u] - mean
-                    var = var + diff * diff
-                std = np.sqrt(var / deg[v])
-                aggs = np.stack([mean, total, high, low, std])
-                scalers = (1.0, log_deg[v] / delta, delta / log_deg[v])
-            parts = [own]
-            for s in scalers:
-                for a in range(AGGREGATOR_COUNT):
-                    parts.append(aggs[a] * s)
-            block[v] = np.concatenate(parts)
+                np.maximum(high[:count], nbr_states, out=high[:count])
+                np.minimum(low[:count], nbr_states, out=low[:count])
+        mean[:n_linked] = total[:n_linked] / linked_deg
+        # std holds the sum of squared deviations until the square root.
+        for count, nbrs in slots:
+            diff = h[nbrs] - mean[:count]
+            std[:count] += diff * diff
+        std[:n_linked] = np.sqrt(std[:n_linked] / linked_deg)
+        # Rows in node order: parts[:, 0] is the own state and
+        # parts[:, 1 + 5 * s + a] is aggregate a under scaler s.
+        block = np.empty((g.n, parts_per_node * width), dtype=np.float64)
+        parts = block.reshape(g.n, parts_per_node, width)
+        parts[:, 0] = h
+        identity = parts[:, 1 : 1 + AGGREGATOR_COUNT]
+        identity[order] = aggs.transpose(1, 0, 2)
+        for s, scale in enumerate((amplification, attenuation), start=1):
+            lo = 1 + AGGREGATOR_COUNT * s
+            np.multiply(identity, scale[:, None, None], out=parts[:, lo : lo + AGGREGATOR_COUNT])
         h = _mlp(layer, block)
     return h
 
@@ -204,17 +245,13 @@ def node_states(m: ModelParams, g: Graph) -> np.ndarray:
 def forward(m: ModelParams, g: Graph) -> Embedding:
     """Whole-graph embedding: ascending-index sum readout over node states."""
     states = node_states(m, g)
-    readout = np.zeros(states.shape[1], dtype=np.float64)
-    for v in range(g.n):
-        readout = readout + states[v]
+    # np.add.accumulate adds row after row by definition; np.sum would
+    # sum pairwise and change the bits.
+    rows = np.concatenate([np.zeros((1, states.shape[1]), dtype=np.float64), states])
+    readout = np.add.accumulate(rows, axis=0)[-1]
     if m.arch == "ds":
         readout = _mlp(m.weights[1], readout[None, :])[0]
     out = readout.copy()
     out.setflags(write=False)
     return out
 
-
-def embedding_key(e: Embedding, eps: float) -> ColorKey:
-    """Quantized digest of an embedding, for fast exact pre-grouping."""
-    grid = quantize_matrix(np.asarray(e, dtype=np.float64)[None, :], eps)
-    return _digest(b"\x04" + quantized_row_bytes(grid[0]))

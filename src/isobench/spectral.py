@@ -72,7 +72,9 @@ def jacobi_eigh(
                 apq = a[p, q]
                 if abs(apq) <= 1e-300:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                # A Python float squares to inf silently where a numpy
+                # scalar warns; t is then +-0.0 either way.
+                theta = float((a[q, q] - a[p, p]) / (2.0 * apq))
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c

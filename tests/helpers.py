@@ -8,6 +8,7 @@ means two separate routes reached the same answer.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 
 import numpy as np
@@ -184,3 +185,88 @@ def simple_spectrum(g: Graph, gap: float = 1e-8) -> bool:
         return True
     vals = np.linalg.eigvalsh(normalized_laplacian(g))
     return bool(np.min(np.diff(vals)) > gap)
+
+
+# ---------------------------------------------------------------------------
+# per-node message passing (reference for the vectorised models)
+
+
+def _reference_mlp(params, x: np.ndarray) -> np.ndarray:
+    return np.tanh(np.tanh(x @ params.w1 + params.b1) @ params.w2 + params.b2)
+
+
+def _reference_gin_states(m, g: Graph) -> np.ndarray:
+    h = g.features
+    for layer, eps in zip(m.weights, m.epsilons):
+        agg = np.empty((g.n, h.shape[1]), dtype=np.float64)
+        for v in range(g.n):
+            acc = (1.0 + eps) * h[v]
+            for u in g.neighbors[v]:
+                acc = acc + h[u]
+            agg[v] = acc
+        h = _reference_mlp(layer, agg)
+    return h
+
+
+def _reference_pna_states(m, g: Graph) -> np.ndarray:
+    h = g.features
+    deg = g.degrees
+    log_deg = np.zeros(g.n, dtype=np.float64)
+    for v in range(g.n):
+        log_deg[v] = math.log1p(float(deg[v]))
+    delta = 0.0
+    for v in range(g.n):
+        delta += log_deg[v]
+    delta /= g.n
+    for layer in m.weights:
+        width = h.shape[1]
+        block = np.zeros((g.n, width * 16), dtype=np.float64)
+        for v in range(g.n):
+            own = h[v]
+            if deg[v] == 0:
+                aggs = np.zeros((5, width), dtype=np.float64)
+                scalers = (1.0, 1.0, 1.0)
+            else:
+                total = np.zeros(width, dtype=np.float64)
+                for u in g.neighbors[v]:
+                    total = total + h[u]
+                mean = total / deg[v]
+                stacked = h[list(g.neighbors[v])]
+                high = np.max(stacked, axis=0)
+                low = np.min(stacked, axis=0)
+                var = np.zeros(width, dtype=np.float64)
+                for u in g.neighbors[v]:
+                    diff = h[u] - mean
+                    var = var + diff * diff
+                std = np.sqrt(var / deg[v])
+                aggs = np.stack([mean, total, high, low, std])
+                scalers = (1.0, log_deg[v] / delta, delta / log_deg[v])
+            parts = [own]
+            for s in scalers:
+                for a in range(5):
+                    parts.append(aggs[a] * s)
+            block[v] = np.concatenate(parts)
+        h = _reference_mlp(layer, block)
+    return h
+
+
+def reference_forward(m, g: Graph) -> np.ndarray:
+    """Embedding from per-node loops that add neighbours in ascending index.
+
+    Mirrors isobench.models.forward operation for operation, one node at
+    a time: each neighbour sum starts from the node's own term (gin) or
+    from zero (pna) and adds neighbours in ascending order; the readout
+    adds node states to a zero vector in ascending order.
+    """
+    if m.arch == "gin":
+        states = _reference_gin_states(m, g)
+    elif m.arch == "pna":
+        states = _reference_pna_states(m, g)
+    else:
+        states = _reference_mlp(m.weights[0], g.features)
+    readout = np.zeros(states.shape[1], dtype=np.float64)
+    for v in range(g.n):
+        readout = readout + states[v]
+    if m.arch == "ds":
+        readout = _reference_mlp(m.weights[1], readout[None, :])[0]
+    return readout

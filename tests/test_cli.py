@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report stability."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -85,6 +86,25 @@ class TestEvaluate:
         assert code == EXIT_OK
         assert out == ""
         assert out_file.read_text().endswith("Base,wl1,4,3,0,4,0,0.000\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out_file.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_out_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        out_file = tmp_path / "report.csv"
+        out_file.write_text("old report\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("isobench.cli.os.replace", refuse)
+        code, _, err = run(
+            capsys, "evaluate", "--input", "hard_pairs", "--out", str(out_file),
+        )
+        assert code == EXIT_DATA
+        assert "rename refused" in err
+        assert out_file.read_text() == "old report\n"
+        assert not list(tmp_path.glob(".isobench-*.tmp"))
 
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "evaluate", "--input", "no/such/file.g6")

@@ -1,5 +1,7 @@
 """Normalized Laplacian, the rotation eigensolver, and encoding columns."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,16 @@ class TestJacobiEigh:
     def test_empty_matrix(self):
         vals, vecs = jacobi_eigh(np.zeros((0, 0)))
         assert vals.shape == (0,) and vecs.shape == (0, 0)
+
+    def test_tiny_off_diagonal_cell_rotates_without_warning(self):
+        # Sweeps on P8 + P3 meet cells so small that theta squared
+        # overflows to inf; that must not warn.
+        g = Graph(11, path(8).edges + tuple((u + 8, v + 8) for u, v in path(3).edges))
+        lap = normalized_laplacian(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, _ = jacobi_eigh(lap)
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(lap), atol=1e-9)
 
     def test_laplacian_spectra_match_lapack(self):
         for g in [path(6), cycle(7), star(5), complete(4)]:
