@@ -1,6 +1,8 @@
 """Deterministic testbed for isomorphism-preserving graph transforms
 and the expressivity of exact and floating-point graph embedders."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .errors import (
@@ -31,32 +33,26 @@ from .centrality import (
     degree_centrality,
     eigenvector_centrality,
 )
-from .spectral import jacobi_eigh, laplacian_encoding_columns, normalized_laplacian
+from .spectral import SIGN_MODES, jacobi_eigh, laplacian_encoding_columns, normalized_laplacian
 from .wl import (
     ColorKey,
-    QuantizedFeatures,
     WLSignature,
     distinguishes,
-    quantize_features,
     wl1_signature,
     wlk_signature,
 )
 from .transforms import (
-    CENTRALITY_KINDS,
     KINDS,
-    METHOD_LABELS,
-    SIGN_MODES,
+    TRANSFORMS,
     TransformSpec,
     all_method_specs,
     apply_transform,
-    centrality_augment,
     distance_encoding,
     extra_node,
     graph_encoding,
     parse_transform_token,
     subgraph_extraction,
     virtual_node,
-    with_sign_mode,
 )
 from .models import (
     ARCHS,
@@ -68,11 +64,11 @@ from .models import (
     node_states,
 )
 from .evaluate import (
-    CSV_HEADER,
     DEFAULT_CLUSTER_EPS,
     EMBEDDERS,
     LabeledPair,
     PairDataset,
+    REPORT_FORMATS,
     ReportRow,
     augment_with_iso_pairs,
     cluster_embeddings,
@@ -80,9 +76,6 @@ from .evaluate import (
     evaluate_grid,
     evaluate_pairs,
     make_pair_dataset,
-    render_csv,
-    render_jsonl,
-    render_markdown,
     report_table,
     sort_rows,
     verify_pair_labels,
@@ -109,4 +102,10 @@ from .corpus import (
     star,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every public name imported above; the submodules are reachable as
+# attributes but are not part of the star-import surface.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

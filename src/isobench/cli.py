@@ -26,16 +26,18 @@ from . import __version__
 from .corpus import PairingWarning, hard_pair_library, load_dataset, pairs_from_graphs
 from .errors import ContractError, CorpusIntegrityError, IsobenchError
 from .evaluate import (
+    DEFAULT_CLUSTER_EPS,
     EMBEDDERS,
     LabeledPair,
     PairDataset,
+    REPORT_FORMATS,
     augment_with_iso_pairs,
     evaluate_grid,
     report_table,
 )
 from .graphs import write_edge_list
 from .transforms import TransformSpec, apply_transform, parse_transform_token
-from .wl import wl1_signature, wlk_signature
+from .wl import DEFAULT_EPS, wl1_signature, wlk_signature
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,19 +90,19 @@ def _build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("wl", help="refinement verdicts on consecutive pairs")
     add_io(pw)
     pw.add_argument("--k", type=int, default=1, choices=(1, 2, 3), help="refinement arity")
-    pw.add_argument("--eps", type=float, default=1e-6, help="feature quantization granularity")
+    pw.add_argument("--eps", type=float, default=DEFAULT_EPS, help="feature quantization granularity")
     pw.add_argument("--transform", action="append", default=[], help="transform token applied before refinement; repeatable")
 
     pe = sub.add_parser("evaluate", help="run a transform x embedder grid")
     add_io(pe, multiple_inputs=True)
     pe.add_argument("--transform", action="append", default=[], help="transform token; repeatable (default: base)")
     pe.add_argument("--embedder", action="append", default=[], choices=EMBEDDERS, help="embedder name; repeatable (default: wl1)")
-    pe.add_argument("--eps", type=float, default=1e-5, help="model clustering tolerance")
-    pe.add_argument("--quant-eps", type=float, default=1e-6, help="feature quantization granularity")
+    pe.add_argument("--eps", type=float, default=DEFAULT_CLUSTER_EPS, help="model clustering tolerance")
+    pe.add_argument("--quant-eps", type=float, default=DEFAULT_EPS, help="feature quantization granularity")
     pe.add_argument("--seed-data", type=int, default=0, help="seed for augmentation sampling")
     pe.add_argument("--seed-model", type=int, default=0, help="seed for model weights")
     pe.add_argument("--augment", type=int, default=0, help="number of relabeled isomorphic pairs to add")
-    pe.add_argument("--emit", default="csv", choices=("csv", "md", "jsonl"), help="report format")
+    pe.add_argument("--emit", default="csv", choices=tuple(REPORT_FORMATS), help="report format")
     pe.add_argument("--out", default=None, help="write the report here instead of stdout")
     pe.add_argument("--by-origin", action="store_true", help="one row per input origin")
     pe.add_argument("--timing", action="store_true", help="emit measured wall time (breaks byte-identical output)")

@@ -20,6 +20,7 @@ excluded and counted, never silently dropped.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ContractError, IsobenchError
 from .graphs import Graph, Permutation, apply_permutation, are_isomorphic
 from .models import forward, init_model
-from .transforms import METHOD_LABELS, TransformSpec, apply_transform
+from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
 from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, wl1_signature, wlk_signature
 
 EMBEDDERS = ("wl1", "wl2", "wl3", "gin", "pna", "ds")
@@ -37,8 +38,6 @@ MODEL_EMBEDDERS = ("gin", "pna", "ds")
 
 DEFAULT_CLUSTER_EPS = 1e-5
 VERIFY_MAX_NODES = 16
-
-CSV_HEADER = "method,embedder,ecc,fn,fp,pairs,excluded,seconds"
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,8 @@ class ReportRow:
 
     @property
     def method_label(self) -> str:
-        return METHOD_LABELS.get(self.method, self.method)
+        entry = TRANSFORMS.get(self.method)
+        return entry[0] if entry else self.method
 
 
 GraphEmbedder = Callable[[Graph], "bytes | np.ndarray"]
@@ -347,7 +347,7 @@ def evaluate_grid(
 # ---------------------------------------------------------------------------
 # rendering
 
-_METHOD_ORDER = {kind: i for i, kind in enumerate(METHOD_LABELS)}
+_METHOD_ORDER = {kind: i for i, kind in enumerate(KINDS)}
 _EMBEDDER_ORDER = {name: i for i, name in enumerate(EMBEDDERS)}
 
 
@@ -362,94 +362,65 @@ def sort_rows(rows: Sequence[ReportRow]) -> list[ReportRow]:
     )
 
 
-def _row_cells(row: ReportRow, with_origin: bool, timing: bool) -> list[str]:
-    seconds = f"{row.seconds:.3f}" if timing else "0.000"
-    cells = [
-        row.method_label,
-        row.embedder,
-        str(row.ecc),
-        str(row.fn),
-        str(row.fp),
-        str(row.pairs),
-        str(row.excluded),
-        seconds,
-    ]
-    if with_origin:
-        cells.insert(2, row.origin or "all")
-    return cells
+_COLUMNS = ("method", "embedder", "origin", "ecc", "fn", "fp", "pairs", "excluded", "seconds")
 
 
-def render_csv(
-    rows: Sequence[ReportRow],
-    meta: dict[str, object] | None = None,
-    timing: bool = False,
-) -> str:
+def _report_cells(
+    rows: Sequence[ReportRow], timing: bool
+) -> tuple[list[str], list[list[object]]]:
+    """Header and typed cells in sorted row order.
+
+    The origin column appears only when some row has an origin; seconds
+    is the 0.0 placeholder unless timing is set.
+    """
     rows = sort_rows(rows)
     with_origin = any(r.origin is not None for r in rows)
-    header = CSV_HEADER.split(",")
-    if with_origin:
-        header.insert(2, "origin")
-    lines = []
-    if meta:
-        for key, value in meta.items():
-            lines.append(f"# {key}={value}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_row_cells(row, with_origin, timing)))
-    return "\n".join(lines) + "\n"
-
-
-def render_markdown(
-    rows: Sequence[ReportRow],
-    meta: dict[str, object] | None = None,
-    timing: bool = False,
-) -> str:
-    rows = sort_rows(rows)
-    with_origin = any(r.origin is not None for r in rows)
-    header = CSV_HEADER.split(",")
-    if with_origin:
-        header.insert(2, "origin")
-    table = [header] + [_row_cells(row, with_origin, timing) for row in rows]
-    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
-    lines = []
-    if meta:
-        for key, value in meta.items():
-            lines.append(f"- {key}: {value}")
-        lines.append("")
-    lines.append("| " + " | ".join(h.ljust(w) for h, w in zip(table[0], widths)) + " |")
-    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    for row in table[1:]:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def render_jsonl(
-    rows: Sequence[ReportRow],
-    meta: dict[str, object] | None = None,
-    timing: bool = False,
-) -> str:
-    import json
-
-    rows = sort_rows(rows)
-    with_origin = any(r.origin is not None for r in rows)
-    lines = []
-    if meta:
-        lines.append(json.dumps({"meta": meta}, sort_keys=True))
-    for row in rows:
-        obj: dict[str, object] = {
-            "method": row.method_label,
-            "embedder": row.embedder,
-            "ecc": row.ecc,
-            "fn": row.fn,
-            "fp": row.fp,
-            "pairs": row.pairs,
-            "excluded": row.excluded,
-            "seconds": round(row.seconds, 3) if timing else 0.0,
+    header = [c for c in _COLUMNS if with_origin or c != "origin"]
+    body = []
+    for r in rows:
+        cells = {
+            "method": r.method_label,
+            "embedder": r.embedder,
+            "origin": r.origin or "all",
+            "ecc": r.ecc,
+            "fn": r.fn,
+            "fp": r.fp,
+            "pairs": r.pairs,
+            "excluded": r.excluded,
+            "seconds": round(r.seconds, 3) if timing else 0.0,
         }
-        if with_origin:
-            obj["origin"] = row.origin or "all"
-        lines.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(lines) + "\n"
+        body.append([cells[c] for c in header])
+    return header, body
+
+
+def _text(cell: object) -> str:
+    return f"{cell:.3f}" if isinstance(cell, float) else str(cell)
+
+
+def _csv(header: list[str], body: list[list[object]], meta: dict | None) -> list[str]:
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines.append(",".join(header))
+    return lines + [",".join(map(_text, cells)) for cells in body]
+
+
+def _markdown(header: list[str], body: list[list[object]], meta: dict | None) -> list[str]:
+    lines = [f"- {key}: {value}" for key, value in (meta or {}).items()]
+    if meta:
+        lines.append("")
+    table = [header] + [list(map(_text, cells)) for cells in body]
+    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
+    rows = ["| " + " | ".join(c.ljust(w) for c, w in zip(r, widths)) + " |" for r in table]
+    rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
+    return lines + rows[:1] + [rule] + rows[1:]
+
+
+def _jsonl(header: list[str], body: list[list[object]], meta: dict | None) -> list[str]:
+    lines = [json.dumps({"meta": meta}, sort_keys=True)] if meta else []
+    return lines + [json.dumps(dict(zip(header, cells)), sort_keys=True) for cells in body]
+
+
+# format name -> layout of (header, cells, meta) as report lines
+REPORT_FORMATS = {"csv": _csv, "md": _markdown, "jsonl": _jsonl}
 
 
 def report_table(
@@ -458,10 +429,10 @@ def report_table(
     meta: dict[str, object] | None = None,
     timing: bool = False,
 ) -> str:
-    if fmt == "csv":
-        return render_csv(rows, meta, timing)
-    if fmt == "md":
-        return render_markdown(rows, meta, timing)
-    if fmt == "jsonl":
-        return render_jsonl(rows, meta, timing)
-    raise ContractError(f"unknown report format {fmt!r}; valid: csv, md, jsonl")
+    layout = REPORT_FORMATS.get(fmt)
+    if layout is None:
+        raise ContractError(
+            f"unknown report format {fmt!r}; valid: {', '.join(REPORT_FORMATS)}"
+        )
+    header, body = _report_cells(rows, timing)
+    return "\n".join(layout(header, body, meta)) + "\n"

@@ -15,7 +15,8 @@ graph6
     n x 1 matrix.
 
 edge list
-    Line one is "n d". Each following line with exactly two integer
+    Line one is "n d", with n at most 65535 and n * d at most 2**24
+    (EDGE_LIST_MAX_CELLS). Each following line with exactly two integer
     tokens is an edge "u v". The first line that does not look like an
     edge starts the feature block, which must then hold exactly n rows
     of d finite decimal reals. Written files always include the feature
@@ -35,6 +36,9 @@ from .quant import quantize_matrix
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_NODES = 65535
+# Largest n * d an edge-list header may declare: 2**24 float64 cells are
+# 128 MiB, checked before the feature matrix is allocated.
+EDGE_LIST_MAX_CELLS = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +312,16 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError("header must hold two integers 'n d'", line=head_no) from None
     if n < 0 or d < 1:
         raise GraphParseError(f"header requires n >= 0 and d >= 1, got n={n} d={d}", line=head_no)
+    if n > GRAPH6_MAX_NODES:
+        raise GraphParseError(
+            f"header node count {n} exceeds the supported {GRAPH6_MAX_NODES}", line=head_no
+        )
+    if n * d > EDGE_LIST_MAX_CELLS:
+        raise GraphParseError(
+            f"header declares {n} x {d} feature cells, more than the supported "
+            f"{EDGE_LIST_MAX_CELLS}",
+            line=head_no,
+        )
     body = lines[1:]
     split = 0
     while split < len(body) and _looks_like_edge(body[split][1].split()):

@@ -21,6 +21,9 @@ from .graphs import Graph
 JACOBI_TOL = 1e-10
 JACOBI_MAX_SWEEPS = 100
 
+# Column sign conventions of laplacian_encoding_columns.
+SIGN_MODES = ("raw", "first_nonzero_positive")
+
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """I - D^{-1/2} A D^{-1/2}, with zero rows for isolated nodes."""
@@ -134,7 +137,7 @@ def laplacian_encoding_columns(g: Graph, k: int, sign_mode: str) -> np.ndarray:
     eigenvalue gaps simple the appended features commute with node
     relabeling; "raw" keeps the solver output as is.
     """
-    if sign_mode not in ("raw", "first_nonzero_positive"):
+    if sign_mode not in SIGN_MODES:
         raise ContractError(f"unknown sign mode {sign_mode!r}")
     out = np.zeros((g.n, k), dtype=np.float64)
     if g.n < 2:

@@ -21,7 +21,8 @@ kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,37 +34,7 @@ from .centrality import (
 )
 from .errors import ContractError
 from .graphs import Graph
-from .spectral import laplacian_encoding_columns
-
-KINDS = (
-    "base",
-    "virtual_node",
-    "degree",
-    "closeness",
-    "betweenness",
-    "eigenvector",
-    "distance_encoding",
-    "graph_encoding",
-    "subgraph_extraction",
-    "extra_node",
-)
-
-CENTRALITY_KINDS = ("degree", "closeness", "betweenness", "eigenvector")
-
-METHOD_LABELS = {
-    "base": "Base",
-    "virtual_node": "Virtual Node",
-    "degree": "Degree",
-    "closeness": "Closeness",
-    "betweenness": "Betweenness",
-    "eigenvector": "Eigenvector",
-    "distance_encoding": "Distance Encoding",
-    "graph_encoding": "Graph Encoding",
-    "subgraph_extraction": "Subgraph Extraction",
-    "extra_node": "Extra Node",
-}
-
-SIGN_MODES = ("raw", "first_nonzero_positive")
+from .spectral import SIGN_MODES, laplacian_encoding_columns
 
 
 @dataclass(frozen=True)
@@ -109,7 +80,7 @@ class TransformSpec:
 
     @property
     def label(self) -> str:
-        return METHOD_LABELS[self.kind]
+        return TRANSFORMS[self.kind][0]
 
 
 _TOKEN_KEYS = {
@@ -176,24 +147,17 @@ def extra_node(g: Graph) -> Graph:
     return Graph(g.n + len(g.edges), tuple(edges), feats)
 
 
-def centrality_augment(g: Graph, measure: str, spec: TransformSpec | None = None) -> Graph:
-    """Append one centrality column to the feature matrix."""
-    if measure not in CENTRALITY_KINDS:
-        raise ContractError(
-            f"unknown centrality {measure!r}; valid measures: {', '.join(CENTRALITY_KINDS)}"
-        )
-    if g.n < 1:
-        raise ContractError("centrality augmentation needs at least one node")
-    spec = spec or TransformSpec(kind=measure)
-    if measure == "degree":
-        col = degree_centrality(g)
-    elif measure == "closeness":
-        col = closeness_centrality(g)
-    elif measure == "betweenness":
-        col = betweenness_centrality(g)
-    else:
-        col = eigenvector_centrality(g, tol=spec.power_tol, max_iter=spec.power_max_iter)
-    return _append_columns(g, col)
+def _centrality(
+    measure: Callable[[Graph, TransformSpec], np.ndarray],
+) -> Callable[[Graph, TransformSpec], Graph]:
+    """The transform that appends the column measure(g, spec)."""
+
+    def augment(g: Graph, spec: TransformSpec) -> Graph:
+        if g.n < 1:
+            raise ContractError("centrality augmentation needs at least one node")
+        return _append_columns(g, measure(g, spec))
+
+    return augment
 
 
 def distance_encoding(g: Graph, spec: TransformSpec) -> Graph:
@@ -244,22 +208,35 @@ def subgraph_extraction(g: Graph, spec: TransformSpec) -> Graph:
     return _append_columns(g, cols)
 
 
+# kind -> (report label, transform); the order is the reporting order.
+# The lambdas look the centrality functions up in this module's globals
+# at call time, as graph_encoding does laplacian_encoding_columns, so a
+# wrapper patched onto this module sees every call.
+TRANSFORMS: dict[str, tuple[str, Callable[[Graph, TransformSpec], Graph]]] = {
+    "base": ("Base", lambda g, spec: g),
+    "virtual_node": ("Virtual Node", lambda g, spec: virtual_node(g)),
+    "degree": ("Degree", _centrality(lambda g, spec: degree_centrality(g))),
+    "closeness": ("Closeness", _centrality(lambda g, spec: closeness_centrality(g))),
+    "betweenness": ("Betweenness", _centrality(lambda g, spec: betweenness_centrality(g))),
+    "eigenvector": (
+        "Eigenvector",
+        _centrality(
+            lambda g, spec: eigenvector_centrality(
+                g, tol=spec.power_tol, max_iter=spec.power_max_iter
+            )
+        ),
+    ),
+    "distance_encoding": ("Distance Encoding", distance_encoding),
+    "graph_encoding": ("Graph Encoding", graph_encoding),
+    "subgraph_extraction": ("Subgraph Extraction", subgraph_extraction),
+    "extra_node": ("Extra Node", lambda g, spec: extra_node(g)),
+}
+
+KINDS = tuple(TRANSFORMS)
+
+
 def apply_transform(spec: TransformSpec, g: Graph) -> Graph:
-    if spec.kind == "base":
-        return g
-    if spec.kind == "virtual_node":
-        return virtual_node(g)
-    if spec.kind == "extra_node":
-        return extra_node(g)
-    if spec.kind in CENTRALITY_KINDS:
-        return centrality_augment(g, spec.kind, spec)
-    if spec.kind == "distance_encoding":
-        return distance_encoding(g, spec)
-    if spec.kind == "graph_encoding":
-        return graph_encoding(g, spec)
-    if spec.kind == "subgraph_extraction":
-        return subgraph_extraction(g, spec)
-    raise ContractError(f"unknown transform kind {spec.kind!r}")
+    return TRANSFORMS[spec.kind][1](g, spec)
 
 
 def all_method_specs(sign_mode: str = "raw") -> tuple[TransformSpec, ...]:
@@ -267,9 +244,5 @@ def all_method_specs(sign_mode: str = "raw") -> tuple[TransformSpec, ...]:
     return tuple(
         TransformSpec(kind=kind, sign_mode=sign_mode) if kind == "graph_encoding"
         else TransformSpec(kind=kind)
-        for kind in KINDS
+        for kind in TRANSFORMS
     )
-
-
-def with_sign_mode(spec: TransformSpec, sign_mode: str) -> TransformSpec:
-    return replace(spec, sign_mode=sign_mode)

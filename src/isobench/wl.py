@@ -21,8 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .errors import ContractError, ResourceLimitError
 from .graphs import Graph
 from .quant import quantize_matrix, quantized_row_bytes
@@ -38,23 +36,6 @@ ColorKey = bytes  # 16-byte digest
 
 def _digest(payload: bytes) -> ColorKey:
     return hashlib.blake2b(payload, digest_size=16, person=_PERSON).digest()
-
-
-@dataclass(frozen=True)
-class QuantizedFeatures:
-    """Integer grid indices of a feature matrix at granularity eps."""
-
-    grid: np.ndarray
-    eps: float
-
-    def row_key(self, v: int) -> bytes:
-        return quantized_row_bytes(self.grid[v])
-
-
-def quantize_features(g: Graph, eps: float = DEFAULT_EPS) -> QuantizedFeatures:
-    grid = quantize_matrix(g.features, eps)
-    grid.setflags(write=False)
-    return QuantizedFeatures(grid, eps)
 
 
 @dataclass(frozen=True)
@@ -89,8 +70,8 @@ def _finish(variant: str, eps: float, rounds: int, colors: list[ColorKey]) -> WL
 
 def wl1_signature(g: Graph, eps: float = DEFAULT_EPS) -> WLSignature:
     """Node color refinement seeded by quantized feature rows."""
-    quant = quantize_features(g, eps)
-    colors = [_digest(_INIT + quant.row_key(v)) for v in range(g.n)]
+    grid = quantize_matrix(g.features, eps)
+    colors = [_digest(_INIT + quantized_row_bytes(row)) for row in grid]
     classes = len(set(colors))
     rounds = 0
     for _ in range(g.n):
@@ -138,8 +119,7 @@ def wlk_signature(
             f"budget is {budget}"
         )
 
-    quant = quantize_features(g, eps)
-    row_keys = [quant.row_key(v) for v in range(n)]
+    row_keys = [quantized_row_bytes(row) for row in quantize_matrix(g.features, eps)]
     colors = [_atomic_type(g, nodes, row_keys) for nodes in product(range(n), repeat=k)]
     total = n**k
     classes = len(set(colors))

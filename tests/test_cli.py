@@ -170,6 +170,34 @@ class TestTransform:
         assert not list(tmp_path.glob(".isobench-*"))
 
 
+class TestOversizedHeader:
+    # n * d * 8 bytes exceeds 2**60, so a parser that allocates first fails
+    # at allocation without touching memory.
+    HEADERS = ["200000000000000000 1", "3 100000000000000000"]
+
+    @pytest.mark.parametrize("header", HEADERS)
+    def test_transform_is_data_error(self, capsys, tmp_path, header):
+        src = tmp_path / "big.el"
+        src.write_text(f"{header}\n0 1\n")
+        dst = tmp_path / "out.el"
+        code, _, err = run(
+            capsys, "transform", "--input", str(src),
+            "--transform", "base", "--out", str(dst),
+        )
+        assert code == EXIT_DATA
+        assert "line 1" in err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("header", HEADERS)
+    def test_evaluate_is_data_error(self, capsys, tmp_path, header):
+        src = tmp_path / "big.el"
+        src.write_text(f"{header}\n0 1\n")
+        code, out, err = run(capsys, "evaluate", "--input", str(src))
+        assert code == EXIT_DATA
+        assert "line 1" in err
+        assert out == ""
+
+
 class TestWL:
     def test_library_verdicts(self, capsys):
         code, out, _ = run(capsys, "wl", "--input", "hard_pairs")

@@ -13,6 +13,7 @@ from isobench import (
     Graph,
     LabeledPair,
     Permutation,
+    REPORT_FORMATS,
     TransformSpec,
     apply_permutation,
     augment_with_iso_pairs,
@@ -26,14 +27,12 @@ from isobench import (
     hard_pair_library,
     make_pair_dataset,
     path,
-    render_csv,
-    render_jsonl,
-    render_markdown,
     report_table,
     sort_rows,
     star,
     verify_pair_labels,
 )
+from isobench.cli import _build_parser
 
 from helpers import canonical_key
 
@@ -220,7 +219,7 @@ class TestGridAndRendering:
         assert [r.method for r in rows] == ["base", "degree"]
 
     def test_csv_shape(self):
-        text = render_csv(self.two_rows(), meta={"tool": "demo"})
+        text = report_table(self.two_rows(), "csv", meta={"tool": "demo"})
         lines = text.strip().split("\n")
         assert lines[0] == "# tool=demo"
         assert lines[1] == "method,embedder,ecc,fn,fp,pairs,excluded,seconds"
@@ -229,19 +228,19 @@ class TestGridAndRendering:
         assert lines[2].endswith(",0.000")
 
     def test_csv_timing_flag(self):
-        text = render_csv(self.two_rows(), timing=True)
+        text = report_table(self.two_rows(), "csv", timing=True)
         last = text.strip().split("\n")[-1]
         assert not last.endswith(",0.000") or float(last.rsplit(",", 1)[1]) == 0.0
 
     def test_markdown_shape(self):
-        text = render_markdown(self.two_rows())
+        text = report_table(self.two_rows(), "md")
         lines = text.strip().split("\n")
         assert lines[0].startswith("| method")
         assert set(lines[1]) <= {"|", "-"}
         assert len(lines) == 4
 
     def test_jsonl_parses(self):
-        text = render_jsonl(self.two_rows(), meta={"eps": 1e-5})
+        text = report_table(self.two_rows(), "jsonl", meta={"eps": 1e-5})
         lines = text.strip().split("\n")
         head = json.loads(lines[0])
         assert head["meta"]["eps"] == 1e-5
@@ -253,13 +252,13 @@ class TestGridAndRendering:
         pairs = [LabeledPair(path(3), path(3), True, origin="a")]
         ds = make_pair_dataset(pairs)
         rows = evaluate_grid(ds, [base_spec()], ["wl1"], by_origin=True)
-        text = render_csv(rows)
+        text = report_table(rows, "csv")
         assert text.splitlines()[0] == "method,embedder,origin,ecc,fn,fp,pairs,excluded,seconds"
 
     def test_report_table_dispatch(self):
-        rows = self.two_rows()
-        assert report_table(rows, "csv") == render_csv(rows)
-        assert report_table(rows, "md") == render_markdown(rows)
-        assert report_table(rows, "jsonl") == render_jsonl(rows)
-        with pytest.raises(ContractError):
-            report_table(rows, "yaml")
+        with pytest.raises(ContractError, match="csv, md, jsonl"):
+            report_table(self.two_rows(), "yaml")
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command")
+        emit = next(a for a in commands.choices["evaluate"]._actions if a.dest == "emit")
+        assert tuple(emit.choices) == tuple(REPORT_FORMATS)

@@ -22,7 +22,6 @@ from isobench import (
     parse_transform_token,
     path,
     quantize_matrix,
-    with_sign_mode,
     wl1_signature,
 )
 
@@ -75,9 +74,30 @@ class TestSpecAndTokens:
         modes = {s.kind: s.sign_mode for s in fnp}
         assert modes["graph_encoding"] == "first_nonzero_positive"
 
-    def test_with_sign_mode(self):
-        s = with_sign_mode(spec("graph_encoding", k=7), "first_nonzero_positive")
-        assert s.k == 7 and s.sign_mode == "first_nonzero_positive"
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("closeness", "closeness_centrality"),
+            ("betweenness", "betweenness_centrality"),
+            ("eigenvector", "eigenvector_centrality"),
+            ("graph_encoding", "laplacian_encoding_columns"),
+        ],
+    )
+    def test_registry_calls_module_globals(self, monkeypatch, kind, name):
+        # benchmarks/tracing.py times these layers by patching the names
+        # on the transforms module, so every call must go through them.
+        import isobench.transforms as transforms
+
+        original = getattr(transforms, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, name, counted)
+        apply_transform(spec(kind), cycle(5))
+        assert calls == [name]
 
 
 class TestStructuralTransforms:
