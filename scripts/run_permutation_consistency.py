@@ -23,17 +23,10 @@ from isobench import (
     apply_permutation,
     apply_transform,
     erdos_renyi,
-    normalized_laplacian,
     quantize_matrix,
+    simple_spectrum,
     wl1_signature,
 )
-
-
-def simple_spectrum(g, gap: float = 1e-6) -> bool:
-    if g.n < 2:
-        return True
-    vals = np.linalg.eigvalsh(normalized_laplacian(g))
-    return bool(np.min(np.diff(vals)) > gap)
 
 
 def row_multiset(g, eps: float):

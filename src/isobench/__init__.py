@@ -17,10 +17,8 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    IsoVerdict,
     Permutation,
     apply_permutation,
-    are_isomorphic,
     parse_edge_list,
     parse_graph6,
     write_edge_list,
@@ -33,10 +31,18 @@ from .centrality import (
     degree_centrality,
     eigenvector_centrality,
 )
-from .spectral import SIGN_MODES, jacobi_eigh, laplacian_encoding_columns, normalized_laplacian
+from .spectral import (
+    SIGN_MODES,
+    jacobi_eigh,
+    laplacian_encoding_columns,
+    normalized_laplacian,
+    simple_spectrum,
+)
 from .wl import (
     ColorKey,
+    IsoVerdict,
     WLSignature,
+    are_isomorphic,
     distinguishes,
     wl1_signature,
     wlk_signature,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ContractError, CorpusIntegrityError, GraphParseError
 from .evaluate import LabeledPair, PairDataset, make_pair_dataset
-from .graphs import Graph, Permutation, apply_permutation, are_isomorphic, parse_edge_list, parse_graph6
-from .wl import wl1_signature, wlk_signature
+from .graphs import Graph, Permutation, apply_permutation, parse_edge_list, parse_graph6
+from .wl import are_isomorphic, wl1_signature, wlk_signature
 
 # Fixed edge list of the 16-node, 6-regular strongly regular graph with
 # lambda = mu = 2 that is NOT the 4x4 rook's graph. Embedded as literal
@@ -43,18 +43,6 @@ SHRIKHANDE_EDGES: tuple[tuple[int, int], ...] = (
     (13, 14),
     (14, 15),
 )
-
-FAMILIES = (
-    "cycle",
-    "path",
-    "star",
-    "complete",
-    "disjoint_cycles",
-    "erdos_renyi",
-    "rook4x4",
-    "shrikhande",
-)
-
 
 def cycle(n: int) -> Graph:
     if n < 3:
@@ -148,29 +136,31 @@ def shrikhande() -> Graph:
     return g
 
 
+def _seeded_erdos_renyi(params: dict, seed: int | None) -> Graph:
+    use_seed = params.get("seed", seed)
+    if use_seed is None:
+        raise ContractError("erdos_renyi needs a seed")
+    return erdos_renyi(params["n"], params["p"], use_seed)
+
+
+# {family: builder(params, seed)}
+FAMILIES = {
+    "cycle": lambda params, seed: cycle(params["n"]),
+    "path": lambda params, seed: path(params["n"]),
+    "star": lambda params, seed: star(params["n"]),
+    "complete": lambda params, seed: complete(params["n"]),
+    "disjoint_cycles": lambda params, seed: disjoint_cycles(params["sizes"]),
+    "erdos_renyi": _seeded_erdos_renyi,
+    "rook4x4": lambda params, seed: rook4x4(),
+    "shrikhande": lambda params, seed: shrikhande(),
+}
+
+
 def generate(family: str, params: dict | None = None, seed: int | None = None) -> Graph:
     """Build one graph by family name; params mirror the family functions."""
-    params = dict(params or {})
-    if family == "cycle":
-        return cycle(params["n"])
-    if family == "path":
-        return path(params["n"])
-    if family == "star":
-        return star(params["n"])
-    if family == "complete":
-        return complete(params["n"])
-    if family == "disjoint_cycles":
-        return disjoint_cycles(params["sizes"])
-    if family == "erdos_renyi":
-        use_seed = params.get("seed", seed)
-        if use_seed is None:
-            raise ContractError("erdos_renyi needs a seed")
-        return erdos_renyi(params["n"], params["p"], use_seed)
-    if family == "rook4x4":
-        return rook4x4()
-    if family == "shrikhande":
-        return shrikhande()
-    raise ContractError(f"unknown family {family!r}; valid: {', '.join(FAMILIES)}")
+    if family not in FAMILIES:
+        raise ContractError(f"unknown family {family!r}; valid: {', '.join(FAMILIES)}")
+    return FAMILIES[family](dict(params or {}), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,13 @@ class CorpusManifest:
 
 _K4_SHUFFLE = Permutation((2, 0, 3, 1))
 
-EXPECTATIONS = ("isomorphic", "non_isomorphic", "wl1_equal", "wl3_equal")
+# {expect: check(left, right)}
+EXPECTATIONS = {
+    "isomorphic": lambda left, right: are_isomorphic(left, right).isomorphic,
+    "non_isomorphic": lambda left, right: not are_isomorphic(left, right).isomorphic,
+    "wl1_equal": lambda left, right: wl1_signature(left).digest == wl1_signature(right).digest,
+    "wl3_equal": lambda left, right: wlk_signature(left, 3).digest == wlk_signature(right, 3).digest,
+}
 
 
 def library_manifest() -> CorpusManifest:
@@ -250,17 +246,9 @@ def _build_side(family: str, params: dict) -> Graph:
 
 
 def _check_expectation(name: str, expect: str, left: Graph, right: Graph) -> None:
-    if expect == "isomorphic":
-        ok = are_isomorphic(left, right).isomorphic
-    elif expect == "non_isomorphic":
-        ok = not are_isomorphic(left, right).isomorphic
-    elif expect == "wl1_equal":
-        ok = wl1_signature(left).digest == wl1_signature(right).digest
-    elif expect == "wl3_equal":
-        ok = wlk_signature(left, 3).digest == wlk_signature(right, 3).digest
-    else:
+    if expect not in EXPECTATIONS:
         raise CorpusIntegrityError(f"unknown expectation {expect!r} on {name}")
-    if not ok:
+    if not EXPECTATIONS[expect](left, right):
         raise CorpusIntegrityError(f"pair {name!r} failed expectation {expect!r}")
 
 

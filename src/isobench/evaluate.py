@@ -28,10 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError, IsobenchError
-from .graphs import Graph, Permutation, apply_permutation, are_isomorphic
+from .graphs import Graph, Permutation, apply_permutation
 from .models import forward, init_model
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
-from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, wl1_signature, wlk_signature
+from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, are_isomorphic, wl1_signature, wlk_signature
 
 EMBEDDERS = ("wl1", "wl2", "wl3", "gin", "pna", "ds")
 MODEL_EMBEDDERS = ("gin", "pna", "ds")

@@ -1,4 +1,4 @@
-"""Finite labeled graphs, their file formats, and exact isomorphism.
+"""Finite labeled graphs, node permutations, and their file formats.
 
 A Graph is an immutable simple undirected graph on nodes 0..n-1 with a
 dense float feature matrix of shape (n, d). Two serializations are
@@ -31,8 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, GraphParseError, ResourceLimitError, UnsupportedSizeError
-from .quant import quantize_matrix
+from .errors import ContractError, GraphParseError, UnsupportedSizeError
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_NODES = 65535
@@ -172,14 +171,6 @@ class Permutation:
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "Permutation":
         return Permutation(tuple(int(x) for x in rng.permutation(n)))
-
-
-@dataclass(frozen=True)
-class IsoVerdict:
-    """Result of an exact isomorphism test, with a witness when positive."""
-
-    isomorphic: bool
-    witness: Permutation | None = None
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
@@ -371,131 +362,3 @@ def write_edge_list(g: Graph) -> str:
     for row in g.features:
         lines.append(" ".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# exact isomorphism
-
-
-def _refine_joint_partition(
-    g: Graph, h: Graph, init_g: list[int], init_h: list[int]
-) -> tuple[list[int], list[int]] | None:
-    """Refine node labels on both graphs together until stable.
-
-    Returns the stable labelings, or None as soon as the per-graph label
-    histograms diverge, which proves non-isomorphism. Independent of the
-    hashing in the wl module on purpose: this is a second route to the
-    same partition.
-    """
-    labels_g, labels_h = list(init_g), list(init_h)
-
-    def histograms_match() -> bool:
-        from collections import Counter
-
-        return Counter(labels_g) == Counter(labels_h)
-
-    if not histograms_match():
-        return None
-    classes = len(set(labels_g) | set(labels_h))
-    for _ in range(max(g.n, 1)):
-        table: dict[tuple, int] = {}
-
-        def relabel(graph: Graph, labels: list[int]) -> list[int]:
-            out = []
-            for v in range(graph.n):
-                key = (labels[v], tuple(sorted(labels[u] for u in graph.neighbors[v])))
-                out.append(table.setdefault(key, len(table)))
-            return out
-
-        labels_g = relabel(g, labels_g)
-        labels_h = relabel(h, labels_h)
-        if not histograms_match():
-            return None
-        new_classes = len(table)
-        if new_classes == classes:
-            break
-        classes = new_classes
-    return labels_g, labels_h
-
-
-def are_isomorphic(
-    g: Graph,
-    h: Graph,
-    *,
-    structure_only: bool = False,
-    eps: float = 1e-6,
-    max_nodes: int = 64,
-) -> IsoVerdict:
-    """Exact isomorphism by backtracking with color-refinement pruning.
-
-    Features take part in the invariant through their quantized rows
-    unless structure_only is set. Candidate targets share the refined
-    color of the source node and are tried in ascending index, so the
-    returned witness is deterministic.
-    """
-    if g.n != h.n:
-        return IsoVerdict(False)
-    if max(g.n, h.n) > max_nodes:
-        raise ResourceLimitError(
-            f"isomorphism search supports up to {max_nodes} nodes, got {g.n}"
-        )
-    if g.edge_count != h.edge_count:
-        return IsoVerdict(False)
-    n = g.n
-    if n == 0:
-        return IsoVerdict(True, Permutation(()))
-
-    if structure_only:
-        init_g = [0] * n
-        init_h = [0] * n
-    else:
-        if g.d != h.d:
-            raise ContractError(
-                f"feature widths differ ({g.d} vs {h.d}); pass structure_only=True to ignore features"
-            )
-        qg = quantize_matrix(g.features, eps)
-        qh = quantize_matrix(h.features, eps)
-        table: dict[bytes, int] = {}
-        init_g = [table.setdefault(row.tobytes(), len(table)) for row in qg]
-        init_h = [table.setdefault(row.tobytes(), len(table)) for row in qh]
-
-    refined = _refine_joint_partition(g, h, init_g, init_h)
-    if refined is None:
-        return IsoVerdict(False)
-    labels_g, labels_h = refined
-
-    adj_g = g.adjacency_matrix > 0.5
-    adj_h = h.adjacency_matrix > 0.5
-    candidates = [
-        [t for t in range(n) if labels_h[t] == labels_g[s]] for s in range(n)
-    ]
-    if any(not c for c in candidates):
-        return IsoVerdict(False)
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def search(s: int) -> bool:
-        if s == n:
-            return True
-        for t in candidates[s]:
-            if used[t]:
-                continue
-            ok = True
-            for s_prev in range(s):
-                if adj_g[s, s_prev] != adj_h[t, mapping[s_prev]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[s] = t
-            used[t] = True
-            if search(s + 1):
-                return True
-            mapping[s] = -1
-            used[t] = False
-        return False
-
-    if search(0):
-        return IsoVerdict(True, Permutation(tuple(mapping)))
-    return IsoVerdict(False)

@@ -39,6 +39,15 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
+def simple_spectrum(g: Graph, gap: float = 1e-6) -> bool:
+    """True when sorted normalized-Laplacian eigenvalues (numpy's eigvalsh,
+    independent of jacobi_eigh) are all more than gap apart."""
+    if g.n < 2:
+        return True
+    vals = np.linalg.eigvalsh(normalized_laplacian(g))
+    return bool(np.min(np.diff(vals)) > gap)
+
+
 def _max_offdiag(a: np.ndarray) -> float:
     if a.shape[0] < 2:
         return 0.0

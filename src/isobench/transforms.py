@@ -21,6 +21,7 @@ kinds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +34,7 @@ from .centrality import (
     eigenvector_centrality,
 )
 from .errors import ContractError
-from .graphs import Graph
+from .graphs import GRAPH6_MAX_NODES, Graph
 from .spectral import SIGN_MODES, laplacian_encoding_columns
 
 
@@ -48,6 +49,8 @@ class TransformSpec:
     sign_mode    spectral sign convention (graph_encoding)
     power_tol    eigenvector iteration convergence threshold
     power_max_iter  eigenvector iteration cap
+
+    k and d_max are at most GRAPH6_MAX_NODES; no graph has more nodes.
     """
 
     kind: str
@@ -63,18 +66,18 @@ class TransformSpec:
             raise ContractError(
                 f"unknown transform kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
             )
-        if self.k < 1:
-            raise ContractError(f"k must be >= 1, got {self.k}")
+        if not 1 <= self.k <= GRAPH6_MAX_NODES:
+            raise ContractError(f"k must lie in 1..{GRAPH6_MAX_NODES}, got {self.k}")
         if self.radius < 1:
             raise ContractError(f"radius must be >= 1, got {self.radius}")
-        if self.d_max < 1:
-            raise ContractError(f"d_max must be >= 1, got {self.d_max}")
+        if not 1 <= self.d_max <= GRAPH6_MAX_NODES:
+            raise ContractError(f"d_max must lie in 1..{GRAPH6_MAX_NODES}, got {self.d_max}")
         if self.sign_mode not in SIGN_MODES:
             raise ContractError(
                 f"unknown sign mode {self.sign_mode!r}; valid modes: {', '.join(SIGN_MODES)}"
             )
-        if self.power_tol <= 0:
-            raise ContractError(f"power_tol must be positive, got {self.power_tol}")
+        if not 0 < self.power_tol < math.inf:
+            raise ContractError(f"power_tol must be finite and positive, got {self.power_tol}")
         if self.power_max_iter < 1:
             raise ContractError(f"power_max_iter must be >= 1, got {self.power_max_iter}")
 

@@ -1,4 +1,4 @@
-"""Exact color-refinement signatures over nodes and node tuples.
+"""Exact color refinement over nodes and node tuples, and exact isomorphism.
 
 Node refinement replaces each color by a digest of the pair (own color,
 sorted multiset of neighbor colors) and stops once the induced node
@@ -12,6 +12,14 @@ All colors are 128-bit BLAKE2b digests with fixed constants, so the same
 graph yields the same signature on every platform and in every process.
 The signature of a graph is the multiset of final colors; two graphs are
 distinguished exactly when those multisets differ.
+
+Exact isomorphism reuses node refinement (McKay & Piperno 2014,
+"Practical graph isomorphism, II"): it individualises one node, giving
+it a color no refinement round produces, refines again, and repeats
+until every class is a single node. Each candidate node of the second
+graph costs one individualise-and-refine step; a search that needs more
+than ISO_SEARCH_BUDGET steps raises ResourceLimitError instead of
+running on.
 """
 
 from __future__ import annotations
@@ -22,14 +30,18 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import ContractError, ResourceLimitError
-from .graphs import Graph
+from .graphs import Graph, Permutation
 from .quant import quantize_matrix, quantized_row_bytes
 
 _PERSON = b"isobench.wl"
 _INIT, _REFINE, _FIBER, _HIST = b"\x00", b"\x01", b"\x02", b"\x03"
+# Marks an individualised node; only the isomorphism search uses it, so
+# it never reaches a signature.
+_INDIVIDUAL = b"\x04"
 
 DEFAULT_EPS = 1e-6
 DEFAULT_TUPLE_BUDGET = 20_000_000
+ISO_SEARCH_BUDGET = 5_000
 
 ColorKey = bytes  # 16-byte digest
 
@@ -68,10 +80,16 @@ def _finish(variant: str, eps: float, rounds: int, colors: list[ColorKey]) -> WL
     return WLSignature(variant, eps, rounds, histogram, acc.hexdigest())
 
 
-def wl1_signature(g: Graph, eps: float = DEFAULT_EPS) -> WLSignature:
-    """Node color refinement seeded by quantized feature rows."""
-    grid = quantize_matrix(g.features, eps)
-    colors = [_digest(_INIT + quantized_row_bytes(row)) for row in grid]
+def _initial_colors(g: Graph, eps: float) -> list[ColorKey]:
+    return [_digest(_INIT + quantized_row_bytes(row)) for row in quantize_matrix(g.features, eps)]
+
+
+def _refine(g: Graph, colors: list[ColorKey]) -> tuple[list[ColorKey], int]:
+    """Refine node colors until the induced partition repeats.
+
+    Returns the stable colors and the number of rounds run. Each round
+    adds at least one class or stops, so n rounds always suffice.
+    """
     classes = len(set(colors))
     rounds = 0
     for _ in range(g.n):
@@ -85,6 +103,12 @@ def wl1_signature(g: Graph, eps: float = DEFAULT_EPS) -> WLSignature:
         if new_classes == classes:
             break
         classes = new_classes
+    return colors, rounds
+
+
+def wl1_signature(g: Graph, eps: float = DEFAULT_EPS) -> WLSignature:
+    """Node color refinement seeded by quantized feature rows."""
+    colors, rounds = _refine(g, _initial_colors(g, eps))
     return _finish("1-WL", eps, rounds, colors)
 
 
@@ -159,3 +183,103 @@ def distinguishes(a: WLSignature, b: WLSignature) -> bool:
     if a.eps != b.eps:
         raise ContractError(f"granularity mismatch: {a.eps} vs {b.eps}")
     return a.digest != b.digest
+
+
+# ---------------------------------------------------------------------------
+# exact isomorphism
+
+
+@dataclass(frozen=True)
+class IsoVerdict:
+    """Result of an exact isomorphism test, with a witness when positive."""
+
+    isomorphic: bool
+    witness: Permutation | None = None
+
+
+def _individualise(colors: list[ColorKey], v: int) -> list[ColorKey]:
+    out = list(colors)
+    out[v] = _digest(_INDIVIDUAL + colors[v])
+    return out
+
+
+def are_isomorphic(
+    g: Graph,
+    h: Graph,
+    *,
+    structure_only: bool = False,
+    eps: float = DEFAULT_EPS,
+    max_nodes: int = 64,
+) -> IsoVerdict:
+    """Exact isomorphism by individualisation and refinement.
+
+    Both graphs start from wl1_signature's initial colors (one constant
+    color when structure_only is set) and are refined; differing color
+    histograms prove non-isomorphism. Target cell: the class of the
+    lowest-index node v of g in a class of more than one node. v is
+    individualised and g refined, then each w of h with v's color, in
+    ascending index, is individualised and h refined, and the search
+    descends where the histograms agree. Witness: once every class is a
+    single node, the color-matching map, if it carries every edge of g
+    onto an edge of h; the first such leaf in this order, so the same on
+    every run. More than ISO_SEARCH_BUDGET steps raise ResourceLimitError.
+    """
+    if g.n != h.n:
+        return IsoVerdict(False)
+    if max(g.n, h.n) > max_nodes:
+        raise ResourceLimitError(
+            f"isomorphism search supports up to {max_nodes} nodes, got {g.n}"
+        )
+    if g.edge_count != h.edge_count:
+        return IsoVerdict(False)
+    n = g.n
+    if n == 0:
+        return IsoVerdict(True, Permutation(()))
+    if structure_only:
+        init_g = init_h = [_digest(_INIT)] * n
+    else:
+        if g.d != h.d:
+            raise ContractError(
+                f"feature widths differ ({g.d} vs {h.d}); pass structure_only=True to ignore features"
+            )
+        init_g, init_h = _initial_colors(g, eps), _initial_colors(h, eps)
+    colors_g, colors_h = _refine(g, init_g)[0], _refine(h, init_h)[0]
+    if Counter(colors_g) != Counter(colors_h):
+        return IsoVerdict(False)
+    steps = 0
+
+    def branches(colors_g: list[ColorKey], colors_h: list[ColorKey]):
+        nonlocal steps
+        sizes = Counter(colors_g)
+        v = next(v for v in range(n) if sizes[colors_g[v]] > 1)
+        child_g = _refine(g, _individualise(colors_g, v))[0]
+        want = Counter(child_g)
+        for w in range(n):
+            if colors_h[w] != colors_g[v]:
+                continue
+            steps += 1
+            if steps > ISO_SEARCH_BUDGET:
+                raise ResourceLimitError(
+                    f"isomorphism search exceeded its budget of {ISO_SEARCH_BUDGET} "
+                    "individualise-and-refine steps"
+                )
+            child_h = _refine(h, _individualise(colors_h, w))[0]
+            if Counter(child_h) == want:
+                yield child_g, child_h
+
+    # A stack of branch iterators, not recursion: the depth (< n) never
+    # meets Python's recursion limit, whatever max_nodes allows.
+    stack = [iter([(colors_g, colors_h)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(set(node[0])) < n:
+            stack.append(branches(*node))
+        else:
+            colors_g, colors_h = node
+            at = {c: w for w, c in enumerate(colors_h)}
+            mapping = tuple(at[c] for c in colors_g)
+            if all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges):
+                return IsoVerdict(True, Permutation(mapping))
+    return IsoVerdict(False)

@@ -48,6 +48,16 @@ def permutations_for(draw, n: int):
     return tuple(draw(st.permutations(range(n)))) if n else ()
 
 
+def random_cubic(n: int, seed: int) -> Graph:
+    """Uniform simple 3-regular graph: the pairing model with rejection."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    while True:
+        stubs = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2)
+        edges = {(int(min(a, b)), int(max(a, b))) for a, b in stubs}
+        if len(edges) == len(stubs) and all(u != v for u, v in edges):
+            return Graph(n, tuple(edges))
+
+
 # ---------------------------------------------------------------------------
 # brute-force isomorphism for tiny graphs
 
@@ -171,20 +181,6 @@ def canonical_key(g: Graph) -> bytes:
         if best is None or bits < best:
             best = bits
     return bytes([g.n]) + bytes(best or ())
-
-
-# ---------------------------------------------------------------------------
-# spectrum gap check (raw sign conventions are only stable off degeneracies)
-
-
-def simple_spectrum(g: Graph, gap: float = 1e-8) -> bool:
-    """True when all normalized-Laplacian eigenvalues are pairwise distinct."""
-    from isobench import normalized_laplacian
-
-    if g.n < 2:
-        return True
-    vals = np.linalg.eigvalsh(normalized_laplacian(g))
-    return bool(np.min(np.diff(vals)) > gap)
 
 
 # ---------------------------------------------------------------------------

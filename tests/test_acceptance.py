@@ -39,6 +39,7 @@ from isobench import (
     quantize_matrix,
     rook4x4,
     shrikhande,
+    simple_spectrum,
     star,
     wl1_signature,
     wlk_signature,
@@ -46,7 +47,7 @@ from isobench import (
 )
 from isobench.cli import main as cli_main
 
-from helpers import canonical_key, simple_spectrum
+from helpers import canonical_key
 
 _SESSION_T0 = time.perf_counter()
 

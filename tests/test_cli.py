@@ -223,3 +223,19 @@ class TestWL:
     def test_bad_k_is_usage_error(self, capsys):
         code, _, err = run(capsys, "wl", "--input", "hard_pairs", "--k", "5")
         assert code == EXIT_USAGE
+
+
+class TestOutOfRangeTransformToken:
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "graph_encoding:k=1152921504606846976",
+            "distance_encoding:d_max=1152921504606846976",
+            "eigenvector:power_tol=nan",
+        ],
+    )
+    def test_evaluate_is_usage_error(self, capsys, token):
+        code, _, err = run(capsys, "evaluate", "--input", "hard_pairs", "--transform", token)
+        assert code == EXIT_USAGE
+        assert "usage error" in err
+        assert "Traceback" not in err

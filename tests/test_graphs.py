@@ -1,10 +1,13 @@
 """Graph type, file formats, permutations, and exact isomorphism."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isobench.wl as wl
 from isobench import (
     ContractError,
     Graph,
@@ -14,13 +17,16 @@ from isobench import (
     UnsupportedSizeError,
     apply_permutation,
     are_isomorphic,
+    hard_pair_library,
     parse_edge_list,
     parse_graph6,
+    rook4x4,
+    shrikhande,
     write_edge_list,
     write_graph6,
 )
 
-from helpers import brute_force_isomorphic, graphs, permutations_for
+from helpers import brute_force_isomorphic, graphs, permutations_for, random_cubic
 
 
 class TestGraphType:
@@ -290,3 +296,45 @@ class TestAreIsomorphic:
         g = data.draw(graphs(max_n=5))
         h = data.draw(graphs(max_n=5))
         assert are_isomorphic(g, h).isomorphic == are_isomorphic(h, g).isomorphic
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+
+
+class TestIsomorphismSearch:
+    """Individualisation-refinement against networkx's VF2, and its budget."""
+
+    @pytest.mark.parametrize("n", [12, 16, 22, 30])
+    def test_random_cubic_pairs_agree_with_vf2(self, n):
+        nx = pytest.importorskip("networkx")
+        g = random_cubic(n, seed=n)
+        other = random_cubic(n, seed=n + 1)
+        relabeled = apply_permutation(g, Permutation.random(n, np.random.default_rng(n)))
+        for h, expected in ((other, False), (relabeled, True)):
+            assert nx.is_isomorphic(nx.Graph(g.edges), nx.Graph(h.edges)) == expected
+            start = time.perf_counter()
+            verdict = are_isomorphic(g, h)
+            assert time.perf_counter() - start < 1.0
+            assert verdict.isomorphic == expected
+            if expected:
+                m = verdict.witness.mapping
+                assert all(h.has_edge(m[u], m[v]) for u, v in g.edges)
+
+    def test_budget_refuses_srg_union_pair(self):
+        # 2 x rook4x4 vs rook4x4 + Shrikhande: 1-WL-equal, with a search
+        # tree far beyond the budget.
+        g = disjoint_union(rook4x4(), rook4x4())
+        h = disjoint_union(rook4x4(), shrikhande())
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=str(wl.ISO_SEARCH_BUDGET)):
+            are_isomorphic(g, h)
+        assert time.perf_counter() - start < 10.0
+
+    def test_known_inputs_need_under_a_tenth_of_the_budget(self, monkeypatch):
+        monkeypatch.setattr(wl, "ISO_SEARCH_BUDGET", wl.ISO_SEARCH_BUDGET // 10)
+        hard_pair_library()
+        assert not are_isomorphic(rook4x4(), shrikhande()).isomorphic
+        for n in (12, 16, 22, 30):
+            g = random_cubic(n, seed=n)
+            assert not are_isomorphic(g, random_cubic(n, seed=n + 1)).isomorphic

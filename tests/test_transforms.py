@@ -22,10 +22,12 @@ from isobench import (
     parse_transform_token,
     path,
     quantize_matrix,
+    simple_spectrum,
     wl1_signature,
 )
+from isobench.graphs import GRAPH6_MAX_NODES
 
-from helpers import graphs, permutations_for, simple_spectrum
+from helpers import graphs, permutations_for
 
 
 def spec(kind: str, **kw) -> TransformSpec:
@@ -42,9 +44,14 @@ class TestSpecAndTokens:
             spec("laplacian")
 
     def test_rejects_bad_parameters(self):
-        for kw in [{"k": 0}, {"radius": 0}, {"d_max": 0}, {"sign_mode": "abs"}, {"power_tol": 0.0}]:
+        big = GRAPH6_MAX_NODES + 1
+        for kw in [
+            {"k": 0}, {"radius": 0}, {"d_max": 0}, {"sign_mode": "abs"}, {"power_tol": 0.0},
+            {"k": big}, {"d_max": big}, {"power_tol": float("nan")}, {"power_tol": float("inf")},
+        ]:
             with pytest.raises(ContractError):
                 spec("base", **kw)
+        assert spec("base", k=big - 1, d_max=big - 1).d_max == GRAPH6_MAX_NODES
 
     def test_plain_token(self):
         assert parse_transform_token("closeness").kind == "closeness"
@@ -241,7 +248,7 @@ class TestRelabelingBehavior:
     def test_sign_fixed_encoding_is_stable_on_simple_spectra(self):
         for n in (4, 5, 6, 7):
             g = path(n)
-            assert simple_spectrum(g)
+            assert simple_spectrum(g, gap=1e-8)
             s = spec("graph_encoding", sign_mode="first_nonzero_positive")
             for mapping in [tuple(reversed(range(n))), tuple((i + 1) % n for i in range(n))]:
                 h = apply_permutation(g, Permutation(mapping))
