@@ -16,6 +16,14 @@ embeddings are clustered by single linkage: two embeddings join the
 same class when some chain of embeddings connects them with max-norm
 steps of at most eps. Pairs whose transform or embedding raises are
 excluded and counted, never silently dropped.
+
+A grid computes each thing once: it transforms every distinct input
+graph object once per spec and embeds each result once per (spec,
+embedder, model input width), then clusters per cell, because a cell's
+classes depend on which pairs it holds. So a custom embedder must be
+pure: a graph that several cells share is embedded for the first of
+them only. A cell's seconds cover only the work that cell triggered
+first, so a grid's rows still sum to its wall time.
 """
 
 from __future__ import annotations
@@ -146,8 +154,14 @@ class _UnionFind:
 def cluster_embeddings(vectors: np.ndarray, eps: float) -> list[int]:
     """Single-linkage classes under the max-norm metric at tolerance eps.
 
-    Bit-identical rows are pre-grouped before the pairwise pass; that is
-    only an accelerator, membership still comes from the eps linkage.
+    Bit-identical rows are pre-grouped; that is only an accelerator,
+    membership still comes from the eps linkage. Two rows can join only
+    if their coordinates 0 differ by at most eps, so with the distinct
+    rows sorted by coordinate 0 each is compared only with the later
+    rows whose coordinate 0 is within 2 * eps of its own, a bound that
+    float rounding cannot cross. The join test is max|a - b| <= eps on
+    whole rows, which a row holding NaN or an infinity never passes
+    against a different row.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     m = vectors.shape[0]
@@ -156,10 +170,16 @@ def cluster_embeddings(vectors: np.ndarray, eps: float) -> list[int]:
     uniq, inverse = np.unique(vectors, axis=0, return_inverse=True)
     u = uniq.shape[0]
     uf = _UnionFind(u)
-    for i in range(u - 1):
-        dist = np.max(np.abs(uniq[i + 1 :] - uniq[i]), axis=1)
-        for j in np.nonzero(dist <= eps)[0]:
-            uf.union(i, int(i + 1 + j))
+    # u > 1 implies at least one column to sort by.
+    if u > 1:
+        order = np.argsort(uniq[:, 0], kind="stable")
+        rows = uniq[order]
+        col = rows[:, 0]
+        ends = np.searchsorted(col, col + 2 * eps, side="right")
+        for p in np.nonzero(ends > np.arange(1, u + 1))[0]:
+            dist = np.max(np.abs(rows[p + 1 : ends[p]] - rows[p]), axis=1)
+            for q in np.nonzero(dist <= eps)[0]:
+                uf.union(int(order[p]), int(order[p + 1 + q]))
     labels = []
     relabel: dict[int, int] = {}
     for row in range(m):
@@ -218,6 +238,41 @@ def _resolve_embedder(
     raise ContractError(f"unknown embedder {embedder!r}; valid: {', '.join(EMBEDDERS)}")
 
 
+@dataclass
+class _Memo:
+    """Per-graph results that the cells of one grid share.
+
+    `transformed` maps id(input graph) to its transform under one spec;
+    `embedded` maps (id(transformed graph), model input width or 0) to
+    its embedding under one embedder. A value is the result or the
+    IsobenchError the call raised. Keys are object ids, which stay valid
+    because the dataset and `transformed` keep every keyed graph alive.
+    """
+
+    transformed: dict[int, object] = field(default_factory=dict)
+    embedded: dict[tuple[int, int], object] = field(default_factory=dict)
+
+
+def _through(memo: dict, keys: Callable, fn: Callable, left, right):
+    """(fn(left), fn(right)), each computed on its key's first lookup.
+
+    Returns the left graph's IsobenchError, else the right one's, in
+    place of the pair; right is not computed when left failed.
+    """
+    out = []
+    for x in (left, right):
+        key = keys(x)
+        if key not in memo:
+            try:
+                memo[key] = fn(x)
+            except IsobenchError as exc:
+                memo[key] = exc
+        if isinstance(memo[key], IsobenchError):
+            return memo[key]
+        out.append(memo[key])
+    return tuple(out)
+
+
 def evaluate_pairs(
     ds: PairDataset,
     spec: TransformSpec,
@@ -228,25 +283,30 @@ def evaluate_pairs(
     model_seed: int = 0,
     kwl_budget: int = DEFAULT_TUPLE_BUDGET,
     origin: str | None = None,
+    memo: _Memo | None = None,
 ) -> ReportRow:
     """Run one (transform, embedder) cell over the dataset.
 
     A custom callable embedder may return either a bytes key (classes by
     exact equality) or a float vector (classes by eps clustering).
+    `memo` holds the transforms and embeddings that evaluate_grid shares
+    between the cells of one spec and embedder; without it the cell
+    computes everything itself.
     """
     start = time.perf_counter()
+    memo = _Memo() if memo is None else memo
     pairs = ds.pairs if origin is None else tuple(p for p in ds.pairs if p.origin == origin)
 
     transformed: list[tuple[int, LabeledPair, Graph, Graph]] = []
     notes: list[str] = []
     for index, pair in enumerate(pairs):
-        try:
-            left = apply_transform(spec, pair.left)
-            right = apply_transform(spec, pair.right)
-        except IsobenchError as exc:
-            notes.append(f"pair {index} ({pair.origin}): {exc}")
+        result = _through(
+            memo.transformed, id, lambda g: apply_transform(spec, g), pair.left, pair.right
+        )
+        if isinstance(result, IsobenchError):
+            notes.append(f"pair {index} ({pair.origin}): {result}")
             continue
-        transformed.append((index, pair, left, right))
+        transformed.append((index, pair, *result))
 
     embed_dim = transformed[0][2].d if transformed else 1
     embed, exact = _resolve_embedder(
@@ -257,15 +317,15 @@ def evaluate_pairs(
         kwl_budget,
     )
 
+    # A model's weights depend on its input width; other embedders do not.
+    width = embed_dim if embedder in MODEL_EMBEDDERS else 0
     included: list[tuple[LabeledPair, object, object]] = []
     for index, pair, left, right in transformed:
-        try:
-            emb_left = embed(left)
-            emb_right = embed(right)
-        except IsobenchError as exc:
-            notes.append(f"pair {index} ({pair.origin}): {exc}")
+        result = _through(memo.embedded, lambda g: (id(g), width), embed, left, right)
+        if isinstance(result, IsobenchError):
+            notes.append(f"pair {index} ({pair.origin}): {result}")
             continue
-        included.append((pair, emb_left, emb_right))
+        included.append((pair, *result))
 
     if included and callable(embedder):
         exact = isinstance(included[0][1], (bytes, bytearray))
@@ -318,6 +378,12 @@ def evaluate_grid(
     kwl_budget: int = DEFAULT_TUPLE_BUDGET,
     by_origin: bool = False,
 ) -> list[ReportRow]:
+    """One row per (spec, embedder, origin) cell, in that nesting order.
+
+    Equal to calling evaluate_pairs once per cell, `seconds` aside: the
+    cells of one spec share its transforms, and the cells of one (spec,
+    embedder) share its embeddings.
+    """
     origins: list[str | None] = [None]
     if by_origin:
         seen: list[str] = []
@@ -327,7 +393,9 @@ def evaluate_grid(
         origins = list(seen)
     rows = []
     for spec in specs:
+        transformed: dict[int, object] = {}
         for embedder in embedders:
+            memo = _Memo(transformed)
             for origin in origins:
                 rows.append(
                     evaluate_pairs(
@@ -339,6 +407,7 @@ def evaluate_grid(
                         model_seed=model_seed,
                         kwl_budget=kwl_budget,
                         origin=origin,
+                        memo=memo,
                     )
                 )
     return rows

@@ -266,3 +266,35 @@ def reference_forward(m, g: Graph) -> np.ndarray:
     if m.arch == "ds":
         readout = _reference_mlp(m.weights[1], readout[None, :])[0]
     return readout
+
+
+# ---------------------------------------------------------------------------
+# single linkage over every pair of rows (reference for cluster_embeddings)
+
+
+def reference_cluster(vectors, eps: float) -> list[int]:
+    """Single-linkage labels from comparing every pair of distinct rows.
+
+    Rows are grouped by np.unique as isobench.evaluate.cluster_embeddings
+    groups them; each distinct row is then compared with every later one
+    by max|a - b| <= eps, and labels number the classes in order of first
+    appearance. O(m^2) in the number of distinct rows.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.shape[0] == 0:
+        return []
+    uniq, inverse = np.unique(vectors, axis=0, return_inverse=True)
+    parent = list(range(len(uniq)))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(uniq) - 1):
+        dist = np.max(np.abs(uniq[i + 1 :] - uniq[i]), axis=1)
+        for j in np.nonzero(dist <= eps)[0]:
+            a, b = root(i), root(i + 1 + int(j))
+            parent[max(a, b)] = min(a, b)
+    relabel: dict[int, int] = {}
+    return [relabel.setdefault(root(int(r)), len(relabel)) for r in inverse]

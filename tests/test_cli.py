@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isobench
 from isobench import Graph, load_dataset, write_graph6
 from isobench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
@@ -196,6 +200,66 @@ class TestOversizedHeader:
         assert code == EXIT_DATA
         assert "line 1" in err
         assert out == ""
+
+
+class TestTruncatedInput:
+    CASES = {
+        "header_only.g6": (
+            ">>graph6<<\n",
+            EXIT_DATA,
+            "isobench: data error: {path}:1: empty graph6 payload (byte offset 0) (line 1)\n",
+        ),
+        "short_edges.g6": (
+            "Ew\n",
+            EXIT_DATA,
+            "isobench: data error: {path}:1: need 3 edge bytes for n=6, found 1 "
+            "(byte offset 2) (line 1)\n",
+        ),
+        "short_features.el": (
+            "3 2\n0 1\n1 2\n1.0 2.0\n3.0 4.0\n",
+            EXIT_DATA,
+            "isobench: data error: {path}:4: feature block must hold exactly 3 rows, "
+            "found 2 (line 4)\n",
+        ),
+        "lone_u.el": (
+            "3 1\n0 1\n1\n",
+            EXIT_DATA,
+            "isobench: data error: {path}:3: feature block must hold exactly 3 rows, "
+            "found 1 (line 3)\n",
+        ),
+        "empty.el": ("", EXIT_OK, ""),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_evaluate_exit_code_and_message(self, capsys, tmp_path, name):
+        text, expected_code, expected_err = self.CASES[name]
+        src = tmp_path / name
+        src.write_text(text)
+        code, out, err = run(capsys, "evaluate", "--input", str(src))
+        assert code == expected_code
+        assert err == expected_err.format(path=src)
+        if code == EXIT_OK:
+            # No graphs, so no pairs: the grid's one row counts nothing.
+            assert "# pairs=0" in out
+            assert out.endswith(
+                "method,embedder,ecc,fn,fp,pairs,excluded,seconds\nBase,wl1,0,0,0,0,0,0.000\n"
+            )
+        else:
+            assert out == ""
+
+
+def test_python_m_isobench_matches_main(capsys):
+    argv = ["evaluate", "--input", "hard_pairs"]
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(isobench.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isobench", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert code == EXIT_OK
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 class TestWL:

@@ -1,6 +1,9 @@
 """Pair evaluation: clustering, confusion counts, rendering."""
 
+import dataclasses
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from isobench import (
     CorpusIntegrityError,
     Graph,
     LabeledPair,
+    PairDataset,
     Permutation,
     REPORT_FORMATS,
+    ResourceLimitError,
     TransformSpec,
     apply_permutation,
     augment_with_iso_pairs,
@@ -32,9 +37,10 @@ from isobench import (
     star,
     verify_pair_labels,
 )
+import isobench.evaluate as evaluate
 from isobench.cli import _build_parser
 
-from helpers import canonical_key
+from helpers import canonical_key, reference_cluster
 
 
 def base_spec() -> TransformSpec:
@@ -73,6 +79,43 @@ class TestClustering:
 
     def test_empty_input(self):
         assert cluster_embeddings(np.zeros((0, 3)), 1e-5) == []
+
+    def test_sweep_spans_only_a_window_of_coordinate_zero(self):
+        # Chains along coordinate 0 and rows that agree there but not in
+        # coordinate 1, at a size where a missed comparison would show.
+        rng = np.random.Generator(np.random.PCG64(5))
+        steps = rng.choice([0.4e-5, 0.9e-5, 1.1e-5, 3e-5], size=(1000, 1))
+        col = np.cumsum(steps, axis=0)
+        rows = np.hstack([col, rng.integers(0, 3, size=(1000, 1)) * 0.8e-5])
+        rows = rows[rng.permutation(1000)]
+        labels = cluster_embeddings(rows, 1e-5)
+        assert labels == reference_cluster(rows, 1e-5)
+        assert 1 < ecc(labels) < 1000
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_all_pairs_reference(self, data):
+        eps = data.draw(st.sampled_from([0.25, 1e-5, 0.0]))
+        m = data.draw(st.integers(0, 30))
+        d = data.draw(st.integers(1, 3))
+        value = st.one_of(
+            # Multiples of eps put rows exactly eps apart (exactly so for 0.25).
+            st.integers(-4, 4).map(lambda k: k * eps),
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+            st.floats(-1.0, 1.0),
+        )
+        cells = data.draw(st.lists(value, min_size=m * d, max_size=m * d))
+        rows = np.array(cells, dtype=np.float64).reshape(m, d)
+        assert cluster_embeddings(rows, eps) == reference_cluster(rows, eps)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_rows_join_no_other_row(self):
+        inf, nan = math.inf, math.nan
+        rows = np.array(
+            [[nan, 0.0], [nan, 0.0], [inf, 0.0], [inf, 1e-6], [0.0, -inf], [1e-6, -inf], [0.0, 0.0]]
+        )
+        assert cluster_embeddings(rows, 1e-5) == list(range(7))
 
     def test_ecc_counts_classes(self):
         assert ecc([0, 1, 0, 2]) == 3
@@ -262,3 +305,108 @@ class TestGridAndRendering:
         commands = next(a for a in parser._actions if a.dest == "command")
         emit = next(a for a in commands.choices["evaluate"]._actions if a.dest == "emit")
         assert tuple(emit.choices) == tuple(REPORT_FORMATS)
+
+
+def picky(g: Graph) -> bytes:
+    """Exact embedder that refuses three-node graphs."""
+    if g.n == 3:
+        raise ResourceLimitError("picky embedder refuses n=3")
+    return canonical_key(g)
+
+
+def two_width_pairs(with_empty: bool) -> PairDataset:
+    """Origin a has one feature column and origin b two. The augmented
+    origin pairs a graph object of b, then one of a, with relabeled
+    copies, so its model input width is b's."""
+    a1, a2 = path(4), star(4)
+    b1 = Graph(4, ((0, 1), (1, 2), (2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]] * 2))
+    b2 = Graph(3, ((0, 1), (1, 2)), np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0]]))
+    pairs = [LabeledPair(a1, a2, False, "a")]
+    if with_empty:
+        pairs.append(LabeledPair(Graph(0), path(3), False, "a"))
+    pairs += [
+        LabeledPair(b1, b2, False, "b"),
+        LabeledPair(b1, apply_permutation(b1, Permutation((3, 1, 0, 2))), True, "augmented"),
+        LabeledPair(a1, apply_permutation(a1, Permutation((2, 0, 3, 1))), True, "augmented"),
+        LabeledPair(b2, a2, False, "b"),
+    ]
+    return PairDataset(tuple(pairs))
+
+
+class TestGridSharing:
+    """A grid transforms each input graph once per spec and embeds each
+    result once per (spec, embedder); rows equal cells run one by one."""
+
+    SPECS = (base_spec(), TransformSpec(kind="closeness"), TransformSpec(kind="virtual_node"))
+
+    @pytest.mark.parametrize("by_origin", [False, True])
+    def test_each_graph_is_transformed_and_embedded_once(self, monkeypatch, by_origin):
+        applied: Counter = Counter()
+        original = evaluate.apply_transform
+
+        def counting_apply(spec, g):
+            applied[(spec.kind, id(g))] += 1
+            return original(spec, g)
+
+        def counting_embedder():
+            calls: Counter = Counter()
+            seen: list[Graph] = []  # keeps ids unique for the whole grid
+
+            def embed(g):
+                seen.append(g)
+                calls[id(g)] += 1
+                return canonical_key(g)
+
+            return embed, calls
+
+        monkeypatch.setattr(evaluate, "apply_transform", counting_apply)
+        ds = two_width_pairs(with_empty=False)
+        first, first_calls = counting_embedder()
+        second, second_calls = counting_embedder()
+        evaluate_grid(ds, self.SPECS, [first, "wl1", second], by_origin=by_origin)
+
+        objects = {id(g) for g in ds.graphs}
+        assert len(objects) == 6 < len(ds.graphs)
+        assert applied == Counter({(s.kind, o): 1 for s in self.SPECS for o in objects})
+        for calls in (first_calls, second_calls):
+            assert sum(calls.values()) == len(self.SPECS) * len(objects)
+            assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("by_origin", [False, True])
+    def test_grid_rows_equal_cells_run_alone(self, by_origin):
+        ds = two_width_pairs(with_empty=True)
+        embedders = ["wl1", "gin", picky]
+        grid = evaluate_grid(ds, self.SPECS, embedders, model_seed=2, by_origin=by_origin)
+        origins = ["a", "b", "augmented"] if by_origin else [None]
+        alone = [
+            evaluate_pairs(ds, spec, embedder, model_seed=2, origin=origin)
+            for spec in self.SPECS
+            for embedder in embedders
+            for origin in origins
+        ]
+        assert [dataclasses.replace(r, seconds=0.0) for r in grid] == [
+            dataclasses.replace(r, seconds=0.0) for r in alone
+        ]
+        notes = "\n".join(note for r in grid for note in r.notes)
+        assert "centrality augmentation needs at least one node" in notes
+        assert "picky embedder refuses n=3" in notes
+        assert "model expects" in notes
+
+    def test_left_error_is_noted_before_right(self):
+        def refuse(g):
+            raise ResourceLimitError(f"refuses n={g.n}")
+
+        three, four = path(3), path(4)
+        ds = PairDataset(
+            (
+                LabeledPair(three, four, False),
+                LabeledPair(four, three, False),
+                LabeledPair(four, Graph(0), False),
+            )
+        )
+        row = evaluate_pairs(ds, TransformSpec(kind="closeness"), refuse)
+        assert row.notes == (
+            "pair 2 (unlabeled): centrality augmentation needs at least one node",
+            "pair 0 (unlabeled): refuses n=3",
+            "pair 1 (unlabeled): refuses n=4",
+        )
