@@ -280,7 +280,8 @@ def load_dataset(path: str, fmt: str = "auto") -> list[Graph]:
 
     graph6 files hold one graph per line; edge-list files hold blocks
     separated by blank lines. Consecutive graphs (0, 1), (2, 3), ... are
-    meant to form pairs, and an odd count triggers PairingWarning.
+    meant to form pairs, and an odd count triggers PairingWarning. A
+    file that holds no graph raises GraphParseError.
     """
     if fmt == "auto":
         lowered = path.lower()
@@ -321,6 +322,8 @@ def load_dataset(path: str, fmt: str = "auto") -> list[Graph]:
                     at = block_start + (exc.line - 1 if exc.line else 0)
                     raise GraphParseError(f"{path}:{at}: {exc.message}", line=at) from exc
                 block = []
+    if not graphs:
+        raise GraphParseError(f"no graphs in {path}")
     if len(graphs) % 2 == 1:
         warnings.warn(
             f"{path} holds {len(graphs)} graphs; the last one cannot be paired",

@@ -176,10 +176,12 @@ def cluster_embeddings(vectors: np.ndarray, eps: float) -> list[int]:
         rows = uniq[order]
         col = rows[:, 0]
         ends = np.searchsorted(col, col + 2 * eps, side="right")
-        for p in np.nonzero(ends > np.arange(1, u + 1))[0]:
-            dist = np.max(np.abs(rows[p + 1 : ends[p]] - rows[p]), axis=1)
-            for q in np.nonzero(dist <= eps)[0]:
-                uf.union(int(order[p]), int(order[p + 1 + q]))
+        # inf - inf is NaN, which never joins; numpy's warning about it is noise.
+        with np.errstate(invalid="ignore"):
+            for p in np.nonzero(ends > np.arange(1, u + 1))[0]:
+                dist = np.max(np.abs(rows[p + 1 : ends[p]] - rows[p]), axis=1)
+                for q in np.nonzero(dist <= eps)[0]:
+                    uf.union(int(order[p]), int(order[p + 1 + q]))
     labels = []
     relabel: dict[int, int] = {}
     for row in range(m):

@@ -1,17 +1,22 @@
-"""Exact color refinement over nodes and node tuples, and exact isomorphism.
+"""Exact color refinement over nodes and node pairs, and exact isomorphism.
 
-Node refinement replaces each color by a digest of the pair (own color,
-sorted multiset of neighbor colors) and stops once the induced node
-partition repeats. Tuple refinement for k in {2, 3} colors every k-tuple
-of nodes, starting from its atomic type (the k x k equality pattern, the
-k x k adjacency pattern, and the k quantized feature rows) and refining
-with, for each position i, the sorted multiset of colors of the tuples
-obtained by substituting every node into position i.
+Node refinement (1-WL) replaces each color by a digest of the pair (own
+color, sorted multiset of neighbor colors) and stops once the induced
+node partition repeats.
+
+The oblivious k-WL verdicts for k in {2, 3} come from folklore
+refinement: oblivious (k+1)-WL separates exactly the graphs that
+folklore k-WL separates (Cai, Fuerer & Immerman 1992; Morris et al.
+2019, arXiv:1810.02244). So 2-WL is node refinement again, and 3-WL is
+2-FWL on ordered pairs: a pair starts from its equality and adjacency
+flags and the two quantized feature rows, and each round adds the
+sorted multiset over w of (color of (u, w), color of (w, v)).
 
 All colors are 128-bit BLAKE2b digests with fixed constants, so the same
 graph yields the same signature on every platform and in every process.
-The signature of a graph is the multiset of final colors; two graphs are
-distinguished exactly when those multisets differ.
+The signature of a graph is the multiset of final colors of its nodes
+(1-WL, 2-WL) or its ordered pairs (3-WL); two graphs are distinguished
+exactly when those multisets differ.
 
 Exact isomorphism reuses node refinement (McKay & Piperno 2014,
 "Practical graph isomorphism, II"): it individualises one node, giving
@@ -27,14 +32,15 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from .errors import ContractError, ResourceLimitError
 from .graphs import Graph, Permutation
 from .quant import quantize_matrix, quantized_row_bytes
 
 _PERSON = b"isobench.wl"
-_INIT, _REFINE, _FIBER, _HIST = b"\x00", b"\x01", b"\x02", b"\x03"
+_INIT, _REFINE, _HIST = b"\x00", b"\x01", b"\x03"
 # Marks an individualised node; only the isomorphism search uses it, so
 # it never reaches a signature.
 _INDIVIDUAL = b"\x04"
@@ -42,6 +48,9 @@ _INDIVIDUAL = b"\x04"
 DEFAULT_EPS = 1e-6
 DEFAULT_TUPLE_BUDGET = 20_000_000
 ISO_SEARCH_BUDGET = 5_000
+# 2-FWL gathers at most this many (u, v, w) cells at once, 2 MB of int64,
+# so its peak memory grows as n**2, not n**3.
+_CHUNK_CELLS = 1 << 18
 
 ColorKey = bytes  # 16-byte digest
 
@@ -112,11 +121,64 @@ def wl1_signature(g: Graph, eps: float = DEFAULT_EPS) -> WLSignature:
     return _finish("1-WL", eps, rounds, colors)
 
 
-def _atomic_type(g: Graph, nodes: tuple[int, ...], row_keys: list[bytes]) -> ColorKey:
-    eq = bytes(1 if a == b else 0 for a in nodes for b in nodes)
-    adj = bytes(1 if g.has_edge(a, b) else 0 for a in nodes for b in nodes if a != b)
-    feats = b"".join(row_keys[v] for v in nodes)
-    return _digest(_INIT + eq + adj + feats)
+def _ranked(digests: list[ColorKey], inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort distinct digests into an (m, 16) uint8 table; rank each pair in it.
+
+    inverse maps each pair to its entry of digests. Ranks order exactly as
+    the digest bytes do, so sorting by rank is sorting by digest.
+    """
+    stacked = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 16)
+    table, rank = np.unique(stacked, axis=0, return_inverse=True)
+    return table, rank.reshape(-1)[inverse]
+
+
+def _fwl2(g: Graph, eps: float) -> tuple[list[ColorKey], int]:
+    """2-FWL on the n**2 ordered pairs; returns their stable colors and the rounds run.
+
+    c(u, v) starts as the digest of (u == v, u ~ v, quantized rows of u
+    and v) and each round becomes the digest of c(u, v) followed by the
+    sorted multiset over w of (c(u, w), c(w, v)).
+    """
+    n = g.n
+    row_keys = [quantized_row_bytes(row) for row in quantize_matrix(g.features, eps)]
+    adjacent = g.adjacency_matrix.astype(np.uint8).tolist()
+    digests = [
+        _digest(_INIT + bytes((u == v, adjacent[u][v])) + row_keys[u] + row_keys[v])
+        for u in range(n)
+        for v in range(n)
+    ]
+    table, ranks = _ranked(digests, np.arange(n * n))
+    classes = len(table)
+    # Rows of u in [start, start + chunk) at a time. Up to n = 64 that is
+    # one chunk; above, a row repeated in two chunks is hashed in each.
+    chunk = max(1, _CHUNK_CELLS // (n * n))
+    rounds = 0
+    for _ in range(n * n):
+        m = len(table)
+        c = ranks.reshape(n, n)
+        # Key of (c(u,w), c(w,v)): sorting keys sorts the pairs by digest.
+        # Keys stay below m**2 <= n**4, inside int64 for every n < 55,000.
+        left, right = c * m, c.T
+        digests, parts = [], []
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            multiset = np.sort(left[start:stop, None, :] + right[None, :, :], axis=2)
+            keyed = np.concatenate((c[start:stop].reshape(-1, 1), multiset.reshape(-1, n)), axis=1)
+            distinct, inverse = np.unique(keyed, axis=0, return_inverse=True)
+            # Per distinct row, the ranks to hash: own, then both of each pair.
+            payload = np.empty((len(distinct), 2 * n + 1), dtype=np.int64)
+            payload[:, 0] = distinct[:, 0]
+            payload[:, 1::2], payload[:, 2::2] = np.divmod(distinct[:, 1:], m)
+            parts.append(inverse.reshape(-1) + len(digests))
+            digests.extend(_digest(_REFINE + table[row].tobytes()) for row in payload)
+        table, ranks = _ranked(digests, np.concatenate(parts))
+        rounds += 1
+        new_classes = len(table)
+        if new_classes == classes:
+            break
+        classes = new_classes
+    keys = [row.tobytes() for row in table]
+    return [keys[i] for i in ranks.tolist()], rounds
 
 
 def wlk_signature(
@@ -125,54 +187,30 @@ def wlk_signature(
     eps: float = DEFAULT_EPS,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> WLSignature:
-    """Tuple color refinement for k in {2, 3}.
+    """Oblivious k-WL verdict for k in {2, 3}, computed as (k-1)-FWL.
 
-    Each round touches every tuple once per position per substituted
-    node, so it costs n**k * k * n tuple-neighbor operations; the call
-    is refused up front when that exceeds the budget.
+    Oblivious (k+1)-WL and folklore k-WL separate exactly the same
+    vertex-colored graphs (Cai, Fuerer & Immerman 1992), so k = 2 runs
+    wl1_signature's node refinement and k = 3 runs 2-FWL on ordered
+    pairs. The histogram counts the colored (k-1)-tuples: n nodes for
+    k = 2, n**2 pairs for k = 3. A round substitutes each of n nodes
+    into each (k-1)-tuple, n**k operations; the call is refused up
+    front when that exceeds the budget.
     """
     if k not in (2, 3):
         raise ContractError(f"tuple refinement supports k in {{2, 3}}, got {k}")
     if g.n < 1:
         raise ContractError("tuple refinement needs at least one node")
-    n = g.n
-    ops_per_round = n**k * k * n
+    ops_per_round = g.n**k
     if ops_per_round > budget:
         raise ResourceLimitError(
             f"tuple refinement needs {ops_per_round} tuple-neighbor operations per round, "
             f"budget is {budget}"
         )
-
-    row_keys = [quantized_row_bytes(row) for row in quantize_matrix(g.features, eps)]
-    colors = [_atomic_type(g, nodes, row_keys) for nodes in product(range(n), repeat=k)]
-    total = n**k
-    classes = len(set(colors))
-    rounds = 0
-    for _ in range(total):
-        fiber_maps = []
-        for i in range(k):
-            stride = n ** (k - 1 - i)
-            block = stride * n
-            fibers = []
-            for high in range(n**i):
-                base_high = high * block
-                for low in range(stride):
-                    base = base_high + low
-                    fiber = sorted(colors[base + u * stride] for u in range(n))
-                    fibers.append(_digest(_FIBER + b"".join(fiber)))
-            fiber_maps.append((stride, block, fibers))
-        new = []
-        for t in range(total):
-            parts = [colors[t]]
-            for stride, block, fibers in fiber_maps:
-                parts.append(fibers[(t // block) * stride + t % stride])
-            new.append(_digest(_REFINE + b"".join(parts)))
-        rounds += 1
-        new_classes = len(set(new))
-        colors = new
-        if new_classes == classes:
-            break
-        classes = new_classes
+    if k == 2:
+        colors, rounds = _refine(g, _initial_colors(g, eps))
+    else:
+        colors, rounds = _fwl2(g, eps)
     return _finish(f"{k}-WL", eps, rounds, colors)
 
 

@@ -227,7 +227,8 @@ class TestTruncatedInput:
             "isobench: data error: {path}:3: feature block must hold exactly 3 rows, "
             "found 1 (line 3)\n",
         ),
-        "empty.el": ("", EXIT_OK, ""),
+        "empty.el": ("", EXIT_DATA, "isobench: data error: no graphs in {path}\n"),
+        "empty.g6": ("\n", EXIT_DATA, "isobench: data error: no graphs in {path}\n"),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -238,14 +239,7 @@ class TestTruncatedInput:
         code, out, err = run(capsys, "evaluate", "--input", str(src))
         assert code == expected_code
         assert err == expected_err.format(path=src)
-        if code == EXIT_OK:
-            # No graphs, so no pairs: the grid's one row counts nothing.
-            assert "# pairs=0" in out
-            assert out.endswith(
-                "method,embedder,ecc,fn,fp,pairs,excluded,seconds\nBase,wl1,0,0,0,0,0,0.000\n"
-            )
-        else:
-            assert out == ""
+        assert out == ""
 
 
 def test_python_m_isobench_matches_main(capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -109,13 +110,17 @@ class TestClustering:
         rows = np.array(cells, dtype=np.float64).reshape(m, d)
         assert cluster_embeddings(rows, eps) == reference_cluster(rows, eps)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_rows_join_no_other_row(self):
         inf, nan = math.inf, math.nan
         rows = np.array(
             [[nan, 0.0], [nan, 0.0], [inf, 0.0], [inf, 1e-6], [0.0, -inf], [1e-6, -inf], [0.0, 0.0]]
         )
         assert cluster_embeddings(rows, 1e-5) == list(range(7))
+
+    def test_equal_infinities_cluster_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cluster_embeddings(np.array([[math.inf, 0.0], [math.inf, 1.0]]), 1e-5) == [0, 1]
 
     def test_ecc_counts_classes(self):
         assert ecc([0, 1, 0, 2]) == 3

@@ -49,17 +49,17 @@ REPORT_GOLDEN = {
 }
 
 WL_GOLDEN = {
-    "base": "493c1f5bd99628925b25048387e43024",
-    "virtual_node": "7975be7b15d8fdb6156771f7520c121e",
-    "degree": "9472864591fda9b9c23633a0aa6db294",
-    "closeness": "2dd0a57bc9f5af94309708ea7625107d",
-    "betweenness": "0de4fc668e0a478fbb636210c1ff9ff7",
-    "eigenvector": "4df94d803f73fce9b9dd2593c06a259a",
-    "distance_encoding": "7fe9426084f745eb8b883cf830d9f7c7",
-    "graph_encoding:raw": "086652ccc957bb3124a266cf4cb3c20c",
-    "subgraph_extraction": "c336e13a15b81396bbd7882081fc14e7",
-    "extra_node": "b79945f811f0c5e3198dac1900626952",
-    "graph_encoding:first_nonzero_positive": "ccf226defd1b33fcb4a851443a18e2ae",
+    "base": "b2ce0fb006e058c240ce1f27e298695d",
+    "virtual_node": "d5dffaf429b933210a42f27e12e1fe9f",
+    "degree": "9a4ed9aa542d5991d0523d08189534ac",
+    "closeness": "e7702c972d8335315046661f9e493a33",
+    "betweenness": "b5ff6c1e85a3b57a81028d9ebb5f48ec",
+    "eigenvector": "34420dcfe91535832932fdeda2dffe5c",
+    "distance_encoding": "ba12b7df4e3c81f1192d097dafe620f8",
+    "graph_encoding:raw": "1acdd1636ff8d9238d99c6afdcc1c09a",
+    "subgraph_extraction": "08015d479b527648134773bb1d8f858b",
+    "extra_node": "9394e5ff0f5b6c3634debddc2541252b",
+    "graph_encoding:first_nonzero_positive": "e392336afc2913560ed8293b1539bd49",
 }
 
 

@@ -1,5 +1,7 @@
 """Color refinement oracles: node variant and tuple variants."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,25 @@ from isobench import (
     wlk_signature,
 )
 
+from isobench import wl
+
 from helpers import graphs, naive_tuple_refinement_splits, permutations_for
+
+
+def _graph_and_other(data) -> tuple[Graph, Graph]:
+    """A graph of up to 5 nodes, plain or with features, and a second one:
+    drawn alone, a relabeled copy, or a relabeled copy with one node
+    pair's adjacency flipped."""
+    dims = data.draw(st.sampled_from([0, 2]))
+    g = data.draw(graphs(min_n=1, max_n=5, feature_dims=dims))
+    kind = data.draw(st.sampled_from(["drawn", "relabeled", "toggled"]))
+    if kind == "drawn":
+        return g, data.draw(graphs(min_n=1, max_n=5, feature_dims=dims))
+    h = g
+    if kind == "toggled" and g.n > 1:
+        u, v = sorted(data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)))
+        h = Graph(g.n, tuple(set(g.edges) ^ {(u, v)}), g.features)
+    return g, apply_permutation(h, Permutation(data.draw(permutations_for(g.n))))
 
 
 class TestWL1:
@@ -104,13 +124,37 @@ class TestWLK:
         with pytest.raises(ResourceLimitError):
             wlk_signature(cycle(10), 3, budget=100)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_budget_boundary_is_n_to_the_k(self, k):
+        g = cycle(7)
+        with pytest.raises(ResourceLimitError, match=f"needs {7**k} tuple-neighbor"):
+            wlk_signature(g, k, budget=7**k - 1)
+        assert wlk_signature(g, k, budget=7**k).variant == f"{k}-WL"
+
+    def test_triples_on_sixty_nodes_take_under_a_second(self):
+        rng = np.random.default_rng(0)
+        edges = tuple((u, v) for u in range(60) for v in range(u + 1, 60) if rng.random() < 0.1)
+        start = time.perf_counter()
+        sig = wlk_signature(Graph(60, edges), 3)
+        assert time.perf_counter() - start < 1.0
+        assert sig.histogram_size == 60 * 60
+
+    def test_chunked_gather_gives_the_same_signature(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        edges = tuple((u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.3)
+        graphs_ = [rook4x4(), Graph(12, edges, rng.integers(0, 2, size=(12, 2)).astype(float))]
+        whole = [wlk_signature(g, 3) for g in graphs_]
+        monkeypatch.setattr(wl, "_CHUNK_CELLS", 1)
+        assert [wlk_signature(g, 3) for g in graphs_] == whole
+
     def test_histogram_counts_every_tuple(self):
-        assert wlk_signature(path(3), 2).histogram_size == 9
-        assert wlk_signature(path(3), 3).histogram_size == 27
+        # (k-1)-FWL colors the (k-1)-tuples: nodes for k = 2, pairs for k = 3.
+        assert wlk_signature(path(3), 2).histogram_size == 3
+        assert wlk_signature(path(3), 3).histogram_size == 9
 
     def test_single_node(self):
-        sig = wlk_signature(Graph(1), 2)
-        assert sig.histogram_size == 1
+        assert wlk_signature(Graph(1), 2).histogram_size == 1
+        assert wlk_signature(Graph(1), 3).histogram_size == 1
 
     def test_pairs_variant_misses_cycle6_vs_triangles(self):
         a = wlk_signature(cycle(6), 2)
@@ -142,10 +186,16 @@ class TestWLK:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_pairs_verdict_matches_naive_refinement(self, data):
-        g = data.draw(graphs(min_n=1, max_n=5))
-        h = data.draw(graphs(min_n=1, max_n=5))
+        g, h = _graph_and_other(data)
         split = wlk_signature(g, 2).digest != wlk_signature(h, 2).digest
         assert split == naive_tuple_refinement_splits(g, h, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_triples_verdict_matches_naive_refinement_on_random_graphs(self, data):
+        g, h = _graph_and_other(data)
+        split = wlk_signature(g, 3).digest != wlk_signature(h, 3).digest
+        assert split == naive_tuple_refinement_splits(g, h, 3)
 
     def test_pairs_verdict_matches_naive_on_hard_pairs(self):
         fixtures = [
@@ -163,6 +213,7 @@ class TestWLK:
             (cycle(6), disjoint_cycles([3, 3])),
             (path(4), star(3)),
             (cycle(4), path(4)),
+            (rook4x4(), shrikhande()),
         ]
         for g, h in fixtures:
             split = wlk_signature(g, 3).digest != wlk_signature(h, 3).digest
