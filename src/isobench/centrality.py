@@ -18,6 +18,12 @@ eigenvector  principal adjacency eigenvector. Iterates x <- x + A x
              Converged when successive iterates differ by less than
              tol in max norm, otherwise a ConvergenceError reports the
              final iterate gap.
+
+Closeness, betweenness and the distance-based transforms run one
+breadth-first search per source node on plain Python lists, since
+indexing a numpy array element by element makes a numpy scalar per
+read. Each caller reduces a distance row as soon as it gets it, so the
+extra memory is O(n); no n x n distance matrix is ever built.
 """
 
 from __future__ import annotations
@@ -30,15 +36,17 @@ from .errors import ContractError, ConvergenceError
 from .graphs import Graph
 
 
-def _bfs_distances(g: Graph, source: int) -> np.ndarray:
-    dist = np.full(g.n, -1, dtype=np.int64)
+def bfs_distances(neighbors: tuple[tuple[int, ...], ...], source: int) -> list[int]:
+    """Hop distances from source as a plain list; -1 marks unreachable nodes."""
+    dist = [-1] * len(neighbors)
     dist[source] = 0
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for u in g.neighbors[v]:
+        step = dist[v] + 1
+        for u in neighbors[v]:
             if dist[u] < 0:
-                dist[u] = dist[v] + 1
+                dist[u] = step
                 queue.append(u)
     return dist
 
@@ -48,49 +56,54 @@ def degree_centrality(g: Graph) -> np.ndarray:
 
 
 def closeness_centrality(g: Graph) -> np.ndarray:
-    out = np.zeros(g.n, dtype=np.float64)
-    if g.n <= 1:
+    n = g.n
+    out = np.zeros(n, dtype=np.float64)
+    if n <= 1:
         return out
-    for v in range(g.n):
-        dist = _bfs_distances(g, v)
-        reachable = dist >= 0
-        r = int(reachable.sum())
-        total = int(dist[reachable].sum())
+    neighbors = g.neighbors
+    for v in range(n):
+        dist = bfs_distances(neighbors, v)
+        missing = dist.count(-1)
+        r = n - missing
+        total = sum(dist) + missing
         if r <= 1 or total == 0:
             continue
-        out[v] = ((r - 1) / (g.n - 1)) * ((r - 1) / total)
+        out[v] = ((r - 1) / (n - 1)) * ((r - 1) / total)
     return out
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
     """Brandes accumulation; the final halving makes pairs unordered."""
-    score = np.zeros(g.n, dtype=np.float64)
-    for s in range(g.n):
+    n = g.n
+    neighbors = g.neighbors
+    score = [0.0] * n
+    for s in range(n):
         stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(g.n)]
-        sigma = np.zeros(g.n, dtype=np.float64)
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
         sigma[s] = 1.0
-        dist = np.full(g.n, -1, dtype=np.int64)
+        dist = [-1] * n
         dist[s] = 0
         queue = deque([s])
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for u in g.neighbors[v]:
+            step = dist[v] + 1
+            for u in neighbors[v]:
                 if dist[u] < 0:
-                    dist[u] = dist[v] + 1
+                    dist[u] = step
                     queue.append(u)
-                if dist[u] == dist[v] + 1:
+                if dist[u] == step:
                     sigma[u] += sigma[v]
                     preds[u].append(v)
-        delta = np.zeros(g.n, dtype=np.float64)
+        delta = [0.0] * n
         while stack:
             w = stack.pop()
             for v in preds[w]:
                 delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
             if w != s:
                 score[w] += delta[w]
-    return score / 2.0
+    return np.array(score, dtype=np.float64) / 2.0
 
 
 def eigenvector_centrality(

@@ -74,15 +74,26 @@ class Graph:
         feats = self.features
         if feats is None:
             feats = np.ones((self.n, 1), dtype=np.float64)
-        feats = np.array(feats, dtype=np.float64, copy=True)
-        if feats.ndim != 2 or feats.shape[0] != self.n or feats.shape[1] < 1:
-            raise ContractError(
-                f"features must have shape ({self.n}, d>=1), got {feats.shape}"
-            )
-        if feats.size and not np.all(np.isfinite(feats)):
-            raise ContractError("features must be finite")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", _checked_features(self.n, feats))
+
+    def with_features(self, features) -> "Graph":
+        """This graph's nodes and edges with a new feature matrix.
+
+        features passes the constructor's shape and finiteness checks
+        and is stored as a read-only copy. The edges are taken as they
+        are, since they are already canonical, and the cached structure
+        properties this graph has computed (neighbors, degrees, edge_set,
+        adjacency_matrix) are shared with the result: they depend only
+        on n and edges, and their arrays are read-only.
+        """
+        out = object.__new__(type(self))
+        object.__setattr__(out, "n", self.n)
+        object.__setattr__(out, "edges", self.edges)
+        object.__setattr__(out, "features", _checked_features(self.n, features))
+        for name in _STRUCTURE_CACHES:
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
 
     @property
     def d(self) -> int:
@@ -138,6 +149,20 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)}, d={self.d})"
+
+
+_STRUCTURE_CACHES = ("neighbors", "degrees", "edge_set", "adjacency_matrix")
+
+
+def _checked_features(n: int, features) -> np.ndarray:
+    """A read-only float64 copy of an (n, d >= 1) matrix of finite values."""
+    feats = np.array(features, dtype=np.float64, copy=True)
+    if feats.ndim != 2 or feats.shape[0] != n or feats.shape[1] < 1:
+        raise ContractError(f"features must have shape ({n}, d>=1), got {feats.shape}")
+    if feats.size and not np.all(np.isfinite(feats)):
+        raise ContractError("features must be finite")
+    feats.setflags(write=False)
+    return feats
 
 
 @dataclass(frozen=True)
@@ -276,15 +301,16 @@ def write_graph6(g: Graph) -> str:
 # edge list
 
 
-def _looks_like_edge(tokens: list[str]) -> bool:
-    if len(tokens) != 2:
-        return False
+def _is_int(token: str) -> bool:
     try:
-        int(tokens[0])
-        int(tokens[1])
+        int(token)
     except ValueError:
         return False
     return True
+
+
+def _looks_like_edge(tokens: list[str]) -> bool:
+    return len(tokens) == 2 and _is_int(tokens[0]) and _is_int(tokens[1])
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -335,9 +361,17 @@ def parse_edge_list(text: str) -> Graph:
     if not feature_lines:
         return Graph(n, tuple(edges), np.ones((n, d), dtype=np.float64))
     if len(feature_lines) != n:
-        no = feature_lines[0][0]
+        no, first = feature_lines[0]
+        found = len(feature_lines)
+        if all(_is_int(t) for t in first.split()):
+            # Integers alone may be a broken edge line as well as a feature row.
+            raise GraphParseError(
+                f"line {no} is neither an edge 'u v' nor the first of {n} feature rows "
+                f"(found {found} row{'' if found == 1 else 's'})",
+                line=no,
+            )
         raise GraphParseError(
-            f"feature block must hold exactly {n} rows, found {len(feature_lines)}", line=no
+            f"feature block must hold exactly {n} rows, found {found}", line=no
         )
     rows = np.empty((n, d), dtype=np.float64)
     for r, (no, ln) in enumerate(feature_lines):

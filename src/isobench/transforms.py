@@ -29,6 +29,7 @@ import numpy as np
 
 from .centrality import (
     betweenness_centrality,
+    bfs_distances,
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
@@ -128,7 +129,7 @@ def _append_columns(g: Graph, cols: np.ndarray) -> Graph:
     cols = np.asarray(cols, dtype=np.float64)
     if cols.ndim == 1:
         cols = cols[:, None]
-    return Graph(g.n, g.edges, np.hstack([g.features, cols]))
+    return g.with_features(np.hstack([g.features, cols]))
 
 
 def virtual_node(g: Graph) -> Graph:
@@ -167,19 +168,18 @@ def distance_encoding(g: Graph, spec: TransformSpec) -> Graph:
     """Append counts of nodes at each distance 1..d_max plus an overflow column."""
     if g.n < 1:
         raise ContractError("distance encoding needs at least one node")
-    from .centrality import _bfs_distances
-
-    cols = np.zeros((g.n, spec.d_max + 1), dtype=np.float64)
+    neighbors = g.neighbors
+    overflow = spec.d_max
+    # Distances lie in 1..n-1, so only the first min(d_max + 1, n - 1)
+    # columns can be non-zero.
+    width = min(overflow + 1, g.n - 1)
+    cols = np.zeros((g.n, overflow + 1), dtype=np.float64)
     for v in range(g.n):
-        dist = _bfs_distances(g, v)
-        for u in range(g.n):
-            d = dist[u]
-            if d < 1:
-                continue
-            if d <= spec.d_max:
-                cols[v, d - 1] += 1.0
-            else:
-                cols[v, spec.d_max] += 1.0
+        counts = [0] * width
+        for d in bfs_distances(neighbors, v):
+            if d > 0:
+                counts[d - 1 if d <= overflow else overflow] += 1
+        cols[v, :width] = counts
     return _append_columns(g, cols)
 
 
@@ -199,16 +199,17 @@ def subgraph_extraction(g: Graph, spec: TransformSpec) -> Graph:
     """Append ego-graph node and edge counts within the given radius."""
     if g.n < 1:
         raise ContractError("subgraph extraction needs at least one node")
-    from .centrality import _bfs_distances
-
-    cols = np.zeros((g.n, 2), dtype=np.float64)
+    neighbors = g.neighbors
+    radius = spec.radius
+    rows = []
     for v in range(g.n):
-        dist = _bfs_distances(g, v)
-        inside = {u for u in range(g.n) if 0 <= dist[u] <= spec.radius}
-        edge_total = sum(1 for u, w in g.edges if u in inside and w in inside)
-        cols[v, 0] = float(len(inside))
-        cols[v, 1] = float(edge_total)
-    return _append_columns(g, cols)
+        dist = bfs_distances(neighbors, v)
+        inside = [u for u, d in enumerate(dist) if 0 <= d <= radius]
+        # Each edge inside the ball is seen once from either end; the
+        # neighbours of a reached node are all reached.
+        ends = sum(1 for u in inside for w in neighbors[u] if dist[w] <= radius)
+        rows.append((len(inside), ends // 2))
+    return _append_columns(g, np.array(rows, dtype=np.float64))
 
 
 # kind -> (report label, transform); the order is the reporting order.

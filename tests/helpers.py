@@ -120,6 +120,97 @@ def path_counting_betweenness(g: Graph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# per-source shortest-path measures on numpy arrays (the earlier package
+# code, kept as byte-level references for the list-based versions)
+
+
+def _bfs_distances(g: Graph, source: int) -> np.ndarray:
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in g.neighbors[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def reference_closeness(g: Graph) -> np.ndarray:
+    out = np.zeros(g.n, dtype=np.float64)
+    if g.n <= 1:
+        return out
+    for v in range(g.n):
+        dist = _bfs_distances(g, v)
+        reachable = dist >= 0
+        r = int(reachable.sum())
+        total = int(dist[reachable].sum())
+        if r <= 1 or total == 0:
+            continue
+        out[v] = ((r - 1) / (g.n - 1)) * ((r - 1) / total)
+    return out
+
+
+def reference_betweenness(g: Graph) -> np.ndarray:
+    score = np.zeros(g.n, dtype=np.float64)
+    for s in range(g.n):
+        stack: list[int] = []
+        preds: list[list[int]] = [[] for _ in range(g.n)]
+        sigma = np.zeros(g.n, dtype=np.float64)
+        sigma[s] = 1.0
+        dist = np.full(g.n, -1, dtype=np.int64)
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for u in g.neighbors[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+                if dist[u] == dist[v] + 1:
+                    sigma[u] += sigma[v]
+                    preds[u].append(v)
+        delta = np.zeros(g.n, dtype=np.float64)
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != s:
+                score[w] += delta[w]
+    return score / 2.0
+
+
+def reference_distance_columns(g: Graph, d_max: int) -> np.ndarray:
+    """The columns distance_encoding appends."""
+    cols = np.zeros((g.n, d_max + 1), dtype=np.float64)
+    for v in range(g.n):
+        dist = _bfs_distances(g, v)
+        for u in range(g.n):
+            d = dist[u]
+            if d < 1:
+                continue
+            if d <= d_max:
+                cols[v, d - 1] += 1.0
+            else:
+                cols[v, d_max] += 1.0
+    return cols
+
+
+def reference_subgraph_columns(g: Graph, radius: int) -> np.ndarray:
+    """The columns subgraph_extraction appends."""
+    cols = np.zeros((g.n, 2), dtype=np.float64)
+    for v in range(g.n):
+        dist = _bfs_distances(g, v)
+        inside = {u for u in range(g.n) if 0 <= dist[u] <= radius}
+        edge_total = sum(1 for u, w in g.edges if u in inside and w in inside)
+        cols[v, 0] = float(len(inside))
+        cols[v, 1] = float(edge_total)
+    return cols
+
+
+# ---------------------------------------------------------------------------
 # naive tuple refinement (shared color table over both graphs)
 
 

@@ -1,8 +1,10 @@
 """Centrality measures against closed forms and a second counting route."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from isobench import (
     ConvergenceError,
@@ -18,7 +20,28 @@ from isobench import (
     star,
 )
 
-from helpers import graphs, path_counting_betweenness
+from helpers import (
+    graphs,
+    path_counting_betweenness,
+    reference_betweenness,
+    reference_closeness,
+)
+
+# Graphs the random strategy rarely draws: empty, single node, all
+# isolated, disconnected with an isolated node, and a long path.
+EDGE_CASES = (
+    Graph(0),
+    Graph(1),
+    Graph(4),
+    Graph(8, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6))),
+    path(11),
+)
+
+
+def with_edge_cases(test):
+    for g in EDGE_CASES:
+        test = example(g)(test)
+    return test
 
 
 class TestDegree:
@@ -52,6 +75,24 @@ class TestCloseness:
     def test_single_node_is_zero(self):
         assert closeness_centrality(Graph(1)).tolist() == [0.0]
 
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_n=11))
+    @with_edge_cases
+    def test_bytes_match_numpy_array_reference(self, g):
+        assert closeness_centrality(g).tobytes() == reference_closeness(g).tobytes()
+
+    def test_extra_memory_is_linear_in_n(self):
+        # One n x n int64 distance matrix at n = 2000 would need 32 MB.
+        g = path(2000)
+        tracemalloc.start()
+        try:
+            out = closeness_centrality(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out[0] == pytest.approx(1 / 1000)
+        assert peak < 4 * 2**20
+
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=8))
     def test_bounded_by_one(self, g):
@@ -82,6 +123,12 @@ class TestBetweenness:
 
     def test_complete_graph_is_zero(self):
         np.testing.assert_allclose(betweenness_centrality(complete(4)), np.zeros(4))
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_n=11))
+    @with_edge_cases
+    def test_bytes_match_numpy_array_reference(self, g):
+        assert betweenness_centrality(g).tobytes() == reference_betweenness(g).tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(graphs(max_n=8))

@@ -224,8 +224,8 @@ class TestTruncatedInput:
         "lone_u.el": (
             "3 1\n0 1\n1\n",
             EXIT_DATA,
-            "isobench: data error: {path}:3: feature block must hold exactly 3 rows, "
-            "found 1 (line 3)\n",
+            "isobench: data error: {path}:3: line 3 is neither an edge 'u v' nor the first "
+            "of 3 feature rows (found 1 row) (line 3)\n",
         ),
         "empty.el": ("", EXIT_DATA, "isobench: data error: no graphs in {path}\n"),
         "empty.g6": ("\n", EXIT_DATA, "isobench: data error: no graphs in {path}\n"),

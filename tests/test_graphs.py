@@ -70,6 +70,71 @@ class TestGraphType:
         assert g.neighbors[1] == (0, 2, 3)
 
 
+class TestWithFeatures:
+    @staticmethod
+    def source() -> Graph:
+        g = Graph(4, ((2, 3), (0, 1), (1, 2)), np.arange(4.0)[:, None])
+        for name in ("neighbors", "degrees", "edge_set", "adjacency_matrix"):
+            getattr(g, name)
+        return g
+
+    def test_equals_the_constructed_graph(self):
+        g = self.source()
+        f = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 1e-9], [7.0, 8.0]])
+        out = g.with_features(f)
+        assert out == Graph(g.n, g.edges, f)
+        assert out.edges is g.edges
+
+    def test_carried_caches_equal_fresh_ones(self):
+        g = self.source()
+        out = g.with_features(np.ones((4, 3)))
+        fresh = Graph(g.n, g.edges)
+        for name in ("neighbors", "degrees", "edge_set", "adjacency_matrix"):
+            assert getattr(out, name) is getattr(g, name)
+        assert out.neighbors == fresh.neighbors
+        assert out.edge_set == fresh.edge_set
+        np.testing.assert_array_equal(out.degrees, fresh.degrees)
+        np.testing.assert_array_equal(out.adjacency_matrix, fresh.adjacency_matrix)
+        assert out.degrees.dtype == fresh.degrees.dtype
+        assert not out.degrees.flags.writeable
+        assert not out.adjacency_matrix.flags.writeable
+
+    def test_uncomputed_caches_are_computed_on_demand(self):
+        g = Graph(3, ((0, 1), (1, 2)))
+        out = g.with_features(np.zeros((3, 1)))
+        assert out.neighbors == ((1,), (0, 2), (1,))
+        assert "neighbors" not in g.__dict__
+
+    def test_features_are_a_read_only_copy(self):
+        g = self.source()
+        f = np.zeros((4, 2))
+        out = g.with_features(f)
+        f[0, 0] = 9.0
+        assert out.features[0, 0] == 0.0
+        assert out.features.dtype == np.float64
+        with pytest.raises(ValueError):
+            out.features[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.array([[np.nan], [0.0], [0.0], [0.0]]),
+            np.array([[np.inf], [0.0], [0.0], [0.0]]),
+            np.ones((3, 1)),
+            np.ones((4, 0)),
+            np.ones(4),
+        ],
+        ids=["nan", "inf", "rows", "no-columns", "one-dimensional"],
+    )
+    def test_bad_features_raise_the_constructor_message(self, features):
+        g = self.source()
+        with pytest.raises(ContractError) as expected:
+            Graph(g.n, g.edges, features)
+        with pytest.raises(ContractError) as err:
+            g.with_features(features)
+        assert str(err.value) == str(expected.value)
+
+
 class TestGraph6:
     def test_k3_decodes_from_Bw(self):
         g = parse_graph6("Bw")
@@ -173,6 +238,21 @@ class TestEdgeList:
     def test_wrong_feature_row_count_fails(self):
         with pytest.raises(GraphParseError):
             parse_edge_list("3 1\n0 1\n1.0\n2.0\n")
+
+    def test_integer_line_in_short_block_names_both_readings(self):
+        for text, found in [("3 1\n0 1\n1\n", "1 row"), ("3 1\n0 1\n0 1 2\n5\n", "2 rows")]:
+            with pytest.raises(GraphParseError) as err:
+                parse_edge_list(text)
+            assert err.value.line == 3
+            assert str(err.value).startswith(
+                "line 3 is neither an edge 'u v' nor the first of 3 feature rows "
+                f"(found {found})"
+            )
+
+    def test_integer_feature_rows_still_parse(self):
+        g = parse_edge_list("3 1\n0 1\n1\n2\n3\n")
+        assert g.edges == ((0, 1),)
+        assert g.features[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_non_finite_feature_fails(self):
         with pytest.raises(GraphParseError):

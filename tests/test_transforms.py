@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isobench import (
@@ -27,7 +27,12 @@ from isobench import (
 )
 from isobench.graphs import GRAPH6_MAX_NODES
 
-from helpers import graphs, permutations_for
+from helpers import (
+    graphs,
+    permutations_for,
+    reference_distance_columns,
+    reference_subgraph_columns,
+)
 
 
 def spec(kind: str, **kw) -> TransformSpec:
@@ -212,6 +217,43 @@ class TestFeatureTransforms:
         for kind in ["degree", "distance_encoding", "graph_encoding", "subgraph_extraction"]:
             with pytest.raises(ContractError):
                 apply_transform(spec(kind), Graph(0))
+
+
+class TestDistanceTransformsMatchNumpyArrayReference:
+    """Feature bytes equal those of the per-source numpy-array code."""
+
+    @staticmethod
+    def check(s: TransformSpec, g: Graph, cols: np.ndarray):
+        out = apply_transform(s, g)
+        assert out.edges == g.edges
+        assert out.features.tobytes() == np.hstack([g.features, cols]).tobytes()
+
+    @pytest.mark.parametrize("d_max", [1, 3, 8])
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=1, max_n=11, feature_dims=2))
+    @example(Graph(1))
+    @example(Graph(5))
+    @example(Graph(8, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6))))
+    @example(path(12))
+    def test_distance_encoding(self, d_max, g):
+        self.check(spec("distance_encoding", d_max=d_max), g, reference_distance_columns(g, d_max))
+
+    @pytest.mark.parametrize("radius", [1, 2, 4])
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=1, max_n=11, feature_dims=2))
+    @example(Graph(1))
+    @example(Graph(5))
+    @example(Graph(8, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6))))
+    @example(path(12))
+    def test_subgraph_extraction(self, radius, g):
+        self.check(
+            spec("subgraph_extraction", radius=radius), g, reference_subgraph_columns(g, radius)
+        )
+
+    @pytest.mark.parametrize("kind", ["distance_encoding", "subgraph_extraction"])
+    def test_empty_graph_is_refused(self, kind):
+        with pytest.raises(ContractError, match="needs at least one node"):
+            apply_transform(spec(kind), Graph(0))
 
 
 class TestRelabelingBehavior:
