@@ -7,6 +7,14 @@ returns for every eigenvector, a pure function of the input matrix. The
 spectral node encoding inherits exactly that behavior, which is what
 lets sign and basis instability under node relabeling be studied rather
 than hidden.
+
+The rotations run in the cyclic row-major order of Jacobi's method
+(Golub & Van Loan, Matrix Computations, section 8.5). The solver reads
+the upper triangle of its input and keeps the working matrix exactly
+symmetric, so each rotation (p, q) is one update of rows p and q of the
+stacked n x 2n block [A | V^T], plus copying the two new rows of A into
+their columns. That is the same float arithmetic, in the same order, as
+rotating columns and then rows of A and the columns of V separately.
 """
 
 from __future__ import annotations
@@ -66,44 +74,62 @@ def jacobi_eigh(
     until the largest off-diagonal magnitude is at most tol. Returns
     (values, vectors) sorted by ascending eigenvalue with a stable sort,
     vectors in columns.
+
+    Input within atol 1e-12 of symmetric is accepted, and its lower
+    triangle is replaced by the upper one. The working matrix is then
+    exactly symmetric and stays so: the column-then-row update of
+    rotation (p, q) gives a[p, j] and a[j, p] the same float operations
+    on equal operands. So one rotation computes the new rows p and q
+    once and writes each into its row and its column. The eigenvectors
+    are kept as rows beside the matrix, in one n x 2n array [A | V^T],
+    so the same two row expressions update A and V together.
     """
-    a = np.array(a, dtype=np.float64, copy=True)
+    a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
     if n and not np.allclose(a, a.T, atol=1e-12):
         raise ContractError("matrix is not symmetric")
-    vecs = np.eye(n, dtype=np.float64)
+    b = np.zeros((n, 2 * n), dtype=np.float64)
+    b[:, :n] = np.where(np.tri(n, k=-1, dtype=bool), a.T, a)
+    b[:, n:] = np.eye(n)
+    a = b[:, :n]
+    rows = list(b)
+    a_rows = list(a)
+    a_cols = [a[:, j] for j in range(n)]
     converged = n < 2
     for _ in range(max_sweeps):
         if _max_offdiag(a) <= tol:
             converged = True
             break
+        diag = a.diagonal().tolist()
         for p in range(n - 1):
+            row_p = rows[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = row_p.item(q)
                 if abs(apq) <= 1e-300:
                     continue
-                # A Python float squares to inf silently where a numpy
-                # scalar warns; t is then +-0.0 either way.
-                theta = float((a[q, q] - a[p, p]) / (2.0 * apq))
+                # Python floats overflow to inf silently where numpy
+                # scalars warn; t is then +-0.0 either way.
+                theta = (diag[q] - diag[p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = vecs[:, p].copy()
-                vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - s * vcol_q
-                vecs[:, q] = s * vcol_p + c * vcol_q
+                row_q = rows[q]
+                new_p = c * row_p - s * row_q
+                new_q = s * row_p + c * row_q
+                row_p[:] = new_p
+                row_q[:] = new_q
+                a_cols[p][:] = a_rows[p]
+                a_cols[q][:] = a_rows[q]
+                # After the column update the 2 x 2 block holds new_p
+                # in column p and new_q in column q; these are the
+                # diagonal values the row update then gives.
+                app = c * new_p.item(p) - s * new_p.item(q)
+                aqq = s * new_q.item(p) + c * new_q.item(q)
+                row_p[p] = diag[p] = app
+                row_q[q] = diag[q] = aqq
+                row_p[q] = row_q[p] = 0.0
     else:
         converged = _max_offdiag(a) <= tol
     if not converged:
@@ -112,7 +138,7 @@ def jacobi_eigh(
         )
     values = np.diag(a).copy()
     order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
+    return values[order], b[:, n:].T[:, order]
 
 
 def _sign_canonical(col: np.ndarray) -> np.ndarray:

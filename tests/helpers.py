@@ -14,7 +14,7 @@ from collections import Counter, deque
 import numpy as np
 from hypothesis import strategies as st
 
-from isobench import Graph
+from isobench import ContractError, Graph, NumericError
 from isobench.quant import quantize_matrix
 
 
@@ -389,3 +389,64 @@ def reference_cluster(vectors, eps: float) -> list[int]:
             parent[max(a, b)] = min(a, b)
     relabel: dict[int, int] = {}
     return [relabel.setdefault(root(int(r)), len(relabel)) for r in inverse]
+
+
+# ---------------------------------------------------------------------------
+# cyclic Jacobi with separate column and row updates (the earlier package
+# code, kept as a byte-level reference for the row-pair update)
+
+
+def _reference_max_offdiag(a: np.ndarray) -> float:
+    if a.shape[0] < 2:
+        return 0.0
+    mask = ~np.eye(a.shape[0], dtype=bool)
+    return float(np.max(np.abs(a[mask])))
+
+
+def reference_jacobi_eigh(
+    a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100
+) -> tuple[np.ndarray, np.ndarray]:
+    a = np.array(a, dtype=np.float64, copy=True)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ContractError(f"expected a square matrix, got shape {a.shape}")
+    if n and not np.allclose(a, a.T, atol=1e-12):
+        raise ContractError("matrix is not symmetric")
+    vecs = np.eye(n, dtype=np.float64)
+    converged = n < 2
+    for _ in range(max_sweeps):
+        if _reference_max_offdiag(a) <= tol:
+            converged = True
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = float((a[q, q] - a[p, p]) / (2.0 * apq))
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vcol_p = vecs[:, p].copy()
+                vcol_q = vecs[:, q].copy()
+                vecs[:, p] = c * vcol_p - s * vcol_q
+                vecs[:, q] = s * vcol_p + c * vcol_q
+    else:
+        converged = _reference_max_offdiag(a) <= tol
+    if not converged:
+        raise NumericError(
+            f"Jacobi sweeps left off-diagonal mass {_reference_max_offdiag(a):.3e} above {tol}"
+        )
+    values = np.diag(a).copy()
+    order = np.argsort(values, kind="stable")
+    return values[order], vecs[:, order]

@@ -10,19 +10,23 @@ from hypothesis import strategies as st
 from isobench import (
     ContractError,
     Graph,
+    NumericError,
     Permutation,
     apply_permutation,
     complete,
     cycle,
     erdos_renyi,
+    extra_node,
+    hard_pair_library,
     jacobi_eigh,
     laplacian_encoding_columns,
     normalized_laplacian,
     path,
     star,
+    virtual_node,
 )
 
-from helpers import graphs
+from helpers import graphs, reference_jacobi_eigh
 
 
 def random_symmetric(n: int, seed: int) -> np.ndarray:
@@ -102,11 +106,112 @@ class TestJacobiEigh:
             vals, _ = jacobi_eigh(lap)
         np.testing.assert_allclose(vals, np.linalg.eigvalsh(lap), atol=1e-9)
 
+    def test_overflowing_theta_rotates_without_warning(self):
+        # At cell (0, 2) theta is about 1e10 / 1.4e-299, which overflows
+        # a float; theta is then inf and the rotation is the identity.
+        a = np.array([[0.0, 1.0, 1e-299], [1.0, 0.0, 0.0], [1e-299, 0.0, 1e10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = jacobi_eigh(a)
+        np.testing.assert_allclose(a @ vecs, vecs * vals, atol=1e-9)
+        np.testing.assert_allclose(vals, [-1.0, 1.0, 1e10])
+
+    def test_lower_triangle_is_replaced_by_upper(self):
+        a = random_symmetric(6, 11)
+        upper = a.copy()
+        a[np.tril_indices(6, -1)] += 1e-13
+        assert not np.array_equal(a, upper)
+        vals, vecs = jacobi_eigh(a)
+        ref_vals, ref_vecs = jacobi_eigh(upper)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
+    def test_negative_zero_diagonal_survives_the_mirror(self):
+        vals, vecs = jacobi_eigh(np.diag([1.0, -0.0, 2.0]))
+        assert vals.tolist() == [0.0, 1.0, 2.0]
+        assert np.signbit(vals[0])
+        np.testing.assert_array_equal(vecs, np.eye(3)[:, [1, 0, 2]])
+
     def test_laplacian_spectra_match_lapack(self):
         for g in [path(6), cycle(7), star(5), complete(4)]:
             lap = normalized_laplacian(g)
             vals, _ = jacobi_eigh(lap)
             np.testing.assert_allclose(vals, np.linalg.eigvalsh(lap), atol=1e-9)
+
+
+def assert_same_as_reference(a: np.ndarray, **kwargs) -> None:
+    """Same bytes as the column-then-row reference, or the same error."""
+    try:
+        ref = reference_jacobi_eigh(a, **kwargs)
+    except NumericError as exc:
+        with pytest.raises(NumericError) as got:
+            jacobi_eigh(a, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    vals, vecs = jacobi_eigh(a, **kwargs)
+    assert vals.tobytes() == ref[0].tobytes()
+    assert vecs.shape == ref[1].shape
+    assert vecs.tobytes() == ref[1].tobytes()
+
+
+@st.composite
+def symmetric_matrices(draw, max_n: int = 9):
+    """(m + m.T) / 2 of a drawn m; about half the draws are sparse with
+    -0.0 entries, which the halving keeps where both mirror cells hold one."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        entries = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -0.5, 0.25])
+    else:
+        entries = st.one_of(
+            st.just(0.0),
+            st.just(-0.0),
+            st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, width=32),
+        )
+    m = np.asarray(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    m = m.reshape(n, n)
+    return (m + m.T) / 2
+
+
+class TestJacobiMatchesReference:
+    """Byte equality with the earlier column-then-row Jacobi loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=12))
+    def test_normalized_laplacians(self, g):
+        assert_same_as_reference(normalized_laplacian(g))
+
+    @settings(max_examples=80, deadline=None)
+    @given(symmetric_matrices())
+    def test_random_symmetric_matrices(self, a):
+        assert_same_as_reference(a)
+
+    def test_dense_random_matrices(self):
+        for n in (2, 5, 13, 24):
+            assert_same_as_reference(random_symmetric(n, n))
+
+    @pytest.mark.parametrize("image", ["plain", "virtual_node", "extra_node"])
+    def test_degenerate_spectra_of_hard_pairs(self, image):
+        # Repeated eigenvalues leave the basis to the rotation order, so
+        # any change of that order would show in these vectors.
+        transform = {"plain": lambda g: g, "virtual_node": virtual_node, "extra_node": extra_node}
+        for pair in hard_pair_library().pairs:
+            for g in (pair.left, pair.right):
+                assert_same_as_reference(normalized_laplacian(transform[image](g)))
+
+    def test_degenerate_spectra_of_named_graphs(self):
+        p8_p3 = Graph(11, path(8).edges + tuple((u + 8, v + 8) for u, v in path(3).edges))
+        for g in (cycle(12), p8_p3):
+            assert_same_as_reference(normalized_laplacian(g))
+
+    def test_budget_error_matches(self):
+        a = random_symmetric(10, 5)
+        with pytest.raises(NumericError):
+            jacobi_eigh(a, max_sweeps=1)
+        assert_same_as_reference(a, max_sweeps=1)
+
+    def test_small_and_diagonal_matrices(self):
+        for a in (np.zeros((0, 0)), np.ones((1, 1)), np.diag([3.0, -0.0, 1.0])):
+            assert_same_as_reference(a)
 
 
 class TestEncodingColumns:
