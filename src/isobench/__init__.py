@@ -63,6 +63,7 @@ from .transforms import (
 from .models import (
     ARCHS,
     Embedding,
+    GraphBatch,
     MLPParams,
     ModelParams,
     forward,

@@ -24,6 +24,13 @@ classes depend on which pairs it holds. So a custom embedder must be
 pure: a graph that several cells share is embedded for the first of
 them only. A cell's seconds cover only the work that cell triggered
 first, so a grid's rows still sum to its wall time.
+
+Model embedders (gin, pna, ds) embed a cell's distinct new graphs in
+batches: forward over a GraphBatch of consecutive graphs whose largest
+array stays within EMBED_BATCH_CELLS float64 cells, a larger graph
+alone. The rows are the bytes of one pass per graph, and a graph the
+model refuses is noted with the error a single pass raises. wl and
+custom embedders get one call per graph.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 
 from .errors import ContractError, IsobenchError
 from .graphs import Graph, Permutation, apply_permutation
-from .models import forward, init_model
+from .models import GraphBatch, ModelParams, batch_cells, check_graph, forward, init_model
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
 from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, are_isomorphic, wl1_signature, wlk_signature
 
@@ -46,6 +53,10 @@ MODEL_EMBEDDERS = ("gin", "pna", "ds")
 
 DEFAULT_CLUSTER_EPS = 1e-5
 VERIFY_MAX_NODES = 16
+# Largest array, in float64 cells (models.batch_cells), that one batched
+# forward pass may allocate; a graph over it forms a batch alone. The
+# bound keeps peak memory near that of one pass per graph.
+EMBED_BATCH_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -218,13 +229,10 @@ GraphEmbedder = Callable[[Graph], "bytes | np.ndarray"]
 
 
 def _resolve_embedder(
-    embedder: str | GraphEmbedder,
-    quant_eps: float,
-    model_seed: int,
-    input_dim: int,
-    kwl_budget: int,
+    embedder: str | GraphEmbedder, quant_eps: float, kwl_budget: int
 ) -> tuple[GraphEmbedder, bool]:
-    """Returns (callable, exact) where exact means digest equality."""
+    """Returns (callable, exact) for a non-model embedder, where exact
+    means digest equality."""
     if callable(embedder):
         return embedder, True
     if embedder == "wl1":
@@ -234,9 +242,6 @@ def _resolve_embedder(
         return (
             lambda g: bytes.fromhex(wlk_signature(g, k, quant_eps, kwl_budget).digest)
         ), True
-    if embedder in MODEL_EMBEDDERS:
-        params = init_model(embedder, input_dim, model_seed)
-        return (lambda g: forward(params, g)), False
     raise ContractError(f"unknown embedder {embedder!r}; valid: {', '.join(EMBEDDERS)}")
 
 
@@ -255,11 +260,12 @@ class _Memo:
     embedded: dict[tuple[int, int], object] = field(default_factory=dict)
 
 
-def _through(memo: dict, keys: Callable, fn: Callable, left, right):
+def _through(memo: dict, keys: Callable, fn: Callable | None, left, right):
     """(fn(left), fn(right)), each computed on its key's first lookup.
 
     Returns the left graph's IsobenchError, else the right one's, in
-    place of the pair; right is not computed when left failed.
+    place of the pair; right is not computed when left failed. fn is
+    None when memo already holds every key that can be reached.
     """
     out = []
     for x in (left, right):
@@ -273,6 +279,54 @@ def _through(memo: dict, keys: Callable, fn: Callable, left, right):
             return memo[key]
         out.append(memo[key])
     return tuple(out)
+
+
+def _batches(params: ModelParams, graphs: Sequence[Graph]):
+    """Consecutive runs of graphs, each as large as EMBED_BATCH_CELLS allows."""
+    chunk: list[Graph] = []
+    rows = largest = 0
+    for g in graphs:
+        if chunk and batch_cells(
+            params, rows + g.n, len(chunk) + 1, max(largest, g.n)
+        ) > EMBED_BATCH_CELLS:
+            yield chunk
+            chunk, rows, largest = [], 0, 0
+        chunk.append(g)
+        rows, largest = rows + g.n, max(largest, g.n)
+    if chunk:
+        yield chunk
+
+
+def _embed_in_batches(
+    params: ModelParams, graph_pairs: Sequence[tuple[Graph, Graph]], memo: dict
+) -> None:
+    """Fill memo with the embedding of every graph _through will reach.
+
+    The graphs memo lacks are taken as _through reaches them: in pair
+    order, left before right, and no right graph after a refused left
+    one. A graph that forward would refuse is stored as that error; the
+    rest are embedded by forward over bounded batches.
+    """
+    width = params.input_dim
+    pending: dict[int, Graph] = {}
+    for left, right in graph_pairs:
+        for g in (left, right):
+            key = (id(g), width)
+            if key not in memo and id(g) not in pending:
+                try:
+                    check_graph(params, g)
+                except IsobenchError as exc:
+                    memo[key] = exc
+                else:
+                    pending[id(g)] = g
+            if isinstance(memo.get(key), IsobenchError):
+                break
+    for chunk in _batches(params, list(pending.values())):
+        # Positional, through this module's global: benchmarks/tracing.py
+        # patches evaluate.forward and counts the batch's n node rows.
+        rows = forward(params, GraphBatch(chunk))
+        for g, row in zip(chunk, rows):
+            memo[(id(g), width)] = row
 
 
 def evaluate_pairs(
@@ -311,16 +365,18 @@ def evaluate_pairs(
         transformed.append((index, pair, *result))
 
     embed_dim = transformed[0][2].d if transformed else 1
-    embed, exact = _resolve_embedder(
-        embedder if callable(embedder) else str(embedder),
-        quant_eps,
-        model_seed,
-        embed_dim,
-        kwl_budget,
-    )
-
     # A model's weights depend on its input width; other embedders do not.
-    width = embed_dim if embedder in MODEL_EMBEDDERS else 0
+    width = 0
+    if embedder in MODEL_EMBEDDERS:
+        params = init_model(embedder, embed_dim, model_seed)
+        width = embed_dim
+        _embed_in_batches(params, [(l, r) for _, _, l, r in transformed], memo.embedded)
+        embed, exact = None, False
+    else:
+        embed, exact = _resolve_embedder(
+            embedder if callable(embedder) else str(embedder), quant_eps, kwl_budget
+        )
+
     included: list[tuple[LabeledPair, object, object]] = []
     for index, pair, left, right in transformed:
         result = _through(memo.embedded, lambda g: (id(g), width), embed, left, right)

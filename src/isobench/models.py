@@ -24,19 +24,34 @@ while letting float reassociation under node relabeling stay visible
 instead of being canonicalized away.
 
 The passes are whole-matrix numpy operations that keep that order
-exactly. Neighbor sums run over degree slots: slot j adds, for every
-node of degree > j at once, its j-th smallest neighbor, so each node
-sees the same additions in the same order as a per-node loop (nodes
-without a j-th neighbor are left out rather than padded with zeros,
-which would turn -0.0 into +0.0). The readout is a sequential
-np.add.accumulate over a zero row and the node states, never the
-pairwise np.sum, whose different association changes the bits.
+exactly. forward takes a Graph or a GraphBatch, the disjoint union of
+several graphs, and runs a Graph as a batch of one; row i of a batch's
+result has the bytes of forward on graph i alone. That holds because
+every operation is row by row, with three rules:
+
+- Neighbor sums run over degree slots of the union: slot j adds, for
+  every node of degree > j at once, its j-th smallest neighbor, so each
+  node sees the same additions in the same order as a per-node loop
+  (nodes without a j-th neighbor are left out rather than padded with
+  zeros, which would turn -0.0 into +0.0). pna's delta is each graph's
+  own.
+- One-row kernel: numpy multiplies a 1-row matrix by BLAS gemv and a
+  larger one by gemm, whose bits differ, while a gemm row does not
+  depend on how many rows the product has. So the rows of 1-node graphs
+  and ds's readout rows, one per graph, take the broadcast
+  (rows, 1, k) @ w form, which runs gemv row by row; the rest stack.
+- The readout sums each graph's states in one zero-padded (graphs,
+  1 + max n, width) block with np.add.accumulate along the node axis:
+  sequential, from a leading +0.0, like a per-node loop. The running sum
+  is never -0.0, so the trailing +0.0 pads leave it unchanged. The
+  pairwise np.sum, or np.add.reduceat, would change the bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,30 +151,109 @@ def _mlp(params: MLPParams, x: np.ndarray) -> np.ndarray:
     return np.tanh(np.tanh(x @ params.w1 + params.b1) @ params.w2 + params.b2)
 
 
-def _neighbour_slots(g: Graph) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """Nodes by descending degree, and per degree slot j their j-th neighbours.
+def _mlp_rows(params: MLPParams, x: np.ndarray, lone: np.ndarray) -> np.ndarray:
+    """_mlp over the rows of x; rows `lone`, the rows of 1-node graphs,
+    again in the broadcast (rows, 1, k) form that runs the one-row
+    kernel (see the module docstring)."""
+    h = _mlp(params, x)
+    if lone.size:
+        h[lone] = _mlp(params, x[lone, None, :])[:, 0]
+    return h
 
-    Row r of the neighbour table holds the neighbours of node order[r] in
-    ascending index. The nodes with a j-th neighbour are the first
-    count_j rows, so slot j is (count_j, table[:count_j, j]), and adding
-    slot 0, 1, ... in turn adds each node's neighbours in the order a
-    per-node loop adds them.
+
+@dataclass(frozen=True, eq=False)
+class GraphBatch:
+    """The disjoint union of graphs, in list order.
+
+    Node v of graph i is union node offsets[i] + v; n is the union's node
+    count. forward embeds every graph of a batch at once, row i of its
+    result being graph i's embedding.
     """
-    deg = g.degrees
-    order = np.argsort(-deg, kind="stable")
-    table = np.zeros((g.n, int(deg.max())), dtype=np.intp)
-    for row, v in enumerate(order):
-        table[row, : deg[v]] = g.neighbors[v]
-    slots = []
-    for j in range(table.shape[1]):
-        count = int(np.count_nonzero(deg > j))
-        slots.append((count, table[:count, j]))
-    return order, slots
+
+    graphs: tuple[Graph, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "graphs", tuple(self.graphs))
+        if not self.graphs:
+            raise ContractError("a graph batch needs at least one graph")
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.array([g.n for g in self.graphs], dtype=np.intp)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+    @cached_property
+    def n(self) -> int:
+        return int(self.sizes.sum())
+
+    @cached_property
+    def node_graph(self) -> np.ndarray:
+        """The graph index of each union node."""
+        return np.repeat(np.arange(len(self.graphs)), self.sizes)
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        return np.concatenate([g.features for g in self.graphs])
+
+    @cached_property
+    def lone(self) -> np.ndarray:
+        """The rows of 1-node graphs."""
+        return self.offsets[self.sizes == 1]
+
+    def graph_sums(self, values: np.ndarray) -> np.ndarray:
+        """Row i: +0.0 plus the rows of graph i, added in ascending node order.
+
+        Each graph's rows fill one row of a zero-padded (graphs, 1 + max
+        n, width) block after a leading zero, and np.add.accumulate sums
+        each along axis 1 one element after another. The running sum
+        starts at +0.0 and so is never -0.0, so the trailing +0.0 pads
+        leave it unchanged.
+        """
+        graph = self.node_graph
+        position = np.arange(self.n) - self.offsets[graph]
+        block = np.zeros((len(self.graphs), 1 + int(self.sizes.max()), values.shape[1]))
+        block[graph, 1 + position] = values
+        return np.add.accumulate(block, axis=1, out=block)[:, -1].copy()
+
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]:
+        """Union degrees, nodes by descending degree, and the degree slots.
+
+        Slot j is (count_j, nbrs): the count_j nodes of degree > j lead
+        the order, and nbrs holds the j-th smallest neighbour of each of
+        them in that order. Adding slot 0, 1, ... in turn adds each
+        node's neighbours in the order a per-node loop adds them.
+        """
+        counts = [len(g.edges) for g in self.graphs]
+        ends = np.fromiter(
+            (v for g in self.graphs for edge in g.edges for v in edge),
+            dtype=np.intp,
+            count=2 * sum(counts),
+        ).reshape(-1, 2) + np.repeat(self.offsets, counts)[:, None]
+        node = np.concatenate([ends[:, 0], ends[:, 1]])
+        nbr = np.concatenate([ends[:, 1], ends[:, 0]])
+        deg = np.bincount(node, minlength=self.n)
+        by_node = np.lexsort((nbr, node))
+        node, nbr = node[by_node], nbr[by_node]
+        rank = np.arange(node.size) - (np.cumsum(deg) - deg)[node]
+        order = np.argsort(-deg, kind="stable")
+        row = np.empty(self.n, dtype=np.intp)
+        row[order] = np.arange(self.n)
+        nbr = nbr[np.lexsort((row[node], rank))]
+        slots = []
+        start = 0
+        for count in np.bincount(rank).tolist():
+            slots.append((count, nbr[start : start + count]))
+            start += count
+        return deg, order, slots
 
 
-def _gin_states(m: ModelParams, g: Graph) -> np.ndarray:
-    h = g.features
-    order, slots = _neighbour_slots(g)
+def _gin_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
+    h = b.features
+    _, order, slots = b.slots
     for layer, eps in zip(m.weights, m.epsilons):
         acc = (1.0 + eps) * h[order]
         # Only the rows that have a j-th neighbour: adding a zero instead
@@ -168,33 +262,28 @@ def _gin_states(m: ModelParams, g: Graph) -> np.ndarray:
             acc[:count] += h[nbrs]
         agg = np.empty_like(acc)
         agg[order] = acc
-        h = _mlp(layer, agg)
+        h = _mlp_rows(layer, agg, b.lone)
     return h
 
 
-def _pna_states(m: ModelParams, g: Graph) -> np.ndarray:
-    h = g.features
-    deg = g.degrees
-    log_deg = np.zeros(g.n, dtype=np.float64)
-    for v in range(g.n):
-        log_deg[v] = math.log1p(float(deg[v]))
-    delta = 0.0
-    for v in range(g.n):
-        delta += log_deg[v]
-    delta /= g.n
-    order, slots = _neighbour_slots(g)
+def _pna_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
+    h = b.features
+    deg, order, slots = b.slots
+    log_deg = np.array([math.log1p(k) for k in range(int(deg.max()) + 1)])[deg]
+    # Each node's own graph's mean of log(1 + deg), summed in node order.
+    delta = (b.graph_sums(log_deg[:, None])[:, 0] / b.sizes)[b.node_graph]
     linked = deg > 0
     n_linked = int(np.count_nonzero(linked))  # nodes with neighbours lead the order
     linked_deg = deg[order[:n_linked], None]
-    amplification = np.ones(g.n, dtype=np.float64)
-    amplification[linked] = log_deg[linked] / delta
-    attenuation = np.ones(g.n, dtype=np.float64)
-    attenuation[linked] = delta / log_deg[linked]
+    amplification = np.ones(b.n, dtype=np.float64)
+    amplification[linked] = log_deg[linked] / delta[linked]
+    attenuation = np.ones(b.n, dtype=np.float64)
+    attenuation[linked] = delta[linked] / log_deg[linked]
     parts_per_node = 1 + AGGREGATOR_COUNT * SCALER_COUNT
     for layer in m.weights:
         width = h.shape[1]
         # Rows in descending-degree order; isolated nodes keep zeros.
-        aggs = np.zeros((AGGREGATOR_COUNT, g.n, width), dtype=np.float64)
+        aggs = np.zeros((AGGREGATOR_COUNT, b.n, width), dtype=np.float64)
         mean, total, high, low, std = aggs
         for j, (count, nbrs) in enumerate(slots):
             nbr_states = h[nbrs]
@@ -213,45 +302,77 @@ def _pna_states(m: ModelParams, g: Graph) -> np.ndarray:
         std[:n_linked] = np.sqrt(std[:n_linked] / linked_deg)
         # Rows in node order: parts[:, 0] is the own state and
         # parts[:, 1 + 5 * s + a] is aggregate a under scaler s.
-        block = np.empty((g.n, parts_per_node * width), dtype=np.float64)
-        parts = block.reshape(g.n, parts_per_node, width)
+        block = np.empty((b.n, parts_per_node * width), dtype=np.float64)
+        parts = block.reshape(b.n, parts_per_node, width)
         parts[:, 0] = h
         identity = parts[:, 1 : 1 + AGGREGATOR_COUNT]
         identity[order] = aggs.transpose(1, 0, 2)
         for s, scale in enumerate((amplification, attenuation), start=1):
             lo = 1 + AGGREGATOR_COUNT * s
             np.multiply(identity, scale[:, None, None], out=parts[:, lo : lo + AGGREGATOR_COUNT])
-        h = _mlp(layer, block)
+        h = _mlp_rows(layer, block, b.lone)
     return h
 
 
-def _ds_states(m: ModelParams, g: Graph) -> np.ndarray:
-    return _mlp(m.weights[0], g.features)
+def _ds_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
+    return _mlp_rows(m.weights[0], b.features, b.lone)
 
 
-def node_states(m: ModelParams, g: Graph) -> np.ndarray:
-    """Final per-node states before readout (for ds: the MLP1 outputs)."""
+_STATES = {"gin": _gin_states, "pna": _pna_states, "ds": _ds_states}
+
+
+def check_graph(m: ModelParams, g: Graph) -> None:
+    """Raise the ContractError that a forward pass over g would raise."""
     if g.n < 1:
         raise ContractError("forward pass needs at least one node")
     if g.d != m.input_dim:
         raise ContractError(f"model expects {m.input_dim} feature columns, graph has {g.d}")
-    if m.arch == "gin":
-        return _gin_states(m, g)
+
+
+def batch_cells(m: ModelParams, rows: int, graphs: int, largest: int) -> int:
+    """Float64 cells of the largest array forward allocates for a batch.
+
+    The batch has `rows` nodes in `graphs` graphs, the largest with
+    `largest` nodes. A layer's widest array has max(input_dim,
+    hidden_dim) cells per node, times the 16 parts of a node's block in
+    pna; the readout block has 1 + largest rows of hidden_dim cells per
+    graph.
+    """
+    width = max(m.input_dim, m.hidden_dim)
     if m.arch == "pna":
-        return _pna_states(m, g)
-    return _ds_states(m, g)
+        width *= 1 + AGGREGATOR_COUNT * SCALER_COUNT
+    return max(rows * width, graphs * (1 + largest) * m.hidden_dim)
 
 
-def forward(m: ModelParams, g: Graph) -> Embedding:
-    """Whole-graph embedding: ascending-index sum readout over node states."""
-    states = node_states(m, g)
-    # np.add.accumulate adds row after row by definition; np.sum would
-    # sum pairwise and change the bits.
-    rows = np.concatenate([np.zeros((1, states.shape[1]), dtype=np.float64), states])
-    readout = np.add.accumulate(rows, axis=0)[-1]
+def _as_batch(m: ModelParams, x: Graph | GraphBatch) -> GraphBatch:
+    b = x if isinstance(x, GraphBatch) else GraphBatch((x,))
+    for g in b.graphs:
+        check_graph(m, g)
+    return b
+
+
+def node_states(m: ModelParams, x: Graph | GraphBatch) -> np.ndarray:
+    """Final per-node states before readout (for ds: the MLP1 outputs).
+
+    For a batch, the rows of the union's nodes.
+    """
+    return _STATES[m.arch](m, _as_batch(m, x))
+
+
+def forward(m: ModelParams, x: Graph | GraphBatch) -> Embedding:
+    """Whole-graph embeddings: an ascending-index sum readout of node states.
+
+    A Graph gives a read-only vector of OUTPUT_DIM entries. A GraphBatch
+    gives a read-only (graphs, OUTPUT_DIM) matrix whose row i has the
+    bytes of forward(m, graphs[i]); a Graph runs as a batch of one. Rows
+    of 1-node graphs and ds's readout rows take the one-row kernel, and
+    the readout is GraphBatch.graph_sums, sequential over a padded block
+    (see the module docstring).
+    """
+    b = _as_batch(m, x)
+    readout = b.graph_sums(_STATES[m.arch](m, b))
     if m.arch == "ds":
-        readout = _mlp(m.weights[1], readout[None, :])[0]
-    out = readout.copy()
-    out.setflags(write=False)
-    return out
-
+        # One row per graph, so each takes the one-row kernel.
+        readout = _mlp(m.weights[1], readout[:, None, :])[:, 0]
+    readout.setflags(write=False)
+    return readout if b is x else readout[0]

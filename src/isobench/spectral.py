@@ -75,9 +75,9 @@ def jacobi_eigh(
     (values, vectors) sorted by ascending eigenvalue with a stable sort,
     vectors in columns.
 
-    Input within atol 1e-12 of symmetric is accepted, and its lower
-    triangle is replaced by the upper one. The working matrix is then
-    exactly symmetric and stays so: the column-then-row update of
+    Entries must be finite. Input within atol 1e-12 of symmetric is
+    accepted, and its lower triangle is replaced by the upper one. The
+    working matrix is then exactly symmetric and stays so: the column-then-row update of
     rotation (p, q) gives a[p, j] and a[j, p] the same float operations
     on equal operands. So one rotation computes the new rows p and q
     once and writes each into its row and its column. The eigenvectors
@@ -88,6 +88,10 @@ def jacobi_eigh(
     n = a.shape[0]
     if a.shape != (n, n):
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
+    # np.allclose below counts inf as close to inf; rotations would then
+    # turn it into NaN after max_sweeps full sweeps.
+    if not np.all(np.isfinite(a)):
+        raise ContractError("matrix entries must be finite")
     if n and not np.allclose(a, a.T, atol=1e-12):
         raise ContractError("matrix is not symmetric")
     b = np.zeros((n, 2 * n), dtype=np.float64)

@@ -256,6 +256,33 @@ def test_python_m_isobench_matches_main(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
+def test_model_reports_do_not_depend_on_blas_threads():
+    # Batched forward passes rely on a matrix product's rows not depending
+    # on how its rows are split, between batches or between BLAS threads.
+    argv = ["evaluate", "--input", "hard_pairs", "--augment", "4"]
+    for kind in isobench.KINDS:
+        argv += ["--transform", kind]
+    for arch in isobench.ARCHS:
+        argv += ["--embedder", arch]
+    src = str(Path(isobench.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(p for p in paths if p),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "isobench", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") > len(isobench.KINDS) * len(isobench.ARCHS)
+
+
 class TestWL:
     def test_library_verdicts(self, capsys):
         code, out, _ = run(capsys, "wl", "--input", "hard_pairs")

@@ -415,3 +415,54 @@ class TestGridSharing:
             "pair 0 (unlabeled): refuses n=3",
             "pair 1 (unlabeled): refuses n=4",
         )
+
+
+class TestModelBatches:
+    """Model embedders embed a cell's graphs in batches bounded by
+    EMBED_BATCH_CELLS; the bound moves no row and no note."""
+
+    SPECS = (base_spec(), TransformSpec(kind="degree"), TransformSpec(kind="virtual_node"))
+    BIG = 2100  # nodes: over the default bound for every architecture
+
+    def dataset(self) -> PairDataset:
+        big = path(self.BIG)
+        relabeled = apply_permutation(big, Permutation.random(self.BIG, np.random.default_rng(0)))
+        return PairDataset(
+            two_width_pairs(with_empty=True).pairs
+            + (
+                LabeledPair(Graph(1), big, False, "a"),
+                LabeledPair(big, relabeled, True, "a"),
+                LabeledPair(Graph(1), Graph(1), True, "a"),
+            )
+        )
+
+    @pytest.mark.parametrize("by_origin", [False, True])
+    def test_bound_moves_no_row_or_note(self, monkeypatch, by_origin):
+        ds = self.dataset()
+        original = evaluate.forward
+        batches: list[tuple[int, ...]] = []
+
+        def recording(params, batch):
+            batches.append(tuple(g.n for g in batch.graphs))
+            return original(params, batch)
+
+        monkeypatch.setattr(evaluate, "forward", recording)
+
+        def grid(cells: int):
+            monkeypatch.setattr(evaluate, "EMBED_BATCH_CELLS", cells)
+            batches.clear()
+            rows = evaluate_grid(
+                ds, self.SPECS, ["gin", "pna", "ds"], model_seed=2, by_origin=by_origin
+            )
+            return [dataclasses.replace(r, seconds=0.0) for r in rows], list(batches)
+
+        one_each, singles = grid(0)
+        default, bounded = grid(2**15)
+        unbounded, whole = grid(2**62)
+        assert one_each == default == unbounded
+        assert {len(b) for b in singles} == {1}
+        assert all(len(b) == 1 for b in bounded if max(b) >= self.BIG)
+        assert len(bounded) < len(singles) and len(whole) < len(bounded)
+        notes = [note for r in default for note in r.notes]
+        assert any("forward pass needs at least one node" in note for note in notes)
+        assert any("feature columns, graph has" in note for note in notes)

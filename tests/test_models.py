@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isobench import (
+    ARCHS,
     ContractError,
     Graph,
+    GraphBatch,
     Permutation,
     TransformSpec,
     apply_permutation,
@@ -22,7 +24,7 @@ from isobench import (
     path,
 )
 
-from helpers import graphs, permutations_for
+from helpers import graphs, permutations_for, reference_forward
 
 
 class TestInit:
@@ -155,3 +157,92 @@ class TestForward:
         b = forward(m, apply_permutation(g, p))
         np.testing.assert_allclose(a, b, atol=1e-9)
 
+
+
+FEATURES = st.sampled_from([-0.0, 0.0]) | st.floats(
+    -4.0, 4.0, allow_nan=False, allow_infinity=False, width=32
+)
+# Signed zeros and magnitudes far enough apart that any change in the
+# order of a sum changes its bits.
+SUMMANDS = st.sampled_from([-0.0, 0.0, 1e16, -1e16, 1.0, -2.5, 3.0e-8]) | FEATURES
+
+
+@st.composite
+def graph_lists(draw, max_n: int = 20):
+    """2..8 graphs of one feature width, at least two of them with one node.
+
+    Edges are sparse, so isolated nodes are common; features hold -0.0.
+    """
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.permutations(draw(st.lists(st.integers(1, max_n), max_size=6)) + [1, 1]))
+    out = []
+    for n in sizes:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+        feats = draw(st.lists(FEATURES, min_size=n * d, max_size=n * d))
+        out.append(Graph(n, tuple(edges), np.asarray(feats, dtype=np.float64).reshape(n, d)))
+    return out
+
+
+class TestGraphBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(graph_lists(), st.sampled_from(ARCHS), st.integers(0, 3))
+    def test_rows_have_the_bytes_of_single_graph_passes(self, gs, arch, seed):
+        m = init_model(arch, gs[0].d, seed)
+        rows = forward(m, GraphBatch(gs))
+        assert rows.shape == (len(gs), 16)
+        assert not rows.flags.writeable
+        for g, row in zip(gs, rows):
+            alone = forward(m, g)
+            assert row.tobytes() == alone.tobytes() == reference_forward(m, g).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_graph_sums_add_rows_in_node_order_from_plus_zero(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+        batch = GraphBatch([Graph(n) for n in sizes])
+        width = data.draw(st.integers(1, 3))
+        values = np.asarray(
+            data.draw(st.lists(SUMMANDS, min_size=batch.n * width, max_size=batch.n * width)),
+            dtype=np.float64,
+        ).reshape(batch.n, width)
+        expected = []
+        start = 0
+        for n in sizes:
+            total = np.zeros(width)
+            for row in values[start : start + n]:
+                total = total + row
+            expected.append(total)
+            start += n
+        assert batch.graph_sums(values).tobytes() == np.array(expected).tobytes()
+
+    def test_all_negative_zero_graph_sums_to_plus_zero(self):
+        batch = GraphBatch([Graph(1), Graph(2)])
+        sums = batch.graph_sums(np.full((3, 2), -0.0))
+        assert not np.any(np.signbit(sums))
+
+    def test_union_counts_nodes_in_list_order(self):
+        batch = GraphBatch([path(3), Graph(1), cycle(4)])
+        assert batch.n == 8
+        assert batch.offsets.tolist() == [0, 3, 4]
+        assert batch.node_graph.tolist() == [0, 0, 0, 1, 2, 2, 2, 2]
+
+    def test_single_graph_gives_a_read_only_vector(self):
+        e = forward(init_model("pna", 1, 0), path(3))
+        assert e.shape == (16,)
+        assert not e.flags.writeable
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractError, match="at least one graph"):
+            GraphBatch([])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(Graph(0), "forward pass needs at least one node"),
+         (Graph(2, (), np.ones((2, 2))), "model expects 1 feature columns, graph has 2")],
+    )
+    def test_batch_refuses_what_a_single_pass_refuses(self, bad, message):
+        m = init_model("gin", 1, 0)
+        for x in (bad, GraphBatch([path(3), bad])):
+            with pytest.raises(ContractError, match=message):
+                forward(m, x)

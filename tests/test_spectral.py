@@ -92,6 +92,15 @@ class TestJacobiEigh:
         with pytest.raises(ContractError):
             jacobi_eigh(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entries_at_once(self, bad):
+        a = random_symmetric(60, 3)
+        a[7, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="must be finite"):
+                jacobi_eigh(a)
+
     def test_empty_matrix(self):
         vals, vecs = jacobi_eigh(np.zeros((0, 0)))
         assert vals.shape == (0,) and vecs.shape == (0, 0)
