@@ -36,6 +36,7 @@ from .evaluate import (
     report_table,
 )
 from .graphs import write_edge_list
+from .quant import check_quant_eps
 from .transforms import TransformSpec, apply_transform, parse_transform_token
 from .wl import DEFAULT_EPS, wl1_signature, wlk_signature
 
@@ -168,6 +169,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_wl(args) -> int:
+    check_quant_eps(args.eps)
     ds = _load_pairs(args.input, args.format)
     specs = [parse_transform_token(t) for t in args.transform]
     distinguished = 0

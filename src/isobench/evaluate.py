@@ -45,6 +45,7 @@ import numpy as np
 from .errors import ContractError, IsobenchError
 from .graphs import Graph, Permutation, apply_permutation
 from .models import GraphBatch, ModelParams, batch_cells, check_graph, forward, init_model
+from .quant import check_quant_eps
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
 from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, are_isomorphic, wl1_signature, wlk_signature
 
@@ -129,6 +130,8 @@ def augment_with_iso_pairs(
     """
     if count < 0:
         raise ContractError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise ContractError(f"augmentation seed must be >= 0, got {seed}")
     if count > len(graphs):
         raise ContractError(f"cannot sample {count} graphs from {len(graphs)}")
     for i, g in enumerate(graphs):
@@ -347,8 +350,13 @@ def evaluate_pairs(
     exact equality) or a float vector (classes by eps clustering).
     `memo` holds the transforms and embeddings that evaluate_grid shares
     between the cells of one spec and embedder; without it the cell
-    computes everything itself.
+    computes everything itself. A quant_eps that is not finite and > 0,
+    or a cluster_eps that is not finite and >= 0, raises ContractError
+    before any pair runs.
     """
+    check_quant_eps(quant_eps)
+    if not (np.isfinite(cluster_eps) and cluster_eps >= 0.0):
+        raise ContractError(f"cluster tolerance must be finite and >= 0, got {cluster_eps}")
     start = time.perf_counter()
     memo = _Memo() if memo is None else memo
     pairs = ds.pairs if origin is None else tuple(p for p in ds.pairs if p.origin == origin)

@@ -35,6 +35,16 @@ every operation is row by row, with three rules:
   (nodes without a j-th neighbor are left out rather than padded with
   zeros, which would turn -0.0 into +0.0). pna's delta is each graph's
   own.
+- A hub's lone slots fold into one step. Slot counts never grow, so the
+  slots that hold one node form a final run, and that node is the top-
+  degree node, row 0 of the order (a virtual node's run covers most of
+  its neighbours). When the run is two or more slots long and starts
+  after slot 0, the slot loops stop where it begins, and row 0's
+  partial sum, max, min and squared-deviation sum, stacked over its
+  remaining neighbours' states, go through op.accumulate along the
+  stack: the same binary operations on the same operands in the same
+  order as the loop, so the same bits. A run of one slot is already one
+  step, and tied top-degree nodes have no run.
 - One-row kernel: numpy multiplies a 1-row matrix by BLAS gemv and a
   larger one by gemm, whose bits differ, while a gemm row does not
   depend on how many rows the product has. So the rows of 1-node graphs
@@ -127,6 +137,8 @@ def init_model(arch: str, input_dim: int, seed: int) -> ModelParams:
         raise ContractError(f"unknown architecture {arch!r}; valid: {', '.join(ARCHS)}")
     if input_dim < 1:
         raise ContractError(f"input width must be >= 1, got {input_dim}")
+    if seed < 0:
+        raise ContractError(f"model seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = tuple(
         _draw_mlp(rng, (dim_in, HIDDEN_DIM, HIDDEN_DIM))
@@ -219,13 +231,20 @@ class GraphBatch:
         return np.add.accumulate(block, axis=1, out=block)[:, -1].copy()
 
     @cached_property
-    def slots(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]:
-        """Union degrees, nodes by descending degree, and the degree slots.
+    def slots(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]], np.ndarray]:
+        """Union degrees, nodes by descending degree, the degree slots and a hub's tail.
 
         Slot j is (count_j, nbrs): the count_j nodes of degree > j lead
         the order, and nbrs holds the j-th smallest neighbour of each of
         them in that order. Adding slot 0, 1, ... in turn adds each
         node's neighbours in the order a per-node loop adds them.
+
+        Counts never grow with j, so the slots whose count is 1 form a
+        final run, and they all belong to row 0 of the order, the one
+        node of top degree. When that run is two or more slots long and
+        starts after slot 0, it is left out of the slots and the tail
+        holds its neighbours in slot order, for _fold to add in one step;
+        otherwise the tail is empty.
         """
         counts = [len(g.edges) for g in self.graphs]
         ends = np.fromiter(
@@ -243,23 +262,40 @@ class GraphBatch:
         row = np.empty(self.n, dtype=np.intp)
         row[order] = np.arange(self.n)
         nbr = nbr[np.lexsort((row[node], rank))]
+        slot_counts = np.bincount(rank).tolist()
+        run = slot_counts.count(1)
+        if run < 2 or run == len(slot_counts):
+            run = 0
         slots = []
         start = 0
-        for count in np.bincount(rank).tolist():
+        for count in slot_counts[: len(slot_counts) - run]:
             slots.append((count, nbr[start : start + count]))
             start += count
-        return deg, order, slots
+        return deg, order, slots, nbr[start:]
+
+
+def _fold(op: np.ufunc, head: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """op(...op(op(head, rows[0]), rows[1])..., rows[-1]), one row at a time.
+
+    The slot loop's steps for a tail, in its order and with its operand
+    order, so the result has the loop's bits: ufunc.accumulate is
+    sequential along the axis, unlike ufunc.reduce, which sums pairwise.
+    """
+    stack = np.concatenate([head[None], rows])
+    return op.accumulate(stack, axis=0, out=stack)[-1]
 
 
 def _gin_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
     h = b.features
-    _, order, slots = b.slots
+    _, order, slots, tail = b.slots
     for layer, eps in zip(m.weights, m.epsilons):
         acc = (1.0 + eps) * h[order]
         # Only the rows that have a j-th neighbour: adding a zero instead
         # would turn a -0.0 sum into +0.0.
         for count, nbrs in slots:
             acc[:count] += h[nbrs]
+        if tail.size:
+            acc[0] = _fold(np.add, acc[0], h[tail])
         agg = np.empty_like(acc)
         agg[order] = acc
         h = _mlp_rows(layer, agg, b.lone)
@@ -268,7 +304,7 @@ def _gin_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
 
 def _pna_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
     h = b.features
-    deg, order, slots = b.slots
+    deg, order, slots, tail = b.slots
     log_deg = np.array([math.log1p(k) for k in range(int(deg.max()) + 1)])[deg]
     # Each node's own graph's mean of log(1 + deg), summed in node order.
     delta = (b.graph_sums(log_deg[:, None])[:, 0] / b.sizes)[b.node_graph]
@@ -294,11 +330,19 @@ def _pna_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
             else:
                 np.maximum(high[:count], nbr_states, out=high[:count])
                 np.minimum(low[:count], nbr_states, out=low[:count])
+        if tail.size:
+            rest = h[tail]
+            total[0] = _fold(np.add, total[0], rest)
+            high[0] = _fold(np.maximum, high[0], rest)
+            low[0] = _fold(np.minimum, low[0], rest)
         mean[:n_linked] = total[:n_linked] / linked_deg
         # std holds the sum of squared deviations until the square root.
         for count, nbrs in slots:
             diff = h[nbrs] - mean[:count]
             std[:count] += diff * diff
+        if tail.size:
+            diff = rest - mean[0]
+            std[0] = _fold(np.add, std[0], diff * diff)
         std[:n_linked] = np.sqrt(std[:n_linked] / linked_deg)
         # Rows in node order: parts[:, 0] is the own state and
         # parts[:, 1 + 5 * s + a] is aggregate a under scaler s.

@@ -14,13 +14,18 @@ import numpy as np
 from .errors import ContractError
 
 
+def check_quant_eps(eps: float) -> None:
+    """Raise ContractError unless eps is a usable granularity: finite and > 0."""
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ContractError(f"quantization granularity must be positive and finite, got {eps}")
+
+
 def quantize_matrix(values: np.ndarray, eps: float) -> np.ndarray:
     """Quantize a float matrix to int64 grid indices at granularity eps.
 
     Rounds half away from zero, so 0.5 -> 1 and -0.5 -> -1 at eps=1.
     """
-    if eps <= 0.0 or not np.isfinite(eps):
-        raise ContractError(f"quantization granularity must be positive and finite, got {eps}")
+    check_quant_eps(eps)
     arr = np.asarray(values, dtype=np.float64)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ContractError("features must be finite to quantize")

@@ -324,3 +324,46 @@ class TestOutOfRangeTransformToken:
         assert code == EXIT_USAGE
         assert "usage error" in err
         assert "Traceback" not in err
+
+
+class TestBadNumbers:
+    """Unusable eps values and negative seeds are refused once, before any pair runs."""
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("isobench: usage error:") == 1
+        assert "note [" not in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    def test_evaluate_quant_eps(self, capsys, value):
+        self.assert_refused(capsys, "evaluate", "--input", "hard_pairs", "--quant-eps", value)
+
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    def test_wl_eps(self, capsys, value):
+        self.assert_refused(capsys, "wl", "--input", "hard_pairs", "--eps", value)
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_evaluate_cluster_eps(self, capsys, value):
+        self.assert_refused(
+            capsys, "evaluate", "--input", "hard_pairs", "--embedder", "gin", "--eps", value,
+        )
+
+    def test_zero_cluster_eps_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "evaluate", "--input", "hard_pairs", "--embedder", "gin", "--eps", "0",
+        )
+        assert code == EXIT_OK
+        assert "Base,gin,4,3,0,4,0," in out
+
+    def test_negative_data_seed(self, capsys):
+        self.assert_refused(
+            capsys, "evaluate", "--input", "hard_pairs", "--augment", "2", "--seed-data", "-1",
+        )
+
+    def test_negative_model_seed(self, capsys):
+        self.assert_refused(
+            capsys, "evaluate", "--input", "hard_pairs", "--embedder", "gin", "--seed-model", "-1",
+        )

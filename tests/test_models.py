@@ -18,11 +18,14 @@ from isobench import (
     apply_transform,
     cycle,
     disjoint_cycles,
+    erdos_renyi,
     forward,
     init_model,
     node_states,
     path,
+    star,
 )
+from isobench.models import _fold
 
 from helpers import graphs, permutations_for, reference_forward
 
@@ -172,13 +175,19 @@ def graph_lists(draw, max_n: int = 20):
     """2..8 graphs of one feature width, at least two of them with one node.
 
     Edges are sparse, so isolated nodes are common; features hold -0.0.
+    Some graphs end in a hub joined to every other node, so the batch's
+    top-degree node often has a run of lone degree slots to fold.
     """
     d = draw(st.integers(1, 3))
     sizes = draw(st.permutations(draw(st.lists(st.integers(1, max_n), max_size=6)) + [1, 1]))
     out = []
     for n in sizes:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        hub = n > 1 and draw(st.booleans())
+        core = n - 1 if hub else n
+        pairs = [(u, v) for u in range(core) for v in range(u + 1, core)]
         edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+        if hub:
+            edges += [(v, core) for v in range(core)]
         feats = draw(st.lists(FEATURES, min_size=n * d, max_size=n * d))
         out.append(Graph(n, tuple(edges), np.asarray(feats, dtype=np.float64).reshape(n, d)))
     return out
@@ -246,3 +255,67 @@ class TestGraphBatch:
         for x in (bad, GraphBatch([path(3), bad])):
             with pytest.raises(ContractError, match=message):
                 forward(m, x)
+
+
+def with_hub(g: Graph) -> Graph:
+    return apply_transform(TransformSpec(kind="virtual_node"), g)
+
+
+def signed_zero_star() -> Graph:
+    """A 13-node star whose leaves mix +0.0 and -0.0 in both columns."""
+    g = star(13)
+    feats = np.array([[(-0.0, 0.0)[v % 2], (-0.0, 0.0)[v % 3 == 0]] for v in range(13)])
+    return Graph(13, g.edges, feats)
+
+
+def lone_slot_hub() -> Graph:
+    """Node 0 has degree 5 and node 6 degree 4, so only slot 4 holds one node."""
+    return Graph(7, tuple((0, v) for v in range(1, 6)) + tuple((v, 6) for v in range(1, 5)))
+
+
+class TestHubFold:
+    """A top-degree node's run of lone slots is folded with the loop's bits."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            star(12),
+            with_hub(cycle(8)),
+            with_hub(erdos_renyi(80, 6 / 80, 80)),
+            with_hub(erdos_renyi(120, 6 / 120, 120)),
+            signed_zero_star(),
+        ],
+        ids=["star", "wheel", "virtual_node_80", "virtual_node_120", "signed_zeros"],
+    )
+    @pytest.mark.parametrize("arch", ["gin", "pna"])
+    def test_folded_hub_keeps_reference_bytes(self, g, arch):
+        _, _, slots, tail = GraphBatch([g]).slots
+        assert tail.size >= 2
+        assert sum(count for count, _ in slots) + tail.size == 2 * len(g.edges)
+        m = init_model(arch, g.d, 3)
+        assert forward(m, g).tobytes() == reference_forward(m, g).tobytes()
+
+    @pytest.mark.parametrize(
+        "gs",
+        [[star(10), star(10)], [lone_slot_hub()]],
+        ids=["tied_hubs", "one_lone_slot"],
+    )
+    @pytest.mark.parametrize("arch", ["gin", "pna"])
+    def test_no_fold_without_a_run_of_two_lone_slots(self, gs, arch):
+        batch = GraphBatch(gs)
+        assert batch.slots[3].size == 0
+        m = init_model(arch, 1, 3)
+        for g, row in zip(gs, forward(m, batch)):
+            assert row.tobytes() == reference_forward(m, g).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([np.add, np.maximum, np.minimum]),
+        st.lists(st.lists(SUMMANDS, min_size=3, max_size=3), min_size=2, max_size=12),
+    )
+    def test_fold_applies_the_loop_steps_in_order(self, op, rows):
+        rows = np.array(rows, dtype=np.float64)
+        expected = rows[0]
+        for row in rows[1:]:
+            expected = op(expected, row)
+        assert _fold(op, rows[0], rows[1:]).tobytes() == expected.tobytes()
