@@ -31,6 +31,7 @@ from .evaluate import (
     LabeledPair,
     PairDataset,
     REPORT_FORMATS,
+    WL_SIGNATURES,
     augment_with_iso_pairs,
     evaluate_grid,
     report_table,
@@ -38,7 +39,7 @@ from .evaluate import (
 from .graphs import write_edge_list
 from .quant import check_quant_eps
 from .transforms import TransformSpec, apply_transform, parse_transform_token
-from .wl import DEFAULT_EPS, wl1_signature, wlk_signature
+from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("wl", help="refinement verdicts on consecutive pairs")
     add_io(pw)
-    pw.add_argument("--k", type=int, default=1, choices=(1, 2, 3), help="refinement arity")
+    pw.add_argument("--k", type=int, default=1, choices=[int(name[2:]) for name in WL_SIGNATURES], help="refinement arity")
     pw.add_argument("--eps", type=float, default=DEFAULT_EPS, help="feature quantization granularity")
     pw.add_argument("--transform", action="append", default=[], help="transform token applied before refinement; repeatable")
 
@@ -172,6 +173,7 @@ def _cmd_wl(args) -> int:
     check_quant_eps(args.eps)
     ds = _load_pairs(args.input, args.format)
     specs = [parse_transform_token(t) for t in args.transform]
+    signature = WL_SIGNATURES[f"wl{args.k}"]
     distinguished = 0
     evaluated = 0
     for index, pair in enumerate(ds.pairs):
@@ -180,12 +182,8 @@ def _cmd_wl(args) -> int:
             for spec in specs:
                 left = apply_transform(spec, left)
                 right = apply_transform(spec, right)
-            if args.k == 1:
-                sig_l = wl1_signature(left, args.eps)
-                sig_r = wl1_signature(right, args.eps)
-            else:
-                sig_l = wlk_signature(left, args.k, args.eps)
-                sig_r = wlk_signature(right, args.k, args.eps)
+            sig_l = signature(left, args.eps, DEFAULT_TUPLE_BUDGET)
+            sig_r = signature(right, args.eps, DEFAULT_TUPLE_BUDGET)
         except IsobenchError as exc:
             print(f"pair {index} [{pair.origin}]: error: {exc}")
             continue

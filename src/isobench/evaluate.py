@@ -17,6 +17,16 @@ same class when some chain of embeddings connects them with max-norm
 steps of at most eps. Pairs whose transform or embedding raises are
 excluded and counted, never silently dropped.
 
+A cell runs in three steps. It transforms every distinct input graph
+of its pairs, embeds every distinct transformed graph of the pairs whose
+two transforms succeeded, and scores the pairs. Both passes take graphs
+in first-seen order, left before right, pair by pair, and compute a
+graph whatever its partner's fate: a failed left graph no longer saves
+its partner's work. A pair is excluded by its left graph's error, else
+its right graph's, transform notes before embed notes. The result type
+decides the classes for every embedder: bytes give exact classes by
+equality, anything else is clustered.
+
 A grid computes each thing once: it transforms every distinct input
 graph object once per spec and embeds each result once per (spec,
 embedder, model input width), then clusters per cell, because a cell's
@@ -38,19 +48,26 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, IsobenchError
 from .graphs import Graph, Permutation, apply_permutation
-from .models import GraphBatch, ModelParams, batch_cells, check_graph, forward, init_model
+from .models import ARCHS, GraphBatch, ModelParams, batch_cells, check_graph, forward, init_model
 from .quant import check_quant_eps
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
 from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, are_isomorphic, wl1_signature, wlk_signature
 
-EMBEDDERS = ("wl1", "wl2", "wl3", "gin", "pna", "ds")
-MODEL_EMBEDDERS = ("gin", "pna", "ds")
+# wl embedder name -> signature(g, quant_eps, kwl_budget). The lambdas look
+# the signature functions up as module globals at call time, so patching
+# evaluate.wl1_signature or evaluate.wlk_signature sees every call.
+WL_SIGNATURES = {
+    "wl1": lambda g, eps, budget: wl1_signature(g, eps),
+    "wl2": lambda g, eps, budget: wlk_signature(g, 2, eps, budget),
+    "wl3": lambda g, eps, budget: wlk_signature(g, 3, eps, budget),
+}
+EMBEDDERS = (*WL_SIGNATURES, *ARCHS)
 
 DEFAULT_CLUSTER_EPS = 1e-5
 VERIFY_MAX_NODES = 16
@@ -231,23 +248,6 @@ class ReportRow:
 GraphEmbedder = Callable[[Graph], "bytes | np.ndarray"]
 
 
-def _resolve_embedder(
-    embedder: str | GraphEmbedder, quant_eps: float, kwl_budget: int
-) -> tuple[GraphEmbedder, bool]:
-    """Returns (callable, exact) for a non-model embedder, where exact
-    means digest equality."""
-    if callable(embedder):
-        return embedder, True
-    if embedder == "wl1":
-        return (lambda g: bytes.fromhex(wl1_signature(g, quant_eps).digest)), True
-    if embedder in ("wl2", "wl3"):
-        k = int(embedder[2])
-        return (
-            lambda g: bytes.fromhex(wlk_signature(g, k, quant_eps, kwl_budget).digest)
-        ), True
-    raise ContractError(f"unknown embedder {embedder!r}; valid: {', '.join(EMBEDDERS)}")
-
-
 @dataclass
 class _Memo:
     """Per-graph results that the cells of one grid share.
@@ -255,33 +255,16 @@ class _Memo:
     `transformed` maps id(input graph) to its transform under one spec;
     `embedded` maps (id(transformed graph), model input width or 0) to
     its embedding under one embedder. A value is the result or the
-    IsobenchError the call raised. Keys are object ids, which stay valid
-    because the dataset and `transformed` keep every keyed graph alive.
+    IsobenchError the call raised; a model cell stores None for a graph
+    until its batch runs. A cell adds every distinct graph of its pairs
+    that a map lacks, failed partners included: a failed left graph no
+    longer saves its partner's work. Keys are object ids, which stay
+    valid because the dataset and `transformed` keep every keyed graph
+    alive.
     """
 
     transformed: dict[int, object] = field(default_factory=dict)
     embedded: dict[tuple[int, int], object] = field(default_factory=dict)
-
-
-def _through(memo: dict, keys: Callable, fn: Callable | None, left, right):
-    """(fn(left), fn(right)), each computed on its key's first lookup.
-
-    Returns the left graph's IsobenchError, else the right one's, in
-    place of the pair; right is not computed when left failed. fn is
-    None when memo already holds every key that can be reached.
-    """
-    out = []
-    for x in (left, right):
-        key = keys(x)
-        if key not in memo:
-            try:
-                memo[key] = fn(x)
-            except IsobenchError as exc:
-                memo[key] = exc
-        if isinstance(memo[key], IsobenchError):
-            return memo[key]
-        out.append(memo[key])
-    return tuple(out)
 
 
 def _batches(params: ModelParams, graphs: Sequence[Graph]):
@@ -300,36 +283,28 @@ def _batches(params: ModelParams, graphs: Sequence[Graph]):
         yield chunk
 
 
-def _embed_in_batches(
-    params: ModelParams, graph_pairs: Sequence[tuple[Graph, Graph]], memo: dict
-) -> None:
-    """Fill memo with the embedding of every graph _through will reach.
+def _attempt(fn: Callable, *args):
+    """fn(*args), or the IsobenchError it raised."""
+    try:
+        return fn(*args)
+    except IsobenchError as exc:
+        return exc
 
-    The graphs memo lacks are taken as _through reaches them: in pair
-    order, left before right, and no right graph after a refused left
-    one. A graph that forward would refuse is stored as that error; the
-    rest are embedded by forward over bounded batches.
+
+def _sift(rows: Iterable[tuple], notes: list[str]) -> list[tuple]:
+    """The (index, pair, left, right) rows whose two values are results.
+
+    A row that holds an IsobenchError is noted by its left value's error,
+    else its right one's, and dropped.
     """
-    width = params.input_dim
-    pending: dict[int, Graph] = {}
-    for left, right in graph_pairs:
-        for g in (left, right):
-            key = (id(g), width)
-            if key not in memo and id(g) not in pending:
-                try:
-                    check_graph(params, g)
-                except IsobenchError as exc:
-                    memo[key] = exc
-                else:
-                    pending[id(g)] = g
-            if isinstance(memo.get(key), IsobenchError):
-                break
-    for chunk in _batches(params, list(pending.values())):
-        # Positional, through this module's global: benchmarks/tracing.py
-        # patches evaluate.forward and counts the batch's n node rows.
-        rows = forward(params, GraphBatch(chunk))
-        for g, row in zip(chunk, rows):
-            memo[(id(g), width)] = row
+    kept = []
+    for index, pair, left, right in rows:
+        error = left if isinstance(left, IsobenchError) else right
+        if isinstance(error, IsobenchError):
+            notes.append(f"pair {index} ({pair.origin}): {error}")
+        else:
+            kept.append((index, pair, left, right))
+    return kept
 
 
 def evaluate_pairs(
@@ -351,67 +326,73 @@ def evaluate_pairs(
     `memo` holds the transforms and embeddings that evaluate_grid shares
     between the cells of one spec and embedder; without it the cell
     computes everything itself. A quant_eps that is not finite and > 0,
-    or a cluster_eps that is not finite and >= 0, raises ContractError
-    before any pair runs.
+    a cluster_eps that is not finite and >= 0, or an unknown embedder
+    name raises ContractError before any pair runs.
     """
     check_quant_eps(quant_eps)
     if not (np.isfinite(cluster_eps) and cluster_eps >= 0.0):
         raise ContractError(f"cluster tolerance must be finite and >= 0, got {cluster_eps}")
+    if not callable(embedder) and embedder not in EMBEDDERS:
+        raise ContractError(f"unknown embedder {str(embedder)!r}; valid: {', '.join(EMBEDDERS)}")
     start = time.perf_counter()
     memo = _Memo() if memo is None else memo
     pairs = ds.pairs if origin is None else tuple(p for p in ds.pairs if p.origin == origin)
 
-    transformed: list[tuple[int, LabeledPair, Graph, Graph]] = []
+    transformed = memo.transformed
+    for pair in pairs:
+        for g in (pair.left, pair.right):
+            if id(g) not in transformed:
+                transformed[id(g)] = _attempt(apply_transform, spec, g)
     notes: list[str] = []
-    for index, pair in enumerate(pairs):
-        result = _through(
-            memo.transformed, id, lambda g: apply_transform(spec, g), pair.left, pair.right
-        )
-        if isinstance(result, IsobenchError):
-            notes.append(f"pair {index} ({pair.origin}): {result}")
-            continue
-        transformed.append((index, pair, *result))
+    survivors = _sift(
+        ((i, p, transformed[id(p.left)], transformed[id(p.right)]) for i, p in enumerate(pairs)),
+        notes,
+    )
 
-    embed_dim = transformed[0][2].d if transformed else 1
+    embed_dim = survivors[0][2].d if survivors else 1
+    params = init_model(embedder, embed_dim, model_seed) if embedder in ARCHS else None
     # A model's weights depend on its input width; other embedders do not.
-    width = 0
-    if embedder in MODEL_EMBEDDERS:
-        params = init_model(embedder, embed_dim, model_seed)
-        width = embed_dim
-        _embed_in_batches(params, [(l, r) for _, _, l, r in transformed], memo.embedded)
-        embed, exact = None, False
+    width = 0 if params is None else embed_dim
+    embedded = memo.embedded
+    if params is not None:
+        # check_graph returns None, which holds a graph's place in the memo
+        # until its batch runs.
+        embed = lambda g: check_graph(params, g)
+    elif callable(embedder):
+        embed = embedder
     else:
-        embed, exact = _resolve_embedder(
-            embedder if callable(embedder) else str(embedder), quant_eps, kwl_budget
-        )
+        signature = WL_SIGNATURES[embedder]
+        embed = lambda g: bytes.fromhex(signature(g, quant_eps, kwl_budget).digest)
+    pending: list[Graph] = []
+    for _, _, left, right in survivors:
+        for g in (left, right):
+            key = (id(g), width)
+            if key not in embedded:
+                embedded[key] = _attempt(embed, g)
+                if params is not None and embedded[key] is None:
+                    pending.append(g)
+    for chunk in _batches(params, pending):
+        # Positional, through this module's global: benchmarks/tracing.py
+        # patches evaluate.forward and counts the batch's n node rows.
+        rows = forward(params, GraphBatch(chunk))
+        for g, row in zip(chunk, rows):
+            embedded[(id(g), width)] = row
+    included = _sift(
+        ((i, p, embedded[id(a), width], embedded[id(b), width]) for i, p, a, b in survivors),
+        notes,
+    )
 
-    included: list[tuple[LabeledPair, object, object]] = []
-    for index, pair, left, right in transformed:
-        result = _through(memo.embedded, lambda g: (id(g), width), embed, left, right)
-        if isinstance(result, IsobenchError):
-            notes.append(f"pair {index} ({pair.origin}): {result}")
-            continue
-        included.append((pair, *result))
-
-    if included and callable(embedder):
-        exact = isinstance(included[0][1], (bytes, bytearray))
-
-    if exact:
+    values = [e for _, _, left, right in included for e in (left, right)]
+    if values and isinstance(values[0], (bytes, bytearray)):
         table: dict[bytes, int] = {}
-        labels = [
-            table.setdefault(bytes(e), len(table))
-            for _, l, r in included
-            for e in (l, r)
-        ]
+        labels = [table.setdefault(bytes(e), len(table)) for e in values]
+    elif values:
+        labels = cluster_embeddings(np.stack([np.asarray(e) for e in values]), cluster_eps)
     else:
-        if included:
-            matrix = np.stack([np.asarray(e) for _, l, r in included for e in (l, r)])
-            labels = cluster_embeddings(matrix, cluster_eps)
-        else:
-            labels = []
+        labels = []
 
     fp = fn = 0
-    for slot, (pair, _, _) in enumerate(included):
+    for slot, (_, pair, _, _) in enumerate(included):
         same = labels[2 * slot] == labels[2 * slot + 1]
         if pair.isomorphic and not same:
             fp += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericError
 
 
 def check_quant_eps(eps: float) -> None:
@@ -24,13 +24,23 @@ def quantize_matrix(values: np.ndarray, eps: float) -> np.ndarray:
     """Quantize a float matrix to int64 grid indices at granularity eps.
 
     Rounds half away from zero, so 0.5 -> 1 and -0.5 -> -1 at eps=1.
+    Raises NumericError when some |value / eps| rounds to 2**63 or more,
+    the infinity of an overflowing quotient included: the int64 cast
+    would send such values to one index.
     """
     check_quant_eps(eps)
     arr = np.asarray(values, dtype=np.float64)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ContractError("features must be finite to quantize")
-    scaled = arr / eps
-    return (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)).astype(np.int64)
+    with np.errstate(over="ignore"):
+        scaled = arr / eps
+    rounded = np.floor(np.abs(scaled) + 0.5)
+    if rounded.size and rounded.max() >= 2.0**63:
+        raise NumericError(
+            f"feature magnitude {float(np.abs(arr).max())!r} is too large to quantize "
+            f"at granularity {eps!r}: |value / eps| must round below 2**63"
+        )
+    return (np.sign(scaled) * rounded).astype(np.int64)
 
 
 def quantized_row_bytes(row: np.ndarray) -> bytes:

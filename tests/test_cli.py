@@ -242,6 +242,41 @@ class TestTruncatedInput:
         assert out == ""
 
 
+class TestHugeFeatures:
+    """Features past the int64 quantization grid are refused, not merged:
+    at eps 1e-6, 1e13 and 2e13 would both cast to one index."""
+
+    MESSAGE = (
+        "feature magnitude 10000000000000.0 is too large to quantize at "
+        "granularity 1e-06: |value / eps| must round below 2**63"
+    )
+
+    @staticmethod
+    def write_pair(tmp_path, n: int):
+        def block(big: float) -> str:
+            edges = [f"{i} {i + 1}" for i in range(n - 1)]
+            return "\n".join([f"{n} 1", *edges, repr(big)] + ["1.0"] * (n - 1))
+
+        src = tmp_path / f"huge{n}.el"
+        src.write_text(block(1e13) + "\n\n" + block(2e13) + "\n")
+        return src
+
+    def test_verified_pair_is_data_error(self, capsys, tmp_path):
+        src = self.write_pair(tmp_path, 3)
+        code, out, err = run(capsys, "evaluate", "--input", str(src))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"isobench: data error: {self.MESSAGE}\n"
+
+    def test_unverified_pair_is_excluded_with_a_note(self, capsys, tmp_path):
+        src = self.write_pair(tmp_path, 17)
+        code, out, err = run(capsys, "evaluate", "--input", str(src))
+        assert code == EXIT_OK
+        assert "# unverified_pairs=1" in out
+        assert out.strip().split("\n")[-1] == "Base,wl1,0,0,0,0,1,0.000"
+        assert err == f"note [base/wl1]: pair 0 (huge17): {self.MESSAGE}\n"
+
+
 def test_python_m_isobench_matches_main(capsys):
     argv = ["evaluate", "--input", "hard_pairs"]
     code, out, _ = run(capsys, *argv)

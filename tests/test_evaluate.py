@@ -225,6 +225,15 @@ class TestEvaluatePairs:
         with pytest.raises(ContractError):
             evaluate_pairs(ds, base_spec(), "wl9")
 
+    def test_unknown_embedder_is_refused_before_any_transform(self, monkeypatch):
+        def no_transform(spec, g):
+            raise AssertionError("transformed before the embedder was checked")
+
+        monkeypatch.setattr(evaluate, "apply_transform", no_transform)
+        ds = make_pair_dataset(toy_pairs())
+        with pytest.raises(ContractError, match="unknown embedder 'wl9'; valid: wl1, wl2"):
+            evaluate_pairs(ds, base_spec(), "wl9")
+
     def test_failing_transform_excludes_but_keeps_count(self):
         spec = TransformSpec(kind="eigenvector", power_tol=1e-15, power_max_iter=2)
         ds = make_pair_dataset(toy_pairs())
@@ -344,8 +353,12 @@ class TestGridSharing:
 
     SPECS = (base_spec(), TransformSpec(kind="closeness"), TransformSpec(kind="virtual_node"))
 
+    @pytest.mark.parametrize("with_empty", [False, True])
     @pytest.mark.parametrize("by_origin", [False, True])
-    def test_each_graph_is_transformed_and_embedded_once(self, monkeypatch, by_origin):
+    def test_each_graph_is_transformed_and_embedded_once(self, monkeypatch, by_origin, with_empty):
+        """Failed partners included: closeness refuses Graph(0), a left
+        graph, and picky refuses three-node graphs, yet every other graph
+        of their pairs is still computed, and only once."""
         applied: Counter = Counter()
         original = evaluate.apply_transform
 
@@ -353,28 +366,31 @@ class TestGridSharing:
             applied[(spec.kind, id(g))] += 1
             return original(spec, g)
 
-        def counting_embedder():
+        def counting_embedder(inner):
             calls: Counter = Counter()
             seen: list[Graph] = []  # keeps ids unique for the whole grid
 
             def embed(g):
                 seen.append(g)
                 calls[id(g)] += 1
-                return canonical_key(g)
+                return inner(g)
 
             return embed, calls
 
         monkeypatch.setattr(evaluate, "apply_transform", counting_apply)
-        ds = two_width_pairs(with_empty=False)
-        first, first_calls = counting_embedder()
-        second, second_calls = counting_embedder()
+        ds = two_width_pairs(with_empty)
+        first, first_calls = counting_embedder(canonical_key)
+        second, second_calls = counting_embedder(picky)
         evaluate_grid(ds, self.SPECS, [first, "wl1", second], by_origin=by_origin)
 
         objects = {id(g) for g in ds.graphs}
-        assert len(objects) == 6 < len(ds.graphs)
+        assert len(objects) == (8 if with_empty else 6) < len(ds.graphs)
         assert applied == Counter({(s.kind, o): 1 for s in self.SPECS for o in objects})
+        # Under closeness the pair (Graph(0), path(3)) is excluded before
+        # embedding, so its two graphs are embedded under the other specs only.
+        embedded = len(self.SPECS) * len(objects) - (2 if with_empty else 0)
         for calls in (first_calls, second_calls):
-            assert sum(calls.values()) == len(self.SPECS) * len(objects)
+            assert sum(calls.values()) == embedded
             assert set(calls.values()) == {1}
 
     @pytest.mark.parametrize("by_origin", [False, True])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isobench import ContractError, quantize_matrix, quantized_row_bytes
+from isobench import ContractError, NumericError, quantize_matrix, quantized_row_bytes
 
 
 def test_rounds_half_away_from_zero():
@@ -43,6 +43,23 @@ def test_rejects_bad_eps():
         quantize_matrix(np.ones((1, 1)), 0.0)
     with pytest.raises(ContractError):
         quantize_matrix(np.ones((1, 1)), -1e-6)
+
+
+def test_indices_up_to_two_to_the_62_are_kept():
+    out = quantize_matrix(np.array([[2.0**62, -(2.0**62)]]), 1.0)
+    assert out.tolist() == [[2**62, -(2**62)]]
+
+
+@pytest.mark.parametrize(
+    "value, eps",
+    [(2.0**63, 1.0), (-(2.0**63), 1.0), (1e13, 1e-6), (1.0, 1e-320)],
+)
+def test_indices_past_int64_are_refused(value, eps):
+    # 1e13 and 2e13 would both cast to INT_MIN at eps 1e-6, and 1 / 1e-320
+    # overflows to inf; neither may merge features or warn.
+    with pytest.raises(NumericError, match="too large to quantize") as info:
+        quantize_matrix(np.array([[0.5, value]]), eps)
+    assert repr(abs(value)) in str(info.value) and repr(eps) in str(info.value)
 
 
 def test_row_bytes_are_little_endian_int64():

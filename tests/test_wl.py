@@ -11,6 +11,7 @@ import numpy as np
 from isobench import (
     ContractError,
     Graph,
+    NumericError,
     Permutation,
     ResourceLimitError,
     apply_permutation,
@@ -91,6 +92,13 @@ class TestWL1:
         b = Graph(1, (), np.array([[0.1 + 1e-9]]))
         assert wl1_signature(a, eps=1e-6).digest == wl1_signature(b, eps=1e-6).digest
         assert wl1_signature(a, eps=1e-12).digest != wl1_signature(b, eps=1e-12).digest
+
+    def test_features_past_the_quantization_grid_are_refused(self):
+        # At eps 1e-6 both 1e13 and 2e13 lie past int64 indices; a cast
+        # would give them one colour.
+        g = Graph(3, ((0, 1), (1, 2)), np.array([[1e13], [1.0], [1.0]]))
+        with pytest.raises(NumericError, match="too large to quantize"):
+            wl1_signature(g)
 
     def test_deterministic_across_calls(self):
         g = cycle(7)
