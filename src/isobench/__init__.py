@@ -89,17 +89,12 @@ from .evaluate import (
 )
 from .corpus import (
     EXPECTATIONS,
-    FAMILIES,
-    CorpusManifest,
-    ManifestEntry,
     PairingWarning,
     cycle,
     complete,
     disjoint_cycles,
     erdos_renyi,
-    generate,
     hard_pair_library,
-    library_manifest,
     load_dataset,
     pairs_from_graphs,
     path,

@@ -127,8 +127,9 @@ def _load_pairs(path: str, fmt: str) -> PairDataset:
     origin = os.path.splitext(os.path.basename(path))[0]
     try:
         return pairs_from_graphs(graphs, origin, isomorphic=False)
-    except CorpusIntegrityError as exc:
-        # Label trouble in a user file is bad input, not a broken build.
+    except IsobenchError as exc:
+        # Trouble verifying a user file's labels is bad input, not a
+        # broken build or a bad option.
         raise IsobenchError(f"{path}: {exc}") from exc
 
 

@@ -1,19 +1,18 @@
-"""Graph families, the bundled hard-pair library, and dataset loading.
+"""Graph constructors, the bundled hard-pair library, and dataset loading.
 
 The hard-pair library holds the desk cases this package is organized
 around: same-size pairs that node color refinement cannot separate,
 one strongly regular pair that even 3-tuple refinement cannot separate,
-and one genuinely isomorphic control pair. Every bundled pair carries
-machine-checkable expectations that are re-verified each time the
-library is built; a failed expectation raises CorpusIntegrityError
-rather than returning questionable data.
+and one genuinely isomorphic control pair. It is one table of
+(name, left graph, right graph, expectations) rows in library order.
+Every expectation names a check in EXPECTATIONS and is re-verified each
+time the library is built; a failed expectation raises
+CorpusIntegrityError rather than returning questionable data.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -136,68 +135,9 @@ def shrikhande() -> Graph:
     return g
 
 
-def _seeded_erdos_renyi(params: dict, seed: int | None) -> Graph:
-    use_seed = params.get("seed", seed)
-    if use_seed is None:
-        raise ContractError("erdos_renyi needs a seed")
-    return erdos_renyi(params["n"], params["p"], use_seed)
-
-
-# {family: builder(params, seed)}
-FAMILIES = {
-    "cycle": lambda params, seed: cycle(params["n"]),
-    "path": lambda params, seed: path(params["n"]),
-    "star": lambda params, seed: star(params["n"]),
-    "complete": lambda params, seed: complete(params["n"]),
-    "disjoint_cycles": lambda params, seed: disjoint_cycles(params["sizes"]),
-    "erdos_renyi": _seeded_erdos_renyi,
-    "rook4x4": lambda params, seed: rook4x4(),
-    "shrikhande": lambda params, seed: shrikhande(),
-}
-
-
-def generate(family: str, params: dict | None = None, seed: int | None = None) -> Graph:
-    """Build one graph by family name; params mirror the family functions."""
-    if family not in FAMILIES:
-        raise ContractError(f"unknown family {family!r}; valid: {', '.join(FAMILIES)}")
-    return FAMILIES[family](dict(params or {}), seed)
-
-
 # ---------------------------------------------------------------------------
 # hard-pair library
 
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One bundled pair plus its machine-checkable expectations."""
-
-    name: str
-    left: tuple[str, dict]
-    right: tuple[str, dict]
-    expect: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CorpusManifest:
-    entries: tuple[ManifestEntry, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "name": e.name,
-                    "left": {"family": e.left[0], "params": e.left[1]},
-                    "right": {"family": e.right[0], "params": e.right[1]},
-                    "expect": list(e.expect),
-                }
-                for e in self.entries
-            ],
-            indent=2,
-            sort_keys=True,
-        )
-
-
-_K4_SHUFFLE = Permutation((2, 0, 3, 1))
 
 # {expect: check(left, right)}
 EXPECTATIONS = {
@@ -208,62 +148,34 @@ EXPECTATIONS = {
 }
 
 
-def library_manifest() -> CorpusManifest:
-    return CorpusManifest(
+def _hard_pairs() -> tuple[tuple[str, Graph, Graph, tuple[str, ...]], ...]:
+    """(name, left, right, expectations) of each bundled pair, in library order."""
+    return (
+        ("c6_vs_2c3", cycle(6), disjoint_cycles([3, 3]), ("non_isomorphic", "wl1_equal")),
+        ("c8_vs_2c4", cycle(8), disjoint_cycles([4, 4]), ("non_isomorphic", "wl1_equal")),
         (
-            ManifestEntry(
-                "c6_vs_2c3",
-                ("cycle", {"n": 6}),
-                ("disjoint_cycles", {"sizes": [3, 3]}),
-                ("non_isomorphic", "wl1_equal"),
-            ),
-            ManifestEntry(
-                "c8_vs_2c4",
-                ("cycle", {"n": 8}),
-                ("disjoint_cycles", {"sizes": [4, 4]}),
-                ("non_isomorphic", "wl1_equal"),
-            ),
-            ManifestEntry(
-                "rook4x4_vs_shrikhande",
-                ("rook4x4", {}),
-                ("shrikhande", {}),
-                ("non_isomorphic", "wl1_equal", "wl3_equal"),
-            ),
-            ManifestEntry(
-                "k4_vs_relabeled_k4",
-                ("complete", {"n": 4}),
-                ("complete_relabeled", {"n": 4}),
-                ("isomorphic",),
-            ),
-        )
+            "rook4x4_vs_shrikhande",
+            rook4x4(),
+            shrikhande(),
+            ("non_isomorphic", "wl1_equal", "wl3_equal"),
+        ),
+        (
+            "k4_vs_relabeled_k4",
+            complete(4),
+            apply_permutation(complete(4), Permutation((2, 0, 3, 1))),
+            ("isomorphic",),
+        ),
     )
 
 
-def _build_side(family: str, params: dict) -> Graph:
-    if family == "complete_relabeled":
-        return apply_permutation(complete(params["n"]), _K4_SHUFFLE)
-    return generate(family, params)
-
-
-def _check_expectation(name: str, expect: str, left: Graph, right: Graph) -> None:
-    if expect not in EXPECTATIONS:
-        raise CorpusIntegrityError(f"unknown expectation {expect!r} on {name}")
-    if not EXPECTATIONS[expect](left, right):
-        raise CorpusIntegrityError(f"pair {name!r} failed expectation {expect!r}")
-
-
-def hard_pair_library(verify: bool = True) -> PairDataset:
+def hard_pair_library() -> PairDataset:
     """The bundled pairs, with expectations re-checked on every build."""
     pairs = []
-    for entry in library_manifest().entries:
-        left = _build_side(*entry.left)
-        right = _build_side(*entry.right)
-        if verify:
-            for expect in entry.expect:
-                _check_expectation(entry.name, expect, left, right)
-        pairs.append(
-            LabeledPair(left, right, "isomorphic" in entry.expect, entry.name, verify)
-        )
+    for name, left, right, expects in _hard_pairs():
+        for expect in expects:
+            if not EXPECTATIONS[expect](left, right):
+                raise CorpusIntegrityError(f"pair {name!r} failed expectation {expect!r}")
+        pairs.append(LabeledPair(left, right, "isomorphic" in expects, name, True))
     return PairDataset(tuple(pairs), None)
 
 
@@ -337,11 +249,10 @@ def pairs_from_graphs(
     graphs: Sequence[Graph],
     origin: str,
     isomorphic: bool = False,
-    verify: bool = True,
 ) -> PairDataset:
     """Fold an ordered graph list into consecutive labeled pairs."""
     pairs = [
         LabeledPair(graphs[i], graphs[i + 1], isomorphic, origin, False)
         for i in range(0, len(graphs) - 1, 2)
     ]
-    return make_pair_dataset(pairs, verify=verify)
+    return make_pair_dataset(pairs)

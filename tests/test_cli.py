@@ -266,7 +266,7 @@ class TestHugeFeatures:
         code, out, err = run(capsys, "evaluate", "--input", str(src))
         assert code == EXIT_DATA
         assert out == ""
-        assert err == f"isobench: data error: {self.MESSAGE}\n"
+        assert err == f"isobench: data error: {src}: {self.MESSAGE}\n"
 
     def test_unverified_pair_is_excluded_with_a_note(self, capsys, tmp_path):
         src = self.write_pair(tmp_path, 17)
@@ -275,6 +275,23 @@ class TestHugeFeatures:
         assert "# unverified_pairs=1" in out
         assert out.strip().split("\n")[-1] == "Base,wl1,0,0,0,0,1,0.000"
         assert err == f"note [base/wl1]: pair 0 (huge17): {self.MESSAGE}\n"
+
+
+class TestFeatureWidths:
+    """A pair whose feature widths differ cannot have its label verified:
+    that is bad data in the named file, not a bad option."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "wl"])
+    def test_is_data_error_naming_the_file(self, capsys, tmp_path, command):
+        ok = tmp_path / "ok.el"
+        ok.write_text("3 1\n0 1\n1 2\n\n3 1\n0 1\n")
+        bad = tmp_path / "bad.el"
+        bad.write_text("2 1\n0 1\n1.0\n2.0\n\n2 2\n0 1\n1.0 0.0\n2.0 0.0\n")
+        inputs = ["--input", str(ok), "--input", str(bad)] if command == "evaluate" else ["--input", str(bad)]
+        code, out, err = run(capsys, command, *inputs)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"isobench: data error: {bad}: feature widths differ (1 vs 2)\n"
 
 
 def test_python_m_isobench_matches_main(capsys):

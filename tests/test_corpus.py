@@ -1,7 +1,6 @@
-"""Bundled graph families, the hard-pair library, and dataset files."""
+"""Graph constructors, the hard-pair library, and dataset files."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -17,9 +16,7 @@ from isobench import (
     cycle,
     disjoint_cycles,
     erdos_renyi,
-    generate,
     hard_pair_library,
-    library_manifest,
     load_dataset,
     pairs_from_graphs,
     path,
@@ -31,6 +28,9 @@ from isobench import (
     write_edge_list,
     write_graph6,
 )
+
+from isobench import corpus
+from isobench.cli import EXIT_INTERNAL, main
 
 
 def has_k4(g: Graph) -> bool:
@@ -80,14 +80,6 @@ class TestFamilies:
         with pytest.raises(ContractError):
             erdos_renyi(-1, 0.5, seed=0)
 
-    def test_generate_dispatch(self):
-        assert generate("cycle", {"n": 4}) == cycle(4)
-        assert generate("erdos_renyi", {"n": 5, "p": 0.5}, seed=3) == erdos_renyi(5, 0.5, 3)
-        with pytest.raises(ContractError):
-            generate("torus", {})
-        with pytest.raises(ContractError):
-            generate("erdos_renyi", {"n": 5, "p": 0.5})
-
 
 class TestStronglyRegularPair:
     def test_both_have_srg_parameters(self):
@@ -107,21 +99,13 @@ class TestStronglyRegularPair:
 
 
 class TestLibrary:
-    def test_manifest_shape(self):
-        manifest = library_manifest()
-        assert len(manifest.entries) == 4
-        names = [e.name for e in manifest.entries]
-        assert names == [
+    def test_library_order(self):
+        assert [p.origin for p in hard_pair_library().pairs] == [
             "c6_vs_2c3",
             "c8_vs_2c4",
             "rook4x4_vs_shrikhande",
             "k4_vs_relabeled_k4",
         ]
-
-    def test_manifest_serializes(self):
-        data = json.loads(library_manifest().to_json())
-        assert data[0]["left"]["family"] == "cycle"
-        assert "non_isomorphic" in data[0]["expect"]
 
     def test_library_labels(self):
         ds = hard_pair_library()
@@ -129,11 +113,27 @@ class TestLibrary:
         assert all(p.verified for p in ds.pairs)
 
     def test_library_pairs_check_out(self):
-        ds = hard_pair_library(verify=False)
+        ds = hard_pair_library()
         for pair in ds.pairs[:3]:
             assert not are_isomorphic(pair.left, pair.right).isomorphic
         last = ds.pairs[3]
         assert are_isomorphic(last.left, last.right).isomorphic
+
+    def test_failed_expectation_raises(self, monkeypatch):
+        monkeypatch.setitem(corpus.EXPECTATIONS, "wl1_equal", lambda left, right: False)
+        with pytest.raises(CorpusIntegrityError) as err:
+            hard_pair_library()
+        assert str(err.value) == "pair 'c6_vs_2c3' failed expectation 'wl1_equal'"
+
+    def test_failed_expectation_is_cli_integrity_error(self, monkeypatch, capsys):
+        monkeypatch.setitem(corpus.EXPECTATIONS, "wl3_equal", lambda left, right: False)
+        assert main(["wl", "--input", "hard_pairs"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "isobench: integrity error: "
+            "pair 'rook4x4_vs_shrikhande' failed expectation 'wl3_equal'\n"
+        )
 
 
 class TestDatasetFiles:

@@ -18,6 +18,8 @@ from isobench import (
     cycle,
     disjoint_cycles,
     distinguishes,
+    erdos_renyi,
+    extra_node,
     path,
     rook4x4,
     shrikhande,
@@ -154,6 +156,31 @@ class TestWLK:
         whole = [wlk_signature(g, 3) for g in graphs_]
         monkeypatch.setattr(wl, "_CHUNK_CELLS", 1)
         assert [wlk_signature(g, 3) for g in graphs_] == whole
+
+    def test_pinned_triples_digests(self):
+        # 3-WL (rounds, digest) values that any change to _fwl2's per-chunk
+        # deduplication must keep. G(70, 0.1) takes two chunks; the
+        # extra_node image and the featured G(20, 0.2) refine past round 1.
+        rng = np.random.default_rng(7)
+        g20 = erdos_renyi(20, 0.2, seed=3)
+        cases = {
+            "rook4x4": rook4x4(),
+            "shrikhande": shrikhande(),
+            "g20_features": Graph(20, g20.edges, rng.integers(0, 3, size=(20, 2)).astype(float)),
+            "g70": erdos_renyi(70, 0.1, seed=5),
+            "g18_extra_node": extra_node(erdos_renyi(18, 0.2, seed=4)),
+        }
+        got = {}
+        for name, g in cases.items():
+            sig = wlk_signature(g, 3)
+            got[name] = (sig.rounds, sig.digest)
+        assert got == {
+            "rook4x4": (1, "4a7b699d83d9b02ce9154ae7e59d5cd4"),
+            "shrikhande": (1, "4a7b699d83d9b02ce9154ae7e59d5cd4"),
+            "g20_features": (2, "6c5019ebc6953c96659b187a13842159"),
+            "g70": (3, "b793ec8bf38cc908edb65b706d6cb52d"),
+            "g18_extra_node": (4, "372da7ad7d6578d08c427269b68b493b"),
+        }
 
     def test_histogram_counts_every_tuple(self):
         # (k-1)-FWL colors the (k-1)-tuples: nodes for k = 2, pairs for k = 3.
