@@ -17,6 +17,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    GraphBatch,
     Permutation,
     apply_permutation,
     parse_edge_list,
@@ -63,7 +64,6 @@ from .transforms import (
 from .models import (
     ARCHS,
     Embedding,
-    GraphBatch,
     MLPParams,
     ModelParams,
     forward,

@@ -36,7 +36,7 @@ from .evaluate import (
     evaluate_grid,
     report_table,
 )
-from .graphs import write_edge_list
+from .graphs import GraphBatch, write_edge_list
 from .quant import check_quant_eps
 from .transforms import TransformSpec, apply_transform, parse_transform_token
 from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET
@@ -158,9 +158,12 @@ def _atomic_output(path: str):
 def _cmd_transform(args) -> int:
     spec = parse_transform_token(args.transform)
     graphs = _load_graphs(args.input, args.format)
+    results = apply_transform(spec, GraphBatch(graphs))
     with _atomic_output(args.out) as fh:
-        for index, g in enumerate(graphs):
-            t = apply_transform(spec, g)
+        for index, (g, t) in enumerate(zip(graphs, results)):
+            if isinstance(t, IsobenchError):
+                # A graph the transform refuses is bad input, not a bad option.
+                raise IsobenchError(f"{args.input}: graph {index}: {t}") from t
             fh.write(write_edge_list(t))
             fh.write("\n")
             print(

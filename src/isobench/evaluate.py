@@ -35,6 +35,13 @@ pure: a graph that several cells share is embedded for the first of
 them only. A cell's seconds cover only the work that cell triggered
 first, so a grid's rows still sum to its wall time.
 
+The transform pass is one batch: apply_transform over a GraphBatch of
+the distinct graphs the cell lacks, split only where the batch's
+breadth-first words (transforms.transform_cells) would pass
+EMBED_BATCH_CELLS cells. Each graph gets the bytes of its transform
+alone, and a graph the transform refuses is noted with the error that
+a single call raises.
+
 Model embedders (gin, pna, ds) embed a cell's distinct new graphs in
 batches: forward over a GraphBatch of consecutive graphs whose largest
 array stays within EMBED_BATCH_CELLS float64 cells, a larger graph
@@ -53,10 +60,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, IsobenchError
-from .graphs import Graph, Permutation, apply_permutation
-from .models import ARCHS, GraphBatch, ModelParams, batch_cells, check_graph, forward, init_model
+from .graphs import Graph, GraphBatch, Permutation, apply_permutation
+from .models import ARCHS, ModelParams, batch_cells, check_graph, forward, init_model
 from .quant import check_quant_eps
-from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
+from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform, transform_cells
 from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, are_isomorphic, wl1_signature, wlk_signature
 
 # wl embedder name -> signature(g, quant_eps, kwl_budget). The lambdas look
@@ -71,9 +78,10 @@ EMBEDDERS = (*WL_SIGNATURES, *ARCHS)
 
 DEFAULT_CLUSTER_EPS = 1e-5
 VERIFY_MAX_NODES = 16
-# Largest array, in float64 cells (models.batch_cells), that one batched
-# forward pass may allocate; a graph over it forms a batch alone. The
-# bound keeps peak memory near that of one pass per graph.
+# Largest array, in float64 cells (models.batch_cells for a forward pass,
+# transforms.transform_cells for a transform), that one batch may
+# allocate; a graph over it forms a batch alone. The bound keeps peak
+# memory near that of one call per graph.
 EMBED_BATCH_CELLS = 2**15
 
 
@@ -267,18 +275,23 @@ class _Memo:
     embedded: dict[tuple[int, int], object] = field(default_factory=dict)
 
 
-def _batches(params: ModelParams, graphs: Sequence[Graph]):
-    """Consecutive runs of graphs, each as large as EMBED_BATCH_CELLS allows."""
+def _batches(graphs: Sequence[Graph], cells: Callable[[int, int, int, int], int]):
+    """Consecutive runs of graphs, each as large as EMBED_BATCH_CELLS allows.
+
+    cells(rows, edges, count, largest) is the float64 cells of the largest
+    array a run of count graphs with rows nodes and edges edges allocates,
+    the largest graph having `largest` nodes. A graph over the bound forms
+    a run alone.
+    """
     chunk: list[Graph] = []
-    rows = largest = 0
+    rows = edges = largest = 0
     for g in graphs:
-        if chunk and batch_cells(
-            params, rows + g.n, len(chunk) + 1, max(largest, g.n)
-        ) > EMBED_BATCH_CELLS:
+        grown = (rows + g.n, edges + len(g.edges), len(chunk) + 1, max(largest, g.n))
+        if chunk and cells(*grown) > EMBED_BATCH_CELLS:
             yield chunk
-            chunk, rows, largest = [], 0, 0
+            chunk, rows, edges, largest = [], 0, 0, 0
         chunk.append(g)
-        rows, largest = rows + g.n, max(largest, g.n)
+        rows, edges, largest = rows + g.n, edges + len(g.edges), max(largest, g.n)
     if chunk:
         yield chunk
 
@@ -339,10 +352,19 @@ def evaluate_pairs(
     pairs = ds.pairs if origin is None else tuple(p for p in ds.pairs if p.origin == origin)
 
     transformed = memo.transformed
+    fresh: list[Graph] = []
     for pair in pairs:
         for g in (pair.left, pair.right):
             if id(g) not in transformed:
-                transformed[id(g)] = _attempt(apply_transform, spec, g)
+                transformed[id(g)] = None
+                fresh.append(g)
+    cells = lambda rows, edges, count, largest: transform_cells(rows, edges, largest)
+    for chunk in _batches(fresh, cells):
+        # Positional, through this module's global: benchmarks/tracing.py
+        # patches evaluate.apply_transform and keys the batch by its n,
+        # edges and features.
+        for g, t in zip(chunk, apply_transform(spec, GraphBatch(chunk))):
+            transformed[id(g)] = t
     notes: list[str] = []
     survivors = _sift(
         ((i, p, transformed[id(p.left)], transformed[id(p.right)]) for i, p in enumerate(pairs)),
@@ -371,7 +393,9 @@ def evaluate_pairs(
                 embedded[key] = _attempt(embed, g)
                 if params is not None and embedded[key] is None:
                     pending.append(g)
-    for chunk in _batches(params, pending):
+    for chunk in _batches(
+        pending, lambda rows, edges, count, largest: batch_cells(params, rows, count, largest)
+    ):
         # Positional, through this module's global: benchmarks/tracing.py
         # patches evaluate.forward and counts the batch's n node rows.
         rows = forward(params, GraphBatch(chunk))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -83,16 +84,19 @@ class Graph:
         and is stored as a read-only copy. The edges are taken as they
         are, since they are already canonical, and the cached structure
         properties this graph has computed (neighbors, degrees, edge_set,
-        adjacency_matrix) are shared with the result: they depend only
-        on n and edges, and their arrays are read-only.
+        edge_index, adjacency_matrix) are shared with the result: they
+        depend only on n and edges, and their arrays are read-only.
         """
+        return self._sharing_structure(_checked_features(self.n, features))
+
+    def _sharing_structure(self, features: np.ndarray) -> "Graph":
+        """with_features for a read-only matrix that has passed its checks."""
         out = object.__new__(type(self))
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "edges", self.edges)
-        object.__setattr__(out, "features", _checked_features(self.n, features))
+        state, fields = self.__dict__, out.__dict__
+        fields.update(n=self.n, edges=self.edges, features=features)
         for name in _STRUCTURE_CACHES:
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name]
+            if name in state:
+                fields[name] = state[name]
         return out
 
     @property
@@ -113,11 +117,16 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def edge_index(self) -> np.ndarray:
+        """The edges as a read-only (edge_count, 2) intp array, in order."""
+        index = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
+        index = index.reshape(-1, 2)
+        index.setflags(write=False)
+        return index
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
+        deg = np.bincount(self.edge_index.ravel(), minlength=self.n)
         deg.setflags(write=False)
         return deg
 
@@ -128,9 +137,9 @@ class Graph:
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        u, v = self.edge_index.T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         a.setflags(write=False)
         return a
 
@@ -151,7 +160,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={len(self.edges)}, d={self.d})"
 
 
-_STRUCTURE_CACHES = ("neighbors", "degrees", "edge_set", "adjacency_matrix")
+_STRUCTURE_CACHES = ("neighbors", "edge_index", "degrees", "edge_set", "adjacency_matrix")
 
 
 def _checked_features(n: int, features) -> np.ndarray:
@@ -163,6 +172,149 @@ def _checked_features(n: int, features) -> np.ndarray:
         raise ContractError("features must be finite")
     feats.setflags(write=False)
     return feats
+
+
+@dataclass(frozen=True, eq=False)
+class GraphBatch:
+    """The disjoint union of graphs, in list order.
+
+    Node v of graph i is union node offsets[i] + v, and n is the union's
+    node count. edges is the union's edge array: a read-only (edges, 2)
+    intp array holding each graph's edge_index in turn, shifted by its
+    offset. models.forward embeds the graphs of a batch at once, and
+    transforms.apply_transform transforms them.
+    """
+
+    graphs: tuple[Graph, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "graphs", tuple(self.graphs))
+        if not self.graphs:
+            raise ContractError("a graph batch needs at least one graph")
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.array([g.n for g in self.graphs], dtype=np.intp)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+    @cached_property
+    def n(self) -> int:
+        return int(self.sizes.sum())
+
+    @cached_property
+    def node_graph(self) -> np.ndarray:
+        """The graph index of each union node."""
+        return np.repeat(np.arange(len(self.graphs)), self.sizes)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        counts = [len(g.edges) for g in self.graphs]
+        index = np.concatenate([g.edge_index for g in self.graphs])
+        index += np.repeat(self.offsets, counts)[:, None]
+        index.setflags(write=False)
+        return index
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        deg = np.bincount(self.edges.ravel(), minlength=self.n)
+        deg.setflags(write=False)
+        return deg
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        return np.concatenate([g.features for g in self.graphs])
+
+    @cached_property
+    def lone(self) -> np.ndarray:
+        """The rows of 1-node graphs."""
+        return self.offsets[self.sizes == 1]
+
+    def graph_sums(self, values: np.ndarray) -> np.ndarray:
+        """Row i: +0.0 plus the rows of graph i, added in ascending node order.
+
+        Each graph's rows fill one row of a zero-padded (graphs, 1 + max
+        n, width) block after a leading zero, and np.add.accumulate sums
+        each along axis 1 one element after another. The running sum
+        starts at +0.0 and so is never -0.0, so the trailing +0.0 pads
+        leave it unchanged.
+        """
+        graph = self.node_graph
+        position = np.arange(self.n) - self.offsets[graph]
+        block = np.zeros((len(self.graphs), 1 + int(self.sizes.max()), values.shape[1]))
+        block[graph, 1 + position] = values
+        return np.add.accumulate(block, axis=1, out=block)[:, -1].copy()
+
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]], np.ndarray]:
+        """Union degrees, nodes by descending degree, the degree slots and a hub's tail.
+
+        Slot j is (count_j, nbrs): the count_j nodes of degree > j lead
+        the order, and nbrs holds the j-th smallest neighbour of each of
+        them in that order. Adding slot 0, 1, ... in turn adds each
+        node's neighbours in the order a per-node loop adds them.
+
+        Counts never grow with j, so the slots whose count is 1 form a
+        final run, and they all belong to row 0 of the order, the one
+        node of top degree. When that run is two or more slots long and
+        starts after slot 0, it is left out of the slots and the tail
+        holds its neighbours in slot order, for models._fold to add in
+        one step; otherwise the tail is empty.
+        """
+        ends = self.edges
+        node = np.concatenate([ends[:, 0], ends[:, 1]])
+        nbr = np.concatenate([ends[:, 1], ends[:, 0]])
+        deg = self.degrees
+        by_node = np.lexsort((nbr, node))
+        node, nbr = node[by_node], nbr[by_node]
+        rank = np.arange(node.size) - (np.cumsum(deg) - deg)[node]
+        order = np.argsort(-deg, kind="stable")
+        row = np.empty(self.n, dtype=np.intp)
+        row[order] = np.arange(self.n)
+        nbr = nbr[np.lexsort((row[node], rank))]
+        slot_counts = np.bincount(rank).tolist()
+        run = slot_counts.count(1)
+        if run < 2 or run == len(slot_counts):
+            run = 0
+        slots = []
+        start = 0
+        for count in slot_counts[: len(slot_counts) - run]:
+            slots.append((count, nbr[start : start + count]))
+            start += count
+        return deg, order, slots, nbr[start:]
+
+    def with_columns(self, cols: np.ndarray) -> list[Graph]:
+        """Each graph with its nodes' rows of cols appended to its features.
+
+        cols holds a row, or a value, per union node. The graphs of one
+        feature width share one read-only block, checked for finiteness
+        once, and each graph's features are its row slice of that block.
+        """
+        cols = cols[:, None] if cols.ndim == 1 else cols
+        widths = np.array([g.d for g in self.graphs])
+        out = [None] * len(self.graphs)
+        for d in sorted(set(widths.tolist())):
+            members = np.flatnonzero(widths == d).tolist()
+            rows = np.flatnonzero((widths == d)[self.node_graph])
+            block = np.empty((rows.size, d + cols.shape[1]), dtype=np.float64)
+            np.concatenate([self.graphs[i].features for i in members], out=block[:, :d])
+            block[:, d:] = cols[rows]
+            if not np.all(np.isfinite(block)):
+                raise ContractError("features must be finite")
+            block.setflags(write=False)
+            start = 0
+            for i in members:
+                g = self.graphs[i]
+                out[i] = g._sharing_structure(block[start : start + g.n])
+                start += g.n
+        return out
+
+
+def as_batch(x: Graph | GraphBatch) -> GraphBatch:
+    """x if it is a GraphBatch, else the batch of x alone."""
+    return x if isinstance(x, GraphBatch) else GraphBatch((x,))
 
 
 @dataclass(frozen=True)

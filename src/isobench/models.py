@@ -24,8 +24,8 @@ while letting float reassociation under node relabeling stay visible
 instead of being canonicalized away.
 
 The passes are whole-matrix numpy operations that keep that order
-exactly. forward takes a Graph or a GraphBatch, the disjoint union of
-several graphs, and runs a Graph as a batch of one; row i of a batch's
+exactly. forward takes a Graph or a graphs.GraphBatch, the disjoint
+union of several graphs, and runs a Graph as a batch of one; row i of a batch's
 result has the bytes of forward on graph i alone. That holds because
 every operation is row by row, with three rules:
 
@@ -61,12 +61,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError
-from .graphs import Graph
+from .graphs import Graph, GraphBatch, as_batch
 
 ARCHS = ("gin", "pna", "ds")
 
@@ -171,107 +170,6 @@ def _mlp_rows(params: MLPParams, x: np.ndarray, lone: np.ndarray) -> np.ndarray:
     if lone.size:
         h[lone] = _mlp(params, x[lone, None, :])[:, 0]
     return h
-
-
-@dataclass(frozen=True, eq=False)
-class GraphBatch:
-    """The disjoint union of graphs, in list order.
-
-    Node v of graph i is union node offsets[i] + v; n is the union's node
-    count. forward embeds every graph of a batch at once, row i of its
-    result being graph i's embedding.
-    """
-
-    graphs: tuple[Graph, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "graphs", tuple(self.graphs))
-        if not self.graphs:
-            raise ContractError("a graph batch needs at least one graph")
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        return np.array([g.n for g in self.graphs], dtype=np.intp)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.cumsum(self.sizes) - self.sizes
-
-    @cached_property
-    def n(self) -> int:
-        return int(self.sizes.sum())
-
-    @cached_property
-    def node_graph(self) -> np.ndarray:
-        """The graph index of each union node."""
-        return np.repeat(np.arange(len(self.graphs)), self.sizes)
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        return np.concatenate([g.features for g in self.graphs])
-
-    @cached_property
-    def lone(self) -> np.ndarray:
-        """The rows of 1-node graphs."""
-        return self.offsets[self.sizes == 1]
-
-    def graph_sums(self, values: np.ndarray) -> np.ndarray:
-        """Row i: +0.0 plus the rows of graph i, added in ascending node order.
-
-        Each graph's rows fill one row of a zero-padded (graphs, 1 + max
-        n, width) block after a leading zero, and np.add.accumulate sums
-        each along axis 1 one element after another. The running sum
-        starts at +0.0 and so is never -0.0, so the trailing +0.0 pads
-        leave it unchanged.
-        """
-        graph = self.node_graph
-        position = np.arange(self.n) - self.offsets[graph]
-        block = np.zeros((len(self.graphs), 1 + int(self.sizes.max()), values.shape[1]))
-        block[graph, 1 + position] = values
-        return np.add.accumulate(block, axis=1, out=block)[:, -1].copy()
-
-    @cached_property
-    def slots(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]], np.ndarray]:
-        """Union degrees, nodes by descending degree, the degree slots and a hub's tail.
-
-        Slot j is (count_j, nbrs): the count_j nodes of degree > j lead
-        the order, and nbrs holds the j-th smallest neighbour of each of
-        them in that order. Adding slot 0, 1, ... in turn adds each
-        node's neighbours in the order a per-node loop adds them.
-
-        Counts never grow with j, so the slots whose count is 1 form a
-        final run, and they all belong to row 0 of the order, the one
-        node of top degree. When that run is two or more slots long and
-        starts after slot 0, it is left out of the slots and the tail
-        holds its neighbours in slot order, for _fold to add in one step;
-        otherwise the tail is empty.
-        """
-        counts = [len(g.edges) for g in self.graphs]
-        ends = np.fromiter(
-            (v for g in self.graphs for edge in g.edges for v in edge),
-            dtype=np.intp,
-            count=2 * sum(counts),
-        ).reshape(-1, 2) + np.repeat(self.offsets, counts)[:, None]
-        node = np.concatenate([ends[:, 0], ends[:, 1]])
-        nbr = np.concatenate([ends[:, 1], ends[:, 0]])
-        deg = np.bincount(node, minlength=self.n)
-        by_node = np.lexsort((nbr, node))
-        node, nbr = node[by_node], nbr[by_node]
-        rank = np.arange(node.size) - (np.cumsum(deg) - deg)[node]
-        order = np.argsort(-deg, kind="stable")
-        row = np.empty(self.n, dtype=np.intp)
-        row[order] = np.arange(self.n)
-        nbr = nbr[np.lexsort((row[node], rank))]
-        slot_counts = np.bincount(rank).tolist()
-        run = slot_counts.count(1)
-        if run < 2 or run == len(slot_counts):
-            run = 0
-        slots = []
-        start = 0
-        for count in slot_counts[: len(slot_counts) - run]:
-            slots.append((count, nbr[start : start + count]))
-            start += count
-        return deg, order, slots, nbr[start:]
 
 
 def _fold(op: np.ufunc, head: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -389,7 +287,7 @@ def batch_cells(m: ModelParams, rows: int, graphs: int, largest: int) -> int:
 
 
 def _as_batch(m: ModelParams, x: Graph | GraphBatch) -> GraphBatch:
-    b = x if isinstance(x, GraphBatch) else GraphBatch((x,))
+    b = as_batch(x)
     for g in b.graphs:
         check_graph(m, g)
     return b

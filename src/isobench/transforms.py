@@ -17,6 +17,14 @@ kinds
     graph_encoding        append k spectral coordinates per node
     subgraph_extraction   append ego-graph node and edge counts
     extra_node            subdivide every edge with a fresh node
+
+apply_transform takes a Graph or a GraphBatch, the disjoint union of
+several graphs, and runs a Graph as a batch of one. degree, closeness
+and distance_encoding compute their columns over the union at once
+(closeness and distance_encoding from centrality.ball_growth's
+breadth-first levels); the graphs of one feature width then share one
+read-only feature block. The other kinds transform one graph after
+another. Either way each graph gets the bytes of its transform alone.
 """
 
 from __future__ import annotations
@@ -28,14 +36,15 @@ from typing import Callable
 import numpy as np
 
 from .centrality import (
+    ball_growth,
     betweenness_centrality,
     bfs_distances,
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
 )
-from .errors import ContractError
-from .graphs import GRAPH6_MAX_NODES, Graph
+from .errors import ContractError, IsobenchError
+from .graphs import GRAPH6_MAX_NODES, Graph, GraphBatch, as_batch
 from .spectral import SIGN_MODES, laplacian_encoding_columns
 
 
@@ -151,6 +160,10 @@ def extra_node(g: Graph) -> Graph:
     return Graph(g.n + len(g.edges), tuple(edges), feats)
 
 
+_CENTRALITY_REFUSAL = "centrality augmentation needs at least one node"
+_DISTANCE_REFUSAL = "distance encoding needs at least one node"
+
+
 def _centrality(
     measure: Callable[[Graph, TransformSpec], np.ndarray],
 ) -> Callable[[Graph, TransformSpec], Graph]:
@@ -158,29 +171,26 @@ def _centrality(
 
     def augment(g: Graph, spec: TransformSpec) -> Graph:
         if g.n < 1:
-            raise ContractError("centrality augmentation needs at least one node")
+            raise ContractError(_CENTRALITY_REFUSAL)
         return _append_columns(g, measure(g, spec))
 
     return augment
 
 
-def distance_encoding(g: Graph, spec: TransformSpec) -> Graph:
-    """Append counts of nodes at each distance 1..d_max plus an overflow column."""
-    if g.n < 1:
-        raise ContractError("distance encoding needs at least one node")
-    neighbors = g.neighbors
-    overflow = spec.d_max
-    # Distances lie in 1..n-1, so only the first min(d_max + 1, n - 1)
-    # columns can be non-zero.
-    width = min(overflow + 1, g.n - 1)
-    cols = np.zeros((g.n, overflow + 1), dtype=np.float64)
-    for v in range(g.n):
-        counts = [0] * width
-        for d in bfs_distances(neighbors, v):
-            if d > 0:
-                counts[d - 1 if d <= overflow else overflow] += 1
-        cols[v, :width] = counts
-    return _append_columns(g, cols)
+def distance_encoding(x: Graph | GraphBatch, d_max: int = 8) -> np.ndarray:
+    """Counts of nodes at each distance 1..d_max, then beyond d_max.
+
+    One (nodes, d_max + 1) row block for a graph's nodes or a batch's
+    union nodes, from ball_growth: the overflow column is the rest of
+    each node's reach. Distances lie in 1..n-1, so only the levels up to
+    the largest n - 1 are counted.
+    """
+    b = as_batch(x)
+    reach, _, shells = ball_growth(b, max(0, min(d_max, int(b.sizes.max()) - 1)))
+    cols = np.zeros((b.n, d_max + 1), dtype=np.float64)
+    cols[:, : shells.shape[1]] = shells
+    cols[:, d_max] = reach - 1 - shells.sum(axis=1)
+    return cols
 
 
 def graph_encoding(g: Graph, spec: TransformSpec) -> Graph:
@@ -212,35 +222,105 @@ def subgraph_extraction(g: Graph, spec: TransformSpec) -> Graph:
     return _append_columns(g, np.array(rows, dtype=np.float64))
 
 
-# kind -> (report label, transform); the order is the reporting order.
-# The lambdas look the centrality functions up in this module's globals
-# at call time, as graph_encoding does laplacian_encoding_columns, so a
-# wrapper patched onto this module sees every call.
-TRANSFORMS: dict[str, tuple[str, Callable[[Graph, TransformSpec], Graph]]] = {
-    "base": ("Base", lambda g, spec: g),
-    "virtual_node": ("Virtual Node", lambda g, spec: virtual_node(g)),
-    "degree": ("Degree", _centrality(lambda g, spec: degree_centrality(g))),
-    "closeness": ("Closeness", _centrality(lambda g, spec: closeness_centrality(g))),
-    "betweenness": ("Betweenness", _centrality(lambda g, spec: betweenness_centrality(g))),
+def _each(
+    transform: Callable[[Graph, TransformSpec], Graph],
+) -> Callable[[GraphBatch, TransformSpec], list]:
+    """The batch transform that runs transform(g, spec) on each graph alone."""
+
+    def run(b: GraphBatch, spec: TransformSpec) -> list:
+        out = []
+        for g in b.graphs:
+            try:
+                out.append(transform(g, spec))
+            except IsobenchError as exc:
+                out.append(exc)
+        return out
+
+    return run
+
+
+def _columns(
+    measure: Callable[[GraphBatch, TransformSpec], np.ndarray], refusal: str
+) -> Callable[[GraphBatch, TransformSpec], list]:
+    """The batch transform that appends measure(b, spec), one row per union
+    node, to each graph's features; an empty graph gets ContractError(refusal)."""
+
+    def run(b: GraphBatch, spec: TransformSpec) -> list:
+        out = b.with_columns(measure(b, spec))
+        return [ContractError(refusal) if g.n < 1 else t for g, t in zip(b.graphs, out)]
+
+    return run
+
+
+# kind -> (report label, batch transform); the order is the reporting
+# order. A batch transform maps a GraphBatch to one result per graph:
+# the transformed graph, or the IsobenchError that transforming the
+# graph alone raises. The lambdas look the centrality functions up in
+# this module's globals at call time, as graph_encoding does
+# laplacian_encoding_columns, so a wrapper patched onto this module
+# sees every call.
+TRANSFORMS: dict[str, tuple[str, Callable[[GraphBatch, TransformSpec], list]]] = {
+    "base": ("Base", lambda b, spec: list(b.graphs)),
+    "virtual_node": ("Virtual Node", _each(lambda g, spec: virtual_node(g))),
+    "degree": ("Degree", _columns(lambda b, spec: degree_centrality(b), _CENTRALITY_REFUSAL)),
+    "closeness": (
+        "Closeness",
+        _columns(lambda b, spec: closeness_centrality(b), _CENTRALITY_REFUSAL),
+    ),
+    "betweenness": (
+        "Betweenness",
+        _each(_centrality(lambda g, spec: betweenness_centrality(g))),
+    ),
     "eigenvector": (
         "Eigenvector",
-        _centrality(
-            lambda g, spec: eigenvector_centrality(
-                g, tol=spec.power_tol, max_iter=spec.power_max_iter
+        _each(
+            _centrality(
+                lambda g, spec: eigenvector_centrality(
+                    g, tol=spec.power_tol, max_iter=spec.power_max_iter
+                )
             )
         ),
     ),
-    "distance_encoding": ("Distance Encoding", distance_encoding),
-    "graph_encoding": ("Graph Encoding", graph_encoding),
-    "subgraph_extraction": ("Subgraph Extraction", subgraph_extraction),
-    "extra_node": ("Extra Node", lambda g, spec: extra_node(g)),
+    "distance_encoding": (
+        "Distance Encoding",
+        _columns(lambda b, spec: distance_encoding(b, spec.d_max), _DISTANCE_REFUSAL),
+    ),
+    "graph_encoding": ("Graph Encoding", _each(graph_encoding)),
+    "subgraph_extraction": ("Subgraph Extraction", _each(subgraph_extraction)),
+    "extra_node": ("Extra Node", _each(lambda g, spec: extra_node(g))),
 }
 
 KINDS = tuple(TRANSFORMS)
 
 
-def apply_transform(spec: TransformSpec, g: Graph) -> Graph:
-    return TRANSFORMS[spec.kind][1](g, spec)
+def apply_transform(
+    spec: TransformSpec, x: Graph | GraphBatch
+) -> Graph | list[Graph | IsobenchError]:
+    """The graph x transformed by spec, or the transform of each graph of a batch.
+
+    A GraphBatch gives a list with one entry per graph, in order: the
+    transformed graph, or the IsobenchError that apply_transform on that
+    graph alone raises. A Graph runs as a batch of one and gives the
+    transformed graph or raises. degree, closeness and distance_encoding
+    compute their columns over the batch's disjoint union at once; the
+    other kinds transform one graph after another.
+    """
+    out = TRANSFORMS[spec.kind][1](as_batch(x), spec)
+    if isinstance(x, GraphBatch):
+        return out
+    if isinstance(out[0], IsobenchError):
+        raise out[0]
+    return out[0]
+
+
+def transform_cells(rows: int, edges: int, largest: int) -> int:
+    """8-byte cells of the largest arrays apply_transform builds for a batch.
+
+    The batch has `rows` nodes and `edges` edges, its largest graph
+    `largest` nodes. Breadth-first levels keep, per node and per edge
+    end, up to ceil(largest / 64) words of sources.
+    """
+    return (rows + 2 * edges) * -(-largest // 64)
 
 
 def all_method_specs(sign_mode: str = "raw") -> tuple[TransformSpec, ...]:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import isobench.centrality as centrality
 from isobench import (
     ConvergenceError,
     Graph,
+    GraphBatch,
     betweenness_centrality,
     closeness_centrality,
     complete,
@@ -16,6 +18,7 @@ from isobench import (
     degree_centrality,
     disjoint_cycles,
     eigenvector_centrality,
+    erdos_renyi,
     path,
     star,
 )
@@ -98,6 +101,33 @@ class TestCloseness:
     def test_bounded_by_one(self, g):
         out = closeness_centrality(g)
         assert np.all(out >= 0.0) and np.all(out <= 1.0 + 1e-12)
+
+
+class TestBallGrowth:
+    def test_levels_touch_only_growing_graphs(self, monkeypatch):
+        # path(60) shares the small graphs' one-word rows and grows for 59
+        # levels, path(200) has four words; the small graphs stop after a
+        # few levels. Each level counts the bits of the rows it touched.
+        touched: list[int] = []
+        original = centrality._bit_counts
+
+        def counting(words):
+            touched.append(len(words))
+            return original(words)
+
+        monkeypatch.setattr(centrality, "_bit_counts", counting)
+
+        def rows_touched(graphs) -> int:
+            touched.clear()
+            closeness_centrality(GraphBatch(graphs))
+            return sum(touched)
+
+        small = [erdos_renyi(8 + seed % 7, 0.3, seed) for seed in range(40)]
+        long = [path(60), path(200)]
+        alone = rows_touched(small) + sum(rows_touched([g]) for g in long)
+        assert rows_touched(small + long) == alone
+        # 59 levels that grow and one that finds no growth, 60 rows each.
+        assert rows_touched(long[:1]) == 60 * 60
 
 
 class TestBetweenness:

@@ -169,7 +169,11 @@ class TestTransform:
             capsys, "transform", "--input", str(src),
             "--transform", "degree", "--out", str(dst),
         )
-        assert code == EXIT_USAGE
+        assert code == EXIT_DATA
+        assert err == (
+            f"isobench: data error: {src}: graph 0: "
+            "centrality augmentation needs at least one node\n"
+        )
         assert not dst.exists()
         assert not list(tmp_path.glob(".isobench-*"))
 

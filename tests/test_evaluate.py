@@ -15,6 +15,7 @@ from isobench import (
     ContractError,
     CorpusIntegrityError,
     Graph,
+    GraphBatch,
     LabeledPair,
     PairDataset,
     Permutation,
@@ -362,9 +363,11 @@ class TestGridSharing:
         applied: Counter = Counter()
         original = evaluate.apply_transform
 
-        def counting_apply(spec, g):
-            applied[(spec.kind, id(g))] += 1
-            return original(spec, g)
+        def counting_apply(spec, x):
+            # Each graph of a batch call counts as one transform.
+            for g in x.graphs if isinstance(x, GraphBatch) else (x,):
+                applied[(spec.kind, id(g))] += 1
+            return original(spec, x)
 
         def counting_embedder(inner):
             calls: Counter = Counter()

@@ -9,6 +9,7 @@ from isobench import (
     ContractError,
     ConvergenceError,
     Graph,
+    GraphBatch,
     KINDS,
     Permutation,
     TransformSpec,
@@ -30,6 +31,7 @@ from isobench.graphs import GRAPH6_MAX_NODES
 from helpers import (
     graphs,
     permutations_for,
+    reference_closeness,
     reference_distance_columns,
     reference_subgraph_columns,
 )
@@ -254,6 +256,82 @@ class TestDistanceTransformsMatchNumpyArrayReference:
     def test_empty_graph_is_refused(self, kind):
         with pytest.raises(ContractError, match="needs at least one node"):
             apply_transform(spec(kind), Graph(0))
+
+
+# Graphs of one, two and three 64-source blocks, a long path, and the
+# empty, single-node, edgeless and disconnected cases.
+BATCH_MEMBERS = (
+    erdos_renyi(64, 0.08, seed=1),
+    erdos_renyi(65, 0.06, seed=2),
+    erdos_renyi(130, 0.02, seed=3),
+    path(150),
+    Graph(0),
+    Graph(1),
+    Graph(7),
+    Graph(9, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6))),
+)
+
+
+@st.composite
+def batch_lists(draw):
+    """Graph lists that mix BATCH_MEMBERS with small random graphs, each
+    given features of width 1 or 2 that may hold -0.0."""
+    picks = draw(
+        st.lists(st.one_of(st.sampled_from(BATCH_MEMBERS), graphs(max_n=9)), min_size=1, max_size=6)
+    )
+    out = []
+    for g in picks:
+        d = draw(st.integers(1, 2))
+        fill = draw(st.sampled_from([1.0, -0.0, 0.25]))
+        out.append(g.with_features(np.full((g.n, d), fill)))
+    return out
+
+
+def _reference_columns(s: TransformSpec, g: Graph) -> np.ndarray:
+    if s.kind == "degree":
+        return np.array([float(len(g.neighbors[v])) for v in range(g.n)])[:, None]
+    if s.kind == "closeness":
+        return reference_closeness(g)[:, None]
+    return reference_distance_columns(g, s.d_max)
+
+
+class TestBatch:
+    """A batch's rows are the bytes of the per-graph references and of
+    transforming each graph alone."""
+
+    @pytest.mark.parametrize(
+        "s",
+        [spec("degree"), spec("closeness")]
+        + [spec("distance_encoding", d_max=d) for d in (1, 2, 8)],
+        ids=lambda s: f"{s.kind}-{s.d_max}" if s.kind == "distance_encoding" else s.kind,
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(batch_lists())
+    @example(
+        [g.with_features(np.full((g.n, 1 + i % 2), (-0.0, 0.5)[i % 2]))
+         for i, g in enumerate(BATCH_MEMBERS)]
+        + [cycle(5), path(3).with_features(np.full((3, 2), -0.0))]
+    )
+    def test_rows_match_references_and_single_graphs(self, s, gs):
+        out = apply_transform(s, GraphBatch(gs))
+        assert len(out) == len(gs)
+        for g, t in zip(gs, out):
+            if g.n == 0:
+                with pytest.raises(ContractError) as alone:
+                    apply_transform(s, g)
+                assert type(t) is ContractError and str(t) == str(alone.value)
+                continue
+            expected = np.hstack([g.features, _reference_columns(s, g)])
+            assert t.edges == g.edges
+            assert t.features.tobytes() == expected.tobytes()
+            assert t.features.tobytes() == apply_transform(s, g).features.tobytes()
+            assert not t.features.flags.writeable
+
+    def test_other_kinds_refuse_per_graph(self):
+        bad = spec("eigenvector", power_tol=1e-15, power_max_iter=2)
+        out = apply_transform(bad, GraphBatch([Graph(1), path(6)]))
+        assert out[0] == apply_transform(bad, Graph(1))
+        assert isinstance(out[1], ConvergenceError)
 
 
 class TestRelabelingBehavior:
