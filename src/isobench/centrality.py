@@ -29,6 +29,7 @@ level give exact integers: how many nodes lie at each distance, and from
 those r and the total distance. A node of an n-node graph keeps
 ceil(n / 64) words, so a graph takes about n^2 / 8 bytes of words, and
 a level touches only the graphs whose balls grew at the level before.
+A batch runs in GraphBatch.runs, so it needs the memory of its largest run.
 
 Betweenness and subgraph extraction run one breadth-first search per
 source node on plain Python lists, since indexing a numpy array element
@@ -83,6 +84,12 @@ def _bit_counts(words: np.ndarray) -> np.ndarray:
     return ((c * _H01) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
 
 
+def _words(rows: int, edges: int, graphs: int, largest: int) -> int:
+    """ball_growth's 8-byte cells for GraphBatch.runs: per node and per edge
+    end, up to ceil(largest / 64) words of sources."""
+    return (rows + 2 * edges) * -(-largest // 64)
+
+
 def ball_growth(b: GraphBatch, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Breadth-first levels from every node of every graph of b at once.
 
@@ -96,8 +103,13 @@ def ball_growth(b: GraphBatch, depth: int) -> tuple[np.ndarray, np.ndarray, np.n
     L ORs every node's words with those of its neighbours (a CSR gather
     and np.bitwise_or.reduceat), and the growth of each node's set-bit
     count is its number of nodes at distance L. A graph whose balls did
-    not grow at a level is finished and leaves the arrays.
+    not grow at a level is finished and leaves the arrays. A batch over
+    graphs.BATCH_CELLS words runs one of its runs after another.
     """
+    if next(b.runs(_words)) is not b:
+        # A run splits no further, so each goes on below.
+        parts = [ball_growth(run, depth) for run in b.runs(_words)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     reach = np.ones(b.n, dtype=np.int64)
     total = np.zeros(b.n, dtype=np.int64)
     shells = np.zeros((b.n, depth), dtype=np.int64)

@@ -35,19 +35,9 @@ pure: a graph that several cells share is embedded for the first of
 them only. A cell's seconds cover only the work that cell triggered
 first, so a grid's rows still sum to its wall time.
 
-The transform pass is one batch: apply_transform over a GraphBatch of
-the distinct graphs the cell lacks, split only where the batch's
-breadth-first words (transforms.transform_cells) would pass
-EMBED_BATCH_CELLS cells. Each graph gets the bytes of its transform
-alone, and a graph the transform refuses is noted with the error that
-a single call raises.
-
-Model embedders (gin, pna, ds) embed a cell's distinct new graphs in
-batches: forward over a GraphBatch of consecutive graphs whose largest
-array stays within EMBED_BATCH_CELLS float64 cells, a larger graph
-alone. The rows are the bytes of one pass per graph, and a graph the
-model refuses is noted with the error a single pass raises. wl and
-custom embedders get one call per graph.
+Transforms and model embeddings run as one batch call per cell, with
+the bytes and errors of a call per graph; wl and custom embedders get
+one call per graph.
 """
 
 from __future__ import annotations
@@ -61,9 +51,9 @@ import numpy as np
 
 from .errors import ContractError, IsobenchError
 from .graphs import Graph, GraphBatch, Permutation, apply_permutation
-from .models import ARCHS, ModelParams, batch_cells, check_graph, forward, init_model
+from .models import ARCHS, check_graph, forward, init_model
 from .quant import check_quant_eps
-from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform, transform_cells
+from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
 from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, are_isomorphic, wl1_signature, wlk_signature
 
 # wl embedder name -> signature(g, quant_eps, kwl_budget). The lambdas look
@@ -78,11 +68,6 @@ EMBEDDERS = (*WL_SIGNATURES, *ARCHS)
 
 DEFAULT_CLUSTER_EPS = 1e-5
 VERIFY_MAX_NODES = 16
-# Largest array, in float64 cells (models.batch_cells for a forward pass,
-# transforms.transform_cells for a transform), that one batch may
-# allocate; a graph over it forms a batch alone. The bound keeps peak
-# memory near that of one call per graph.
-EMBED_BATCH_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -137,11 +122,8 @@ def verify_pair_labels(pairs: Sequence[LabeledPair]) -> tuple[LabeledPair, ...]:
     return tuple(out)
 
 
-def make_pair_dataset(
-    pairs: Sequence[LabeledPair], seed: int | None = None, verify: bool = True
-) -> PairDataset:
-    checked = verify_pair_labels(pairs) if verify else tuple(pairs)
-    return PairDataset(checked, seed)
+def make_pair_dataset(pairs: Sequence[LabeledPair], seed: int | None = None) -> PairDataset:
+    return PairDataset(verify_pair_labels(pairs), seed)
 
 
 def augment_with_iso_pairs(
@@ -275,27 +257,6 @@ class _Memo:
     embedded: dict[tuple[int, int], object] = field(default_factory=dict)
 
 
-def _batches(graphs: Sequence[Graph], cells: Callable[[int, int, int, int], int]):
-    """Consecutive runs of graphs, each as large as EMBED_BATCH_CELLS allows.
-
-    cells(rows, edges, count, largest) is the float64 cells of the largest
-    array a run of count graphs with rows nodes and edges edges allocates,
-    the largest graph having `largest` nodes. A graph over the bound forms
-    a run alone.
-    """
-    chunk: list[Graph] = []
-    rows = edges = largest = 0
-    for g in graphs:
-        grown = (rows + g.n, edges + len(g.edges), len(chunk) + 1, max(largest, g.n))
-        if chunk and cells(*grown) > EMBED_BATCH_CELLS:
-            yield chunk
-            chunk, rows, edges, largest = [], 0, 0, 0
-        chunk.append(g)
-        rows, edges, largest = rows + g.n, edges + len(g.edges), max(largest, g.n)
-    if chunk:
-        yield chunk
-
-
 def _attempt(fn: Callable, *args):
     """fn(*args), or the IsobenchError it raised."""
     try:
@@ -358,12 +319,11 @@ def evaluate_pairs(
             if id(g) not in transformed:
                 transformed[id(g)] = None
                 fresh.append(g)
-    cells = lambda rows, edges, count, largest: transform_cells(rows, edges, largest)
-    for chunk in _batches(fresh, cells):
+    if fresh:
         # Positional, through this module's global: benchmarks/tracing.py
         # patches evaluate.apply_transform and keys the batch by its n,
         # edges and features.
-        for g, t in zip(chunk, apply_transform(spec, GraphBatch(chunk))):
+        for g, t in zip(fresh, apply_transform(spec, GraphBatch(fresh))):
             transformed[id(g)] = t
     notes: list[str] = []
     survivors = _sift(
@@ -393,13 +353,10 @@ def evaluate_pairs(
                 embedded[key] = _attempt(embed, g)
                 if params is not None and embedded[key] is None:
                     pending.append(g)
-    for chunk in _batches(
-        pending, lambda rows, edges, count, largest: batch_cells(params, rows, count, largest)
-    ):
+    if pending:
         # Positional, through this module's global: benchmarks/tracing.py
         # patches evaluate.forward and counts the batch's n node rows.
-        rows = forward(params, GraphBatch(chunk))
-        for g, row in zip(chunk, rows):
+        for g, row in zip(pending, forward(params, GraphBatch(pending))):
             embedded[(id(g), width)] = row
     included = _sift(
         ((i, p, embedded[id(a), width], embedded[id(b), width]) for i, p, a, b in survivors),

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,6 +40,9 @@ GRAPH6_MAX_NODES = 65535
 # Largest n * d an edge-list header may declare: 2**24 float64 cells are
 # 128 MiB, checked before the feature matrix is allocated.
 EDGE_LIST_MAX_CELLS = 2**24
+# Largest array, in 8-byte cells, of a batch kernel's run (GraphBatch.runs):
+# it keeps a batch's peak memory near that of one call per graph.
+BATCH_CELLS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +186,7 @@ class GraphBatch:
     node count. edges is the union's edge array: a read-only (edges, 2)
     intp array holding each graph's edge_index in turn, shifted by its
     offset. models.forward embeds the graphs of a batch at once, and
-    transforms.apply_transform transforms them.
+    transforms.apply_transform transforms them, in runs where needed.
     """
 
     graphs: tuple[Graph, ...]
@@ -284,6 +288,23 @@ class GraphBatch:
             slots.append((count, nbr[start : start + count]))
             start += count
         return deg, order, slots, nbr[start:]
+
+    def runs(self, cells: Callable[[int, int, int, int], int]) -> Iterator[GraphBatch]:
+        """Consecutive runs of the graphs, each within BATCH_CELLS.
+
+        cells(rows, edges, graphs, largest) is the 8-byte cells of a
+        kernel's largest array for a run of that many nodes, edges and
+        graphs, the largest with `largest` nodes. A graph over the bound
+        runs alone, and a batch that fits is its one run.
+        """
+        start = rows = edges = largest = 0
+        for i, g in enumerate(self.graphs):
+            grown = (rows + g.n, edges + len(g.edges), i + 1 - start, max(largest, g.n))
+            if i > start and cells(*grown) > BATCH_CELLS:
+                yield GraphBatch(self.graphs[start:i])
+                start, grown = i, (g.n, len(g.edges), 1, g.n)
+            rows, edges, _, largest = grown
+        yield self if start == 0 else GraphBatch(self.graphs[start:])
 
     def with_columns(self, cols: np.ndarray) -> list[Graph]:
         """Each graph with its nodes' rows of cols appended to its features.

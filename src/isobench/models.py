@@ -25,9 +25,10 @@ instead of being canonicalized away.
 
 The passes are whole-matrix numpy operations that keep that order
 exactly. forward takes a Graph or a graphs.GraphBatch, the disjoint
-union of several graphs, and runs a Graph as a batch of one; row i of a batch's
-result has the bytes of forward on graph i alone. That holds because
-every operation is row by row, with three rules:
+union of several graphs, run by its GraphBatch.runs; a Graph runs as a
+batch of one. Row i of a batch's result has the bytes of forward on
+graph i alone. That holds because every operation is row by row, with
+three rules:
 
 - Neighbor sums run over degree slots of the union: slot j adds, for
   every node of degree > j at once, its j-th smallest neighbor, so each
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -271,21 +273,6 @@ def check_graph(m: ModelParams, g: Graph) -> None:
         raise ContractError(f"model expects {m.input_dim} feature columns, graph has {g.d}")
 
 
-def batch_cells(m: ModelParams, rows: int, graphs: int, largest: int) -> int:
-    """Float64 cells of the largest array forward allocates for a batch.
-
-    The batch has `rows` nodes in `graphs` graphs, the largest with
-    `largest` nodes. A layer's widest array has max(input_dim,
-    hidden_dim) cells per node, times the 16 parts of a node's block in
-    pna; the readout block has 1 + largest rows of hidden_dim cells per
-    graph.
-    """
-    width = max(m.input_dim, m.hidden_dim)
-    if m.arch == "pna":
-        width *= 1 + AGGREGATOR_COUNT * SCALER_COUNT
-    return max(rows * width, graphs * (1 + largest) * m.hidden_dim)
-
-
 def _as_batch(m: ModelParams, x: Graph | GraphBatch) -> GraphBatch:
     b = as_batch(x)
     for g in b.graphs:
@@ -293,12 +280,30 @@ def _as_batch(m: ModelParams, x: Graph | GraphBatch) -> GraphBatch:
     return b
 
 
+def _by_runs(
+    m: ModelParams, x: Graph | GraphBatch, finish: Callable[[GraphBatch, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """finish(run, final node states) over each GraphBatch.runs of x, stacked.
+
+    A run's largest array is per node the widest layer input, per graph
+    the readout block. Runs also set how far a hub's fold reaches: only
+    slots beyond a run's second-highest degree hold the hub alone.
+    """
+    width = max(layer.w1.shape[0] for layer in m.weights)
+
+    def cells(rows: int, edges: int, graphs: int, largest: int) -> int:
+        return max(rows * width, graphs * (1 + largest) * m.hidden_dim)
+
+    runs = _as_batch(m, x).runs(cells)
+    return np.concatenate([finish(run, _STATES[m.arch](m, run)) for run in runs])
+
+
 def node_states(m: ModelParams, x: Graph | GraphBatch) -> np.ndarray:
     """Final per-node states before readout (for ds: the MLP1 outputs).
 
     For a batch, the rows of the union's nodes.
     """
-    return _STATES[m.arch](m, _as_batch(m, x))
+    return _by_runs(m, x, lambda run, h: h)
 
 
 def forward(m: ModelParams, x: Graph | GraphBatch) -> Embedding:
@@ -311,10 +316,9 @@ def forward(m: ModelParams, x: Graph | GraphBatch) -> Embedding:
     the readout is GraphBatch.graph_sums, sequential over a padded block
     (see the module docstring).
     """
-    b = _as_batch(m, x)
-    readout = b.graph_sums(_STATES[m.arch](m, b))
+    readout = _by_runs(m, x, GraphBatch.graph_sums)
     if m.arch == "ds":
         # One row per graph, so each takes the one-row kernel.
         readout = _mlp(m.weights[1], readout[:, None, :])[:, 0]
     readout.setflags(write=False)
-    return readout if b is x else readout[0]
+    return readout if isinstance(x, GraphBatch) else readout[0]

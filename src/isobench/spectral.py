@@ -178,6 +178,8 @@ def laplacian_encoding_columns(g: Graph, k: int, sign_mode: str) -> np.ndarray:
     """
     if sign_mode not in SIGN_MODES:
         raise ContractError(f"unknown sign mode {sign_mode!r}")
+    if k < 0:
+        raise ContractError(f"k must be >= 0, got {k}")
     out = np.zeros((g.n, k), dtype=np.float64)
     if g.n < 2:
         return out

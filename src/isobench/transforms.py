@@ -185,6 +185,8 @@ def distance_encoding(x: Graph | GraphBatch, d_max: int = 8) -> np.ndarray:
     each node's reach. Distances lie in 1..n-1, so only the levels up to
     the largest n - 1 are counted.
     """
+    if d_max < 0:
+        raise ContractError(f"d_max must be >= 0, got {d_max}")
     b = as_batch(x)
     reach, _, shells = ball_growth(b, max(0, min(d_max, int(b.sizes.max()) - 1)))
     cols = np.zeros((b.n, d_max + 1), dtype=np.float64)
@@ -311,16 +313,6 @@ def apply_transform(
     if isinstance(out[0], IsobenchError):
         raise out[0]
     return out[0]
-
-
-def transform_cells(rows: int, edges: int, largest: int) -> int:
-    """8-byte cells of the largest arrays apply_transform builds for a batch.
-
-    The batch has `rows` nodes and `edges` edges, its largest graph
-    `largest` nodes. Breadth-first levels keep, per node and per edge
-    end, up to ceil(largest / 64) words of sources.
-    """
-    return (rows + 2 * edges) * -(-largest // 64)
 
 
 def all_method_specs(sign_mode: str = "raw") -> tuple[TransformSpec, ...]:

@@ -261,7 +261,7 @@ def test_07_metric_arithmetic():
         (disjoint_cycles([3, 4]), star(7)),
     ]:
         pairs.append(LabeledPair(a, b, False, "synthetic", False))
-    ds = make_pair_dataset(pairs, verify=True)
+    ds = make_pair_dataset(pairs)
     class_count = len({canonical_key(g) for g in ds.graphs})
 
     base = TransformSpec(kind="base")

@@ -40,6 +40,7 @@ from isobench import (
     verify_pair_labels,
 )
 import isobench.evaluate as evaluate
+import isobench.models as models
 from isobench.cli import _build_parser
 
 from helpers import canonical_key, reference_cluster
@@ -437,8 +438,8 @@ class TestGridSharing:
 
 
 class TestModelBatches:
-    """Model embedders embed a cell's graphs in batches bounded by
-    EMBED_BATCH_CELLS; the bound moves no row and no note."""
+    """Model embedders embed a cell's graphs in runs bounded by
+    graphs.BATCH_CELLS; the bound moves no row and no note."""
 
     SPECS = (base_spec(), TransformSpec(kind="degree"), TransformSpec(kind="virtual_node"))
     BIG = 2100  # nodes: over the default bound for every architecture
@@ -458,17 +459,19 @@ class TestModelBatches:
     @pytest.mark.parametrize("by_origin", [False, True])
     def test_bound_moves_no_row_or_note(self, monkeypatch, by_origin):
         ds = self.dataset()
-        original = evaluate.forward
         batches: list[tuple[int, ...]] = []
 
-        def recording(params, batch):
-            batches.append(tuple(g.n for g in batch.graphs))
-            return original(params, batch)
+        # Each run of a forward pass computes its states once.
+        for arch, states in list(models._STATES.items()):
 
-        monkeypatch.setattr(evaluate, "forward", recording)
+            def recording(params, run, states=states):
+                batches.append(tuple(g.n for g in run.graphs))
+                return states(params, run)
+
+            monkeypatch.setitem(models._STATES, arch, recording)
 
         def grid(cells: int):
-            monkeypatch.setattr(evaluate, "EMBED_BATCH_CELLS", cells)
+            monkeypatch.setattr("isobench.graphs.BATCH_CELLS", cells)
             batches.clear()
             rows = evaluate_grid(
                 ds, self.SPECS, ["gin", "pna", "ds"], model_seed=2, by_origin=by_origin

@@ -1,6 +1,7 @@
 """Graph type, file formats, permutations, and exact isomorphism."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +10,27 @@ from hypothesis import strategies as st
 
 import isobench.wl as wl
 from isobench import (
+    ARCHS,
     ContractError,
     Graph,
+    GraphBatch,
     GraphParseError,
+    IsobenchError,
     Permutation,
     ResourceLimitError,
+    TransformSpec,
     UnsupportedSizeError,
     apply_permutation,
+    apply_transform,
     are_isomorphic,
+    erdos_renyi,
+    forward,
     hard_pair_library,
+    init_model,
+    node_states,
     parse_edge_list,
     parse_graph6,
+    path,
     rook4x4,
     shrikhande,
     write_edge_list,
@@ -27,6 +38,15 @@ from isobench import (
 )
 
 from helpers import brute_force_isomorphic, graphs, permutations_for, random_cubic
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 class TestGraphType:
@@ -133,6 +153,61 @@ class TestWithFeatures:
         with pytest.raises(ContractError) as err:
             g.with_features(features)
         assert str(err.value) == str(expected.value)
+
+
+class TestBatchRuns:
+    """GraphBatch.runs splits a batch at graphs.BATCH_CELLS, and the batch
+    kernels that run by it keep their bytes and bound their memory."""
+
+    def test_runs_are_consecutive_and_bounded(self, monkeypatch):
+        b = GraphBatch([path(3), path(5), Graph(1), path(4)])
+
+        def sizes(bound: int) -> list[list[int]]:
+            monkeypatch.setattr("isobench.graphs.BATCH_CELLS", bound)
+            return [[g.n for g in run.graphs] for run in b.runs(lambda rows, *_: rows)]
+
+        assert sizes(8) == [[3, 5], [1, 4]]
+        assert sizes(2) == [[3], [5], [1], [4]]
+        assert sizes(12) == [[3, 5, 1], [4]]
+        monkeypatch.setattr("isobench.graphs.BATCH_CELLS", 13)
+        assert list(b.runs(lambda rows, *_: rows)) == [b]
+        assert next(b.runs(lambda rows, *_: rows)) is b
+
+    def test_bound_moves_no_byte(self, monkeypatch):
+        # At the default bound both kernels split this list into several
+        # runs, with G(300, 0.02) and path(700) in different runs.
+        small = [erdos_renyi(5 + seed, 0.4, seed) for seed in range(6)]
+        gs = small[:3] + [erdos_renyi(300, 0.02, 1), Graph(1), path(700)] + small[3:]
+        widths = [g.with_features(np.full((g.n, 1 + i % 2), -0.0)) for i, g in enumerate(gs)]
+        specs = [TransformSpec(kind=kind) for kind in ("degree", "closeness", "distance_encoding")]
+        specs.append(TransformSpec(kind="distance_encoding", d_max=2))
+
+        def outputs() -> list[bytes | str]:
+            out: list[bytes | str] = []
+            for s in specs:
+                for t in apply_transform(s, GraphBatch(widths + [Graph(0)])):
+                    out.append(str(t) if isinstance(t, IsobenchError) else t.features.tobytes())
+            for arch in ARCHS:
+                m = init_model(arch, 1, 3)
+                out.append(forward(m, GraphBatch(gs)).tobytes())
+                out.append(node_states(m, GraphBatch(gs)).tobytes())
+            return out
+
+        runs = []
+        for bound in (0, 2**15, 2**62):
+            monkeypatch.setattr("isobench.graphs.BATCH_CELLS", bound)
+            runs.append(outputs())
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_peak_memory_stays_near_one_graph(self):
+        gs = [erdos_renyi(1000, 6 / 1000, seed) for seed in range(8)]
+        for g in gs:
+            g.edge_index  # cached before any measurement
+        closeness = TransformSpec(kind="closeness")
+        pna = init_model("pna", 1, 0)
+        for run in (lambda b: apply_transform(closeness, b), lambda b: forward(pna, b)):
+            one = _peak_mib(lambda: run(GraphBatch(gs[:1])))
+            assert _peak_mib(lambda: run(GraphBatch(gs))) < 1.5 * one
 
 
 class TestGraph6:

@@ -267,6 +267,10 @@ class TestEncodingColumns:
         with pytest.raises(ContractError):
             laplacian_encoding_columns(path(3), 2, "absolute")
 
+    def test_rejects_negative_k(self):
+        with pytest.raises(ContractError, match="k must be >= 0, got -1"):
+            laplacian_encoding_columns(path(3), -1, "raw")
+
     def test_columns_are_unit_eigenvectors(self):
         g = path(6)
         lap = normalized_laplacian(g)

@@ -19,6 +19,7 @@ from isobench import (
     are_isomorphic,
     cycle,
     disjoint_cycles,
+    distance_encoding,
     erdos_renyi,
     parse_transform_token,
     path,
@@ -184,6 +185,10 @@ class TestFeatureTransforms:
         g = apply_transform(spec("distance_encoding", d_max=2), path(5))
         # Node 0 sees distances 1..4: one each at 1 and 2, two beyond.
         assert g.features[0, 1:].tolist() == [1.0, 1.0, 2.0]
+
+    def test_distance_encoding_rejects_negative_d_max(self):
+        with pytest.raises(ContractError, match="d_max must be >= 0, got -1"):
+            distance_encoding(path(5), -1)
 
     def test_subgraph_extraction_cycle6(self):
         g = apply_transform(spec("subgraph_extraction"), cycle(6))
