@@ -35,9 +35,10 @@ pure: a graph that several cells share is embedded for the first of
 them only. A cell's seconds cover only the work that cell triggered
 first, so a grid's rows still sum to its wall time.
 
-Transforms and model embeddings run as one batch call per cell, with
-the bytes and errors of a call per graph; wl and custom embedders get
-one call per graph.
+Each pass of a cell is one batch call over the distinct graphs its memo
+lacks, with GraphBatch.each's per-graph results: the result or the
+IsobenchError that the graph alone raises. A model embedder checks each
+graph alone, then embeds those that pass in one forward call.
 """
 
 from __future__ import annotations
@@ -245,24 +246,26 @@ class _Memo:
     `transformed` maps id(input graph) to its transform under one spec;
     `embedded` maps (id(transformed graph), model input width or 0) to
     its embedding under one embedder. A value is the result or the
-    IsobenchError the call raised; a model cell stores None for a graph
-    until its batch runs. A cell adds every distinct graph of its pairs
-    that a map lacks, failed partners included: a failed left graph no
-    longer saves its partner's work. Keys are object ids, which stay
-    valid because the dataset and `transformed` keep every keyed graph
-    alive.
+    IsobenchError the call raised. A cell adds every distinct graph of
+    its pairs that a map lacks, failed partners included: a failed left
+    graph no longer saves its partner's work. Keys are object ids, which
+    stay valid because the dataset and `transformed` keep every keyed
+    graph alive.
     """
 
     transformed: dict[int, object] = field(default_factory=dict)
     embedded: dict[tuple[int, int], object] = field(default_factory=dict)
 
 
-def _attempt(fn: Callable, *args):
-    """fn(*args), or the IsobenchError it raised."""
-    try:
-        return fn(*args)
-    except IsobenchError as exc:
-        return exc
+def _fill(cache: dict, keyed: Iterable[tuple], run: Callable[[GraphBatch], list]) -> None:
+    """Give cache an entry for each key of the (key, graph) items that it
+    lacks, from one run(GraphBatch) call over those graphs in first-seen order."""
+    fresh: dict = {}
+    for key, g in keyed:
+        if key not in cache:
+            fresh.setdefault(key, g)
+    if fresh:
+        cache.update(zip(fresh, run(GraphBatch(list(fresh.values()))), strict=True))
 
 
 def _sift(rows: Iterable[tuple], notes: list[str]) -> list[tuple]:
@@ -313,18 +316,14 @@ def evaluate_pairs(
     pairs = ds.pairs if origin is None else tuple(p for p in ds.pairs if p.origin == origin)
 
     transformed = memo.transformed
-    fresh: list[Graph] = []
-    for pair in pairs:
-        for g in (pair.left, pair.right):
-            if id(g) not in transformed:
-                transformed[id(g)] = None
-                fresh.append(g)
-    if fresh:
-        # Positional, through this module's global: benchmarks/tracing.py
-        # patches evaluate.apply_transform and keys the batch by its n,
-        # edges and features.
-        for g, t in zip(fresh, apply_transform(spec, GraphBatch(fresh))):
-            transformed[id(g)] = t
+    # Positional, through this module's global: benchmarks/tracing.py
+    # patches evaluate.apply_transform and keys the batch by its n,
+    # edges and features.
+    _fill(
+        transformed,
+        ((id(g), g) for p in pairs for g in (p.left, p.right)),
+        lambda b: apply_transform(spec, b),
+    )
     notes: list[str] = []
     survivors = _sift(
         ((i, p, transformed[id(p.left)], transformed[id(p.right)]) for i, p in enumerate(pairs)),
@@ -335,29 +334,27 @@ def evaluate_pairs(
     params = init_model(embedder, embed_dim, model_seed) if embedder in ARCHS else None
     # A model's weights depend on its input width; other embedders do not.
     width = 0 if params is None else embed_dim
-    embedded = memo.embedded
     if params is not None:
-        # check_graph returns None, which holds a graph's place in the memo
-        # until its batch runs.
-        embed = lambda g: check_graph(params, g)
+
+        def embed(b: GraphBatch) -> list:
+            out = b.each(lambda g: check_graph(params, g))
+            fit = [g for g, e in zip(b.graphs, out) if not isinstance(e, IsobenchError)]
+            if fit:
+                # Positional, through this module's global: benchmarks/tracing.py
+                # patches evaluate.forward and counts the batch's n node rows.
+                rows = iter(forward(params, GraphBatch(fit)))
+                out = [e if isinstance(e, IsobenchError) else next(rows) for e in out]
+            return out
+
     elif callable(embedder):
-        embed = embedder
+        embed = lambda b: b.each(embedder)
     else:
         signature = WL_SIGNATURES[embedder]
-        embed = lambda g: bytes.fromhex(signature(g, quant_eps, kwl_budget).digest)
-    pending: list[Graph] = []
-    for _, _, left, right in survivors:
-        for g in (left, right):
-            key = (id(g), width)
-            if key not in embedded:
-                embedded[key] = _attempt(embed, g)
-                if params is not None and embedded[key] is None:
-                    pending.append(g)
-    if pending:
-        # Positional, through this module's global: benchmarks/tracing.py
-        # patches evaluate.forward and counts the batch's n node rows.
-        for g, row in zip(pending, forward(params, GraphBatch(pending))):
-            embedded[(id(g), width)] = row
+        embed = lambda b: b.each(
+            lambda g: bytes.fromhex(signature(g, quant_eps, kwl_budget).digest)
+        )
+    embedded = memo.embedded
+    _fill(embedded, (((id(g), width), g) for row in survivors for g in row[2:]), embed)
     included = _sift(
         ((i, p, embedded[id(a), width], embedded[id(b), width]) for i, p, a, b in survivors),
         notes,

@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ContractError, GraphParseError, UnsupportedSizeError
+from .errors import ContractError, GraphParseError, IsobenchError, UnsupportedSizeError
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_NODES = 65535
@@ -288,6 +288,17 @@ class GraphBatch:
             slots.append((count, nbr[start : start + count]))
             start += count
         return deg, order, slots, nbr[start:]
+
+    def each(self, fn: Callable[[Graph], object]) -> list:
+        """fn(g) for each graph alone, in order, or the IsobenchError it raised;
+        any other exception propagates. Every batch call keeps this contract."""
+        out = []
+        for g in self.graphs:
+            try:
+                out.append(fn(g))
+            except IsobenchError as exc:
+                out.append(exc)
+        return out
 
     def runs(self, cells: Callable[[int, int, int, int], int]) -> Iterator[GraphBatch]:
         """Consecutive runs of the graphs, each within BATCH_CELLS.

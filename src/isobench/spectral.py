@@ -23,11 +23,13 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, ResourceLimitError
 from .graphs import Graph
 
 JACOBI_TOL = 1e-10
 JACOBI_MAX_SWEEPS = 100
+# Largest order jacobi_eigh accepts: a sweep is ~n**2 / 2 rotations.
+JACOBI_MAX_NODES = 256
 
 # Column sign conventions of laplacian_encoding_columns.
 SIGN_MODES = ("raw", "first_nonzero_positive")
@@ -73,7 +75,8 @@ def jacobi_eigh(
     Sweeps rotate every upper-triangle cell in a fixed row-major order
     until the largest off-diagonal magnitude is at most tol. Returns
     (values, vectors) sorted by ascending eigenvalue with a stable sort,
-    vectors in columns.
+    vectors in columns. A matrix above JACOBI_MAX_NODES rows is refused
+    up front with a ResourceLimitError.
 
     Entries must be finite. Input within atol 1e-12 of symmetric is
     accepted, and its lower triangle is replaced by the upper one. The
@@ -88,6 +91,11 @@ def jacobi_eigh(
     n = a.shape[0]
     if a.shape != (n, n):
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
+    if n > JACOBI_MAX_NODES:
+        raise ResourceLimitError(
+            f"Jacobi eigensolver is capped at JACOBI_MAX_NODES = {JACOBI_MAX_NODES} rows, "
+            f"got {n}"
+        )
     # np.allclose below counts inf as close to inf; rotations would then
     # turn it into NaN after max_sweeps full sweeps.
     if not np.all(np.isfinite(a)):

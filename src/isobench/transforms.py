@@ -23,8 +23,9 @@ several graphs, and runs a Graph as a batch of one. degree, closeness
 and distance_encoding compute their columns over the union at once
 (closeness and distance_encoding from centrality.ball_growth's
 breadth-first levels); the graphs of one feature width then share one
-read-only feature block. The other kinds transform one graph after
-another. Either way each graph gets the bytes of its transform alone.
+read-only feature block. The other kinds run each graph alone through
+GraphBatch.each. Either way each graph gets the bytes of its transform
+alone.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class TransformSpec:
             raise ContractError(f"power_tol must be finite and positive, got {self.power_tol}")
         if self.power_max_iter < 1:
             raise ContractError(f"power_max_iter must be >= 1, got {self.power_max_iter}")
-
-    @property
-    def label(self) -> str:
-        return TRANSFORMS[self.kind][0]
 
 
 _TOKEN_KEYS = {
@@ -164,17 +161,11 @@ _CENTRALITY_REFUSAL = "centrality augmentation needs at least one node"
 _DISTANCE_REFUSAL = "distance encoding needs at least one node"
 
 
-def _centrality(
-    measure: Callable[[Graph, TransformSpec], np.ndarray],
-) -> Callable[[Graph, TransformSpec], Graph]:
-    """The transform that appends the column measure(g, spec)."""
-
-    def augment(g: Graph, spec: TransformSpec) -> Graph:
-        if g.n < 1:
-            raise ContractError(_CENTRALITY_REFUSAL)
-        return _append_columns(g, measure(g, spec))
-
-    return augment
+def _centrality(g: Graph, measure: Callable[..., np.ndarray], *args) -> Graph:
+    """g with the column measure(g, *args) appended; an empty graph is refused."""
+    if g.n < 1:
+        raise ContractError(_CENTRALITY_REFUSAL)
+    return _append_columns(g, measure(g, *args))
 
 
 def distance_encoding(x: Graph | GraphBatch, d_max: int = 8) -> np.ndarray:
@@ -224,23 +215,6 @@ def subgraph_extraction(g: Graph, spec: TransformSpec) -> Graph:
     return _append_columns(g, np.array(rows, dtype=np.float64))
 
 
-def _each(
-    transform: Callable[[Graph, TransformSpec], Graph],
-) -> Callable[[GraphBatch, TransformSpec], list]:
-    """The batch transform that runs transform(g, spec) on each graph alone."""
-
-    def run(b: GraphBatch, spec: TransformSpec) -> list:
-        out = []
-        for g in b.graphs:
-            try:
-                out.append(transform(g, spec))
-            except IsobenchError as exc:
-                out.append(exc)
-        return out
-
-    return run
-
-
 def _columns(
     measure: Callable[[GraphBatch, TransformSpec], np.ndarray], refusal: str
 ) -> Callable[[GraphBatch, TransformSpec], list]:
@@ -255,15 +229,15 @@ def _columns(
 
 
 # kind -> (report label, batch transform); the order is the reporting
-# order. A batch transform maps a GraphBatch to one result per graph:
-# the transformed graph, or the IsobenchError that transforming the
-# graph alone raises. The lambdas look the centrality functions up in
-# this module's globals at call time, as graph_encoding does
-# laplacian_encoding_columns, so a wrapper patched onto this module
-# sees every call.
+# order. A batch transform maps a GraphBatch to one result per graph,
+# as GraphBatch.each does: the transformed graph, or the IsobenchError
+# that transforming the graph alone raises. The lambdas look the
+# transform and centrality functions up in this module's globals at
+# call time, as graph_encoding does laplacian_encoding_columns, so a
+# wrapper patched onto this module sees every call.
 TRANSFORMS: dict[str, tuple[str, Callable[[GraphBatch, TransformSpec], list]]] = {
     "base": ("Base", lambda b, spec: list(b.graphs)),
-    "virtual_node": ("Virtual Node", _each(lambda g, spec: virtual_node(g))),
+    "virtual_node": ("Virtual Node", lambda b, spec: b.each(virtual_node)),
     "degree": ("Degree", _columns(lambda b, spec: degree_centrality(b), _CENTRALITY_REFUSAL)),
     "closeness": (
         "Closeness",
@@ -271,15 +245,13 @@ TRANSFORMS: dict[str, tuple[str, Callable[[GraphBatch, TransformSpec], list]]] =
     ),
     "betweenness": (
         "Betweenness",
-        _each(_centrality(lambda g, spec: betweenness_centrality(g))),
+        lambda b, spec: b.each(lambda g: _centrality(g, betweenness_centrality)),
     ),
     "eigenvector": (
         "Eigenvector",
-        _each(
-            _centrality(
-                lambda g, spec: eigenvector_centrality(
-                    g, tol=spec.power_tol, max_iter=spec.power_max_iter
-                )
+        lambda b, spec: b.each(
+            lambda g: _centrality(
+                g, eigenvector_centrality, spec.power_tol, spec.power_max_iter
             )
         ),
     ),
@@ -287,9 +259,15 @@ TRANSFORMS: dict[str, tuple[str, Callable[[GraphBatch, TransformSpec], list]]] =
         "Distance Encoding",
         _columns(lambda b, spec: distance_encoding(b, spec.d_max), _DISTANCE_REFUSAL),
     ),
-    "graph_encoding": ("Graph Encoding", _each(graph_encoding)),
-    "subgraph_extraction": ("Subgraph Extraction", _each(subgraph_extraction)),
-    "extra_node": ("Extra Node", _each(lambda g, spec: extra_node(g))),
+    "graph_encoding": (
+        "Graph Encoding",
+        lambda b, spec: b.each(lambda g: graph_encoding(g, spec)),
+    ),
+    "subgraph_extraction": (
+        "Subgraph Extraction",
+        lambda b, spec: b.each(lambda g: subgraph_extraction(g, spec)),
+    ),
+    "extra_node": ("Extra Node", lambda b, spec: b.each(extra_node)),
 }
 
 KINDS = tuple(TRANSFORMS)
@@ -305,7 +283,7 @@ def apply_transform(
     graph alone raises. A Graph runs as a batch of one and gives the
     transformed graph or raises. degree, closeness and distance_encoding
     compute their columns over the batch's disjoint union at once; the
-    other kinds transform one graph after another.
+    other kinds run each graph alone through GraphBatch.each.
     """
     out = TRANSFORMS[spec.kind][1](as_batch(x), spec)
     if isinstance(x, GraphBatch):

@@ -127,9 +127,10 @@ def _ranked(digests: list[ColorKey], inverse: np.ndarray) -> tuple[np.ndarray, n
     inverse maps each pair to its entry of digests. Ranks order exactly as
     the digest bytes do, so sorting by rank is sorting by digest.
     """
-    stacked = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 16)
-    table, rank = np.unique(stacked, axis=0, return_inverse=True)
-    return table, rank.reshape(-1)[inverse]
+    # Void items sort by their bytes, axis=0's order for uint8 rows, far cheaper.
+    keys = np.frombuffer(b"".join(digests), dtype=np.dtype((np.void, 16)))
+    table, rank = np.unique(keys, return_inverse=True)
+    return table.view(np.uint8).reshape(-1, 16), rank[inverse]
 
 
 def _fwl2(g: Graph, eps: float) -> tuple[list[ColorKey], int]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import isobench
-from isobench import Graph, load_dataset, write_graph6
+from isobench import Graph, load_dataset, path, write_graph6
 from isobench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -176,6 +176,20 @@ class TestTransform:
         )
         assert not dst.exists()
         assert not list(tmp_path.glob(".isobench-*"))
+
+    def test_graph_encoding_over_the_jacobi_cap_is_data_error(self, capsys, tmp_path):
+        src = tmp_path / "long.g6"
+        src.write_text(write_graph6(path(257)) + "\n")
+        dst = tmp_path / "out.el"
+        code, out, err = run(
+            capsys, "transform", "--input", str(src),
+            "--transform", "graph_encoding", "--out", str(dst),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith(f"isobench: data error: {src}: graph 0: ")
+        assert "capped at JACOBI_MAX_NODES = 256 rows, got 257" in err
+        assert out == ""
+        assert not dst.exists()
 
 
 class TestOversizedHeader:

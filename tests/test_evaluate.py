@@ -417,6 +417,41 @@ class TestGridSharing:
         assert "picky embedder refuses n=3" in notes
         assert "model expects" in notes
 
+    @pytest.mark.parametrize("by_origin", [False, True])
+    @pytest.mark.parametrize("arch", models.ARCHS)
+    def test_model_cell_makes_one_forward_call(self, monkeypatch, arch, by_origin):
+        """Graphs the model refuses come first, in the middle and last of
+        each cell's batch; each cell still makes one forward call, over
+        the graphs that pass, and a cell with none makes no call."""
+        batches: list[list[Graph]] = []
+        original = evaluate.forward
+
+        def recording(params, b):
+            batches.append(list(b.graphs))
+            return original(params, b)
+
+        monkeypatch.setattr(evaluate, "forward", recording)
+        fit = [path(3), path(4), cycle(5)]
+        ds = PairDataset(
+            (
+                LabeledPair(Graph(0), fit[0], False),
+                LabeledPair(path(4).with_features(np.ones((4, 2))), fit[1], False),
+                LabeledPair(fit[2], path(5).with_features(np.ones((5, 2))), False),
+            )
+        )
+        rows = evaluate_grid(ds, self.SPECS, [arch], by_origin=by_origin)
+        # base refuses the first, third and last graph. Closeness refuses
+        # Graph(0) before embedding, and its first survivor sets width 3,
+        # so the model refuses the middle two. virtual_node: third and last.
+        assert [[g.n for g in b] for b in batches] == [[3, 4, 5], [4, 5], [1, 4, 5, 6]]
+        assert [id(g) for g in batches[0]] == [id(g) for g in fit]
+        assert [r.excluded for r in rows] == [3, 3, 2]
+
+        batches.clear()
+        empty = PairDataset((LabeledPair(Graph(0), Graph(0), True),))
+        row = evaluate_pairs(empty, base_spec(), arch)
+        assert batches == [] and row.excluded == 1
+
     def test_left_error_is_noted_before_right(self):
         def refuse(g):
             raise ResourceLimitError(f"refuses n={g.n}")

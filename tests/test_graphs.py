@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isobench.wl as wl
+import isobench.errors as errors
 from isobench import (
     ARCHS,
     ContractError,
@@ -208,6 +209,48 @@ class TestBatchRuns:
         for run in (lambda b: apply_transform(closeness, b), lambda b: forward(pna, b)):
             one = _peak_mib(lambda: run(GraphBatch(gs[:1])))
             assert _peak_mib(lambda: run(GraphBatch(gs))) < 1.5 * one
+
+
+ERRORS = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, IsobenchError)
+]
+
+
+class TestBatchEach:
+    """GraphBatch.each runs a function on each graph alone: one result per
+    graph in order, an IsobenchError in its graph's slot, and any other
+    exception raised."""
+
+    def test_results_come_in_graph_order(self):
+        gs = [path(3), Graph(0), path(5), Graph(1), path(2)]
+        assert GraphBatch(gs).each(lambda g: g.n) == [3, 0, 5, 1, 2]
+
+    @pytest.mark.parametrize("error", ERRORS, ids=lambda c: c.__name__)
+    def test_isobench_errors_stay_in_their_slot(self, error):
+        def refuse_four(g):
+            if g.n == 4:
+                raise error(f"refuses n={g.n}")
+            return g.n
+
+        out = GraphBatch([path(4), path(3), path(4), path(5), path(4)]).each(refuse_four)
+        assert [type(e) if isinstance(e, IsobenchError) else e for e in out] == [
+            error, 3, error, 5, error
+        ]
+        assert [str(out[i]) for i in (0, 2, 4)] == ["refuses n=4"] * 3
+        assert len({id(out[i]) for i in (0, 2, 4)}) == 3
+
+    def test_other_exceptions_propagate(self):
+        seen = []
+
+        def broken(g):
+            seen.append(g.n)
+            if g.n == 4:
+                raise ValueError("not an isobench error")
+            return g.n
+
+        with pytest.raises(ValueError, match="not an isobench error"):
+            GraphBatch([path(3), path(4), path(5)]).each(broken)
+        assert seen == [3, 4]
 
 
 class TestGraph6:

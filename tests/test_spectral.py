@@ -12,6 +12,7 @@ from isobench import (
     Graph,
     NumericError,
     Permutation,
+    ResourceLimitError,
     apply_permutation,
     complete,
     cycle,
@@ -100,6 +101,12 @@ class TestJacobiEigh:
             warnings.simplefilter("error")
             with pytest.raises(ContractError, match="must be finite"):
                 jacobi_eigh(a)
+
+    def test_refuses_order_above_cap_up_front(self):
+        vals, _ = jacobi_eigh(np.eye(256))
+        assert vals.tolist() == [1.0] * 256
+        with pytest.raises(ResourceLimitError, match="capped at .* 256 rows, got 257"):
+            jacobi_eigh(np.eye(257))
 
     def test_empty_matrix(self):
         vals, vecs = jacobi_eigh(np.zeros((0, 0)))
