@@ -155,21 +155,30 @@ def _atomic_output(path: str):
         raise
 
 
+def _squares(rows: int, edges: int, graphs: int, largest: int) -> int:
+    """GraphBatch.runs cells: rows * largest bounds the cells of one n x n
+    matrix per graph of a run, the largest array a transform builds."""
+    return rows * largest
+
+
 def _cmd_transform(args) -> int:
     spec = parse_transform_token(args.transform)
     graphs = _load_graphs(args.input, args.format)
-    results = apply_transform(spec, GraphBatch(graphs))
+    index = 0
     with _atomic_output(args.out) as fh:
-        for index, (g, t) in enumerate(zip(graphs, results)):
-            if isinstance(t, IsobenchError):
-                # A graph the transform refuses is bad input, not a bad option.
-                raise IsobenchError(f"{args.input}: graph {index}: {t}") from t
-            fh.write(write_edge_list(t))
-            fh.write("\n")
-            print(
-                f"graph {index}: nodes {g.n} -> {t.n} ({t.n - g.n:+d}), "
-                f"edges {g.edge_count} -> {t.edge_count} ({t.edge_count - g.edge_count:+d})"
-            )
+        # Run by run, so a refused graph stops the command before later runs.
+        for run in GraphBatch(graphs).runs(_squares):
+            for g, t in zip(run.graphs, apply_transform(spec, run)):
+                if isinstance(t, IsobenchError):
+                    # A graph the transform refuses is bad input, not a bad option.
+                    raise IsobenchError(f"{args.input}: graph {index}: {t}") from t
+                fh.write(write_edge_list(t))
+                fh.write("\n")
+                print(
+                    f"graph {index}: nodes {g.n} -> {t.n} ({t.n - g.n:+d}), "
+                    f"edges {g.edge_count} -> {t.edge_count} ({t.edge_count - g.edge_count:+d})"
+                )
+                index += 1
     return EXIT_OK
 
 

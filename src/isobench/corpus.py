@@ -19,7 +19,14 @@ import numpy as np
 
 from .errors import ContractError, CorpusIntegrityError, GraphParseError
 from .evaluate import LabeledPair, PairDataset, make_pair_dataset
-from .graphs import Graph, Permutation, apply_permutation, parse_edge_list, parse_graph6
+from .graphs import (
+    Graph,
+    Permutation,
+    apply_permutation,
+    decode_graph6,
+    parse_edge_list,
+    parse_graph6,  # unused here; benchmarks/tracing.py patches corpus.parse_graph6
+)
 from .wl import are_isomorphic, wl1_signature, wlk_signature
 
 # Fixed edge list of the 16-node, 6-regular strongly regular graph with
@@ -190,10 +197,12 @@ class PairingWarning(UserWarning):
 def load_dataset(path: str, fmt: str = "auto") -> list[Graph]:
     """Read an ordered list of graphs from a file.
 
-    graph6 files hold one graph per line; edge-list files hold blocks
-    separated by blank lines. Consecutive graphs (0, 1), (2, 3), ... are
-    meant to form pairs, and an odd count triggers PairingWarning. A
-    file that holds no graph raises GraphParseError.
+    graph6 files hold one graph per line, blank lines aside, and decode
+    in one pass (graphs.decode_graph6); the first bad line's error names
+    the file and line. Edge-list files hold blocks separated by blank
+    lines. Consecutive graphs (0, 1), (2, 3), ... are meant to form
+    pairs, and an odd count triggers PairingWarning. A file that holds
+    no graph raises GraphParseError.
     """
     if fmt == "auto":
         lowered = path.lower()
@@ -211,13 +220,11 @@ def load_dataset(path: str, fmt: str = "auto") -> list[Graph]:
         text = fh.read()
     graphs: list[Graph] = []
     if fmt == "graph6":
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                graphs.append(parse_graph6(line))
-            except GraphParseError as exc:
-                raise GraphParseError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+        numbered = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        try:
+            graphs = decode_graph6([line for _, line in numbered], [no for no, _ in numbered])
+        except GraphParseError as exc:
+            raise GraphParseError(f"{path}:{exc.line}: {exc}", line=exc.line) from exc
     else:
         block: list[str] = []
         block_start = 1

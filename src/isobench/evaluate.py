@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, IsobenchError
-from .graphs import Graph, GraphBatch, Permutation, apply_permutation
+from .graphs import Graph, GraphBatch, Permutation
 from .models import ARCHS, check_graph, forward, init_model
 from .quant import check_quant_eps
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
@@ -133,8 +133,9 @@ def augment_with_iso_pairs(
     """Pair `count` sampled graphs with relabeled copies of themselves.
 
     Sampling is without replacement from a generator seeded with `seed`,
-    so the same call always yields the same pairs. Ground truth is true
-    by construction.
+    so the same call always yields the same pairs: the sample, then one
+    permutation per sampled graph, in order. The sampled graphs are
+    relabeled as one GraphBatch. Ground truth is true by construction.
     """
     if count < 0:
         raise ContractError(f"count must be >= 0, got {count}")
@@ -146,12 +147,10 @@ def augment_with_iso_pairs(
         if g.n < 1:
             raise ContractError(f"graph {i} is empty; augmentation needs nonempty graphs")
     rng = np.random.Generator(np.random.PCG64(seed))
-    chosen = rng.choice(len(graphs), size=count, replace=False)
-    pairs = []
-    for idx in chosen:
-        g = graphs[int(idx)]
-        p = Permutation.random(g.n, rng)
-        pairs.append(LabeledPair(g, apply_permutation(g, p), True, "augmented", True))
+    chosen = [graphs[int(i)] for i in rng.choice(len(graphs), size=count, replace=False)]
+    perms = [Permutation.random(g.n, rng) for g in chosen]
+    relabeled = GraphBatch(chosen).relabeled(perms) if chosen else []
+    pairs = [LabeledPair(g, h, True, "augmented", True) for g, h in zip(chosen, relabeled)]
     return PairDataset(tuple(pairs), seed)
 
 

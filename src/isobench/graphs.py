@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,6 +81,30 @@ class Graph:
             feats = np.ones((self.n, 1), dtype=np.float64)
         object.__setattr__(self, "features", _checked_features(self.n, feats))
 
+    @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        features: np.ndarray,
+        caches: dict | None = None,
+    ) -> Graph:
+        """A Graph built without the constructor's checks.
+
+        edges must be canonical by construction and features a read-only
+        float64 (n, d >= 1) matrix of finite values, as _checked_features
+        gives. caches holds structure properties already computed for this n and
+        these edges: another graph's __dict__, or an edge_index built
+        alongside edges. Its entries that name one are kept; they depend
+        only on n and edges, and their arrays are read-only.
+        """
+        out = object.__new__(cls)
+        fields = out.__dict__
+        fields.update(n=n, edges=edges, features=features)
+        if caches:
+            fields.update((name, caches[name]) for name in _STRUCTURE_CACHES if name in caches)
+        return out
+
     def with_features(self, features) -> "Graph":
         """This graph's nodes and edges with a new feature matrix.
 
@@ -88,20 +112,9 @@ class Graph:
         and is stored as a read-only copy. The edges are taken as they
         are, since they are already canonical, and the cached structure
         properties this graph has computed (neighbors, degrees, edge_set,
-        edge_index, adjacency_matrix) are shared with the result: they
-        depend only on n and edges, and their arrays are read-only.
+        edge_index, adjacency_matrix) are shared with the result.
         """
-        return self._sharing_structure(_checked_features(self.n, features))
-
-    def _sharing_structure(self, features: np.ndarray) -> "Graph":
-        """with_features for a read-only matrix that has passed its checks."""
-        out = object.__new__(type(self))
-        state, fields = self.__dict__, out.__dict__
-        fields.update(n=self.n, edges=self.edges, features=features)
-        for name in _STRUCTURE_CACHES:
-            if name in state:
-                fields[name] = state[name]
-        return out
+        return self._trusted(self.n, self.edges, _checked_features(self.n, features), self.__dict__)
 
     @property
     def d(self) -> int:
@@ -317,6 +330,23 @@ class GraphBatch:
             rows, edges, _, largest = grown
         yield self if start == 0 else GraphBatch(self.graphs[start:])
 
+    def _width_groups(self) -> Iterator[tuple[list[int], np.ndarray]]:
+        """(members, rows) per feature width, ascending: the graphs of that
+        width and their union nodes, in order."""
+        widths = np.array([g.d for g in self.graphs])
+        for d in sorted(set(widths.tolist())):
+            yield np.flatnonzero(widths == d).tolist(), np.flatnonzero((widths == d)[self.node_graph])
+
+    def _split(self, members: list[int], block: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """(i, graph i's row slice of block) for each member, read-only;
+        block holds the members' rows in order."""
+        block.setflags(write=False)
+        start = 0
+        for i in members:
+            stop = start + self.graphs[i].n
+            yield i, block[start:stop]
+            start = stop
+
     def with_columns(self, cols: np.ndarray) -> list[Graph]:
         """Each graph with its nodes' rows of cols appended to its features.
 
@@ -325,22 +355,58 @@ class GraphBatch:
         once, and each graph's features are its row slice of that block.
         """
         cols = cols[:, None] if cols.ndim == 1 else cols
-        widths = np.array([g.d for g in self.graphs])
         out = [None] * len(self.graphs)
-        for d in sorted(set(widths.tolist())):
-            members = np.flatnonzero(widths == d).tolist()
-            rows = np.flatnonzero((widths == d)[self.node_graph])
+        for members, rows in self._width_groups():
+            d = self.graphs[members[0]].d
             block = np.empty((rows.size, d + cols.shape[1]), dtype=np.float64)
             np.concatenate([self.graphs[i].features for i in members], out=block[:, :d])
             block[:, d:] = cols[rows]
             if not np.all(np.isfinite(block)):
                 raise ContractError("features must be finite")
-            block.setflags(write=False)
-            start = 0
-            for i in members:
+            for i, feats in self._split(members, block):
                 g = self.graphs[i]
-                out[i] = g._sharing_structure(block[start : start + g.n])
-                start += g.n
+                out[i] = Graph._trusted(g.n, g.edges, feats, g.__dict__)
+        return out
+
+    def relabeled(self, perms: Sequence[Permutation]) -> list[Graph]:
+        """Each graph relabeled by its permutation p: node v becomes p(v),
+        and its feature row moves with it.
+
+        The union image of every node maps the union edges at once. Each
+        row's two ends are sorted and the rows lexsorted; a graph's nodes
+        form one union range, so its rows stay together in graph order and
+        come out canonical. The features of each width move as one block.
+        """
+        if len(perms) != len(self.graphs):
+            raise ContractError(f"{len(perms)} permutations for {len(self.graphs)} graphs")
+        for g, p in zip(self.graphs, perms):
+            if len(p) != g.n:
+                raise ContractError(f"permutation length {len(p)} does not match n={g.n}")
+        shift = self.offsets[self.node_graph]
+        image = np.fromiter(chain.from_iterable(p.mapping for p in perms), np.intp, self.n)
+        image += shift
+        ends = np.sort(image[self.edges], axis=1)
+        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        ends -= shift[ends[:, 0]][:, None]
+        ends.setflags(write=False)
+        pairs = list(zip(*ends.T.tolist()))
+        features = [None] * len(self.graphs)
+        for members, rows in self._width_groups():
+            block = np.concatenate([self.graphs[i].features for i in members])
+            at = np.empty(self.n, dtype=np.intp)
+            at[rows] = np.arange(rows.size)
+            moved = np.empty_like(block)
+            moved[at[image[rows]]] = block
+            for i, feats in self._split(members, moved):
+                features[i] = feats
+        out = []
+        start = 0
+        for g, feats in zip(self.graphs, features):
+            stop = start + len(g.edges)
+            out.append(
+                Graph._trusted(g.n, tuple(pairs[start:stop]), feats, {"edge_index": ends[start:stop]})
+            )
+            start = stop
         return out
 
 
@@ -359,7 +425,7 @@ class Permutation:
         n = len(self.mapping)
         if sorted(self.mapping) != list(range(n)):
             raise ContractError("mapping is not a bijection of 0..n-1")
-        object.__setattr__(self, "mapping", tuple(int(x) for x in self.mapping))
+        object.__setattr__(self, "mapping", tuple(map(int, self.mapping)))
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -379,18 +445,12 @@ class Permutation:
 
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "Permutation":
-        return Permutation(tuple(int(x) for x in rng.permutation(n)))
+        return Permutation(tuple(rng.permutation(n).tolist()))
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
     """Relabel nodes of g by p: node v becomes p(v), features move with it."""
-    if len(p) != g.n:
-        raise ContractError(f"permutation length {len(p)} does not match n={g.n}")
-    mapping = np.asarray(p.mapping, dtype=np.int64)
-    edges = tuple((p(u), p(v)) for u, v in g.edges)
-    feats = np.empty_like(g.features)
-    feats[mapping] = g.features
-    return Graph(g.n, edges, feats)
+    return GraphBatch((g,)).relabeled((p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -406,51 +466,112 @@ def _strip_graph6_header(text: str) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string. Features default to the all-ones column."""
-    payload = _strip_graph6_header(text)
-    if not payload:
-        raise GraphParseError("empty graph6 payload", offset=0)
-    for i, ch in enumerate(payload):
-        if not (63 <= ord(ch) <= 126):
-            raise GraphParseError(f"byte {ord(ch)} outside graph6 range 63..126", offset=i)
-    data = payload.encode("ascii")
-    if data[0] == 126:  # '~' long form
-        if len(data) >= 2 and data[1] == 126:
-            raise GraphParseError("8-byte node counts exceed the supported 65535", offset=0)
-        if len(data) < 4:
-            raise GraphParseError("truncated long-form node count", offset=len(data))
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body_start = 4
-    else:
-        n = data[0] - 63
-        body_start = 1
-    if n > GRAPH6_MAX_NODES:
-        raise GraphParseError(f"node count {n} exceeds the supported 65535", offset=0)
-    bits_needed = n * (n - 1) // 2
-    bytes_needed = (bits_needed + 5) // 6
-    body = data[body_start:]
-    if len(body) < bytes_needed:
+    return decode_graph6([text])[0]
+
+
+def decode_graph6(texts: Sequence[str], lines: Sequence[int] | None = None) -> list[Graph]:
+    """Decode each text as one graph6 graph, in one pass over all of them.
+
+    Each text is stripped and loses a leading ">>graph6<<" as in
+    parse_graph6. The byte range is checked over all texts at once, then
+    the length prefixes and body sizes of every text. The first bad text
+    raises the GraphParseError that parse_graph6 raises for it alone,
+    with line set to lines[i] when lines is given. The texts of one node
+    count n decode together: np.unpackbits gives their bits, which fill
+    the upper triangles of one boolean (graphs, n, n) block column by
+    column, one byte per node pair, and np.nonzero reads each graph's
+    edges from it already sorted.
+    """
+    payloads = [_strip_graph6_header(t) for t in texts]
+    m = len(payloads)
+    joined = "".join(payloads)
+    # One code point per character; four trailing zeros let every
+    # payload's prefix be read in place.
+    codes = np.frombuffer((joined + "\0\0\0\0").encode("utf-32-le"), dtype=np.uint32)
+    size = np.fromiter(map(len, payloads), np.int64, m)
+    start = np.cumsum(size) - size
+
+    bad = np.flatnonzero((codes[: len(joined)] < 63) | (codes[: len(joined)] > 126))
+    owner = np.searchsorted(start, bad, side="right") - 1
+    first_bad = size.copy()
+    np.minimum.at(first_bad, owner, bad - start[owner])
+
+    def at(k: int) -> np.ndarray:
+        """Byte k of each payload as an int, or -1 past its end."""
+        return np.where(size > k, codes[start + k].astype(np.int64), -1)
+
+    c0, c1, c2, c3 = at(0), at(1), at(2), at(3)
+    long = c0 == 126
+    error = np.zeros(m, dtype=np.int8)
+
+    def flag(code: int, mask: np.ndarray) -> None:
+        error[(error == 0) & mask] = code
+
+    flag(1, size == 0)
+    flag(2, first_bad < size)
+    flag(3, long & (c1 == 126))
+    flag(4, long & (size < 4))
+    n = big = np.where(long, ((c1 - 63) << 12) | ((c2 - 63) << 6) | (c3 - 63), c0 - 63)
+    flag(5, n > GRAPH6_MAX_NODES)
+    # A payload that has failed a check counts as the null graph from here on.
+    n = np.where(error == 0, n, 0)
+    body = np.where(long, 4, 1)
+    bits = n * (n - 1) // 2
+    need = (bits + 5) // 6
+    found = size - body
+    flag(6, found < need)
+    flag(7, found > need)
+    last = np.where(error == 0, start + body + need - 1, 0)
+    padding = (codes[last].astype(np.int64) - 63) & ((1 << (6 * need - bits)) - 1)
+    flag(8, (need > 0) & (padding != 0))
+
+    failed = np.flatnonzero(error)
+    if failed.size:
+        i = int(failed[0])
+        message, offset = {
+            1: lambda: ("empty graph6 payload", 0),
+            2: lambda: (
+                f"byte {int(codes[start[i] + first_bad[i]])} outside graph6 range 63..126",
+                first_bad[i],
+            ),
+            3: lambda: ("8-byte node counts exceed the supported 65535", 0),
+            4: lambda: ("truncated long-form node count", size[i]),
+            5: lambda: (f"node count {big[i]} exceeds the supported 65535", 0),
+            6: lambda: (f"need {need[i]} edge bytes for n={n[i]}, found {found[i]}", size[i]),
+            7: lambda: ("trailing data after edge bits", body[i] + need[i]),
+            8: lambda: ("non-zero padding bit", body[i] + need[i] - 1),
+        }[int(error[i])]()
         raise GraphParseError(
-            f"need {bytes_needed} edge bytes for n={n}, found {len(body)}",
-            offset=body_start + len(body),
+            message, offset=int(offset), line=None if lines is None else lines[i]
         )
-    if len(body) > bytes_needed:
-        raise GraphParseError("trailing data after edge bits", offset=body_start + bytes_needed)
-    edges = []
-    t = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte = body[t // 6] - 63
-            bit = (byte >> (5 - t % 6)) & 1
-            if bit:
-                edges.append((u, v))
-            t += 1
-    # Padding bits beyond the triangle must be zero.
-    while t < 6 * bytes_needed:
-        byte = body[t // 6] - 63
-        if (byte >> (5 - t % 6)) & 1:
-            raise GraphParseError("non-zero padding bit", offset=body_start + t // 6)
-        t += 1
-    return Graph(n, tuple(edges))
+
+    out: list[Graph] = [None] * m
+    for count in np.unique(n).tolist():
+        members = np.flatnonzero(n == count)
+        width = int(need[members[0]])
+        at_body = (start[members] + body[members])[:, None] + np.arange(width)
+        packed = (codes[at_body] - 63).astype(np.uint8)
+        unpacked = np.unpackbits(packed[:, :, None], axis=2)[:, :, 2:]
+        bits = unpacked.reshape(len(members), -1)
+        # Column v of the upper triangle is graph6's run of v bits for v,
+        # so np.nonzero reads each graph's edges in sorted (u, v) order.
+        upper = np.zeros((len(members), count, count), dtype=bool)
+        for v in range(1, count):
+            upper[:, :v, v] = bits[:, v * (v - 1) // 2 : v * (v + 1) // 2]
+        graph, u, v = np.nonzero(upper)
+        index = np.stack((u, v), axis=1)
+        index.setflags(write=False)
+        pairs = list(zip(*index.T.tolist()))
+        ones = np.ones((count, 1))
+        ones.setflags(write=False)
+        stops = np.cumsum(np.bincount(graph, minlength=len(members))).tolist()
+        begin = 0
+        for i, stop in zip(members.tolist(), stops):
+            out[i] = Graph._trusted(
+                count, tuple(pairs[begin:stop]), ones, {"edge_index": index[begin:stop]}
+            )
+            begin = stop
+    return out
 
 
 def write_graph6(g: Graph) -> str:
@@ -541,9 +662,12 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"duplicate edge {key}", line=no)
         seen.add(key)
         edges.append(key)
+    edges.sort()
     feature_lines = body[split:]
     if not feature_lines:
-        return Graph(n, tuple(edges), np.ones((n, d), dtype=np.float64))
+        ones = np.ones((n, d), dtype=np.float64)
+        ones.setflags(write=False)
+        return Graph._trusted(n, tuple(edges), ones)
     if len(feature_lines) != n:
         no, first = feature_lines[0]
         found = len(feature_lines)
@@ -569,7 +693,9 @@ def parse_edge_list(text: str) -> Graph:
         if not all(np.isfinite(vals)):
             raise GraphParseError("feature value is not finite", line=no)
         rows[r] = vals
-    return Graph(n, tuple(edges), rows)
+    rows.setflags(write=False)
+    # The line loop has checked every edge and feature value.
+    return Graph._trusted(n, tuple(edges), rows)
 
 
 def write_edge_list(g: Graph) -> str:

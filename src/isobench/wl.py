@@ -259,9 +259,11 @@ def are_isomorphic(
 ) -> IsoVerdict:
     """Exact isomorphism by individualisation and refinement.
 
-    Both graphs start from wl1_signature's initial colors (one constant
-    color when structure_only is set) and are refined; differing color
-    histograms prove non-isomorphism. Target cell: the class of the
+    Differing node counts, edge counts or sorted degree sequences prove
+    non-isomorphism before any refinement. Otherwise both graphs start
+    from wl1_signature's initial colors (one constant color when
+    structure_only is set) and are refined; differing color histograms
+    prove non-isomorphism. Target cell: the class of the
     lowest-index node v of g in a class of more than one node. v is
     individualised and g refined, then each w of h with v's color, in
     ascending index, is individualised and h refined, and the search
@@ -281,11 +283,14 @@ def are_isomorphic(
     n = g.n
     if n == 0:
         return IsoVerdict(True, Permutation(()))
+    if not structure_only and g.d != h.d:
+        raise ContractError(f"feature widths differ ({g.d} vs {h.d})")
+    # An isomorphism preserves degrees: differing sequences need no refinement.
+    if not np.array_equal(np.sort(g.degrees), np.sort(h.degrees)):
+        return IsoVerdict(False)
     if structure_only:
         init_g = init_h = [_digest(_INIT)] * n
     else:
-        if g.d != h.d:
-            raise ContractError(f"feature widths differ ({g.d} vs {h.d})")
         init_g, init_h = _initial_colors(g, eps), _initial_colors(h, eps)
     colors_g, colors_h = _refine(g, init_g)[0], _refine(h, init_h)[0]
     if Counter(colors_g) != Counter(colors_h):

@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 import isobench
-from isobench import Graph, load_dataset, path, write_graph6
+import isobench.cli as cli
+from isobench import (
+    Graph,
+    TransformSpec,
+    apply_transform,
+    cycle,
+    load_dataset,
+    path,
+    write_edge_list,
+    write_graph6,
+)
 from isobench.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -190,6 +200,55 @@ class TestTransform:
         assert "capped at JACOBI_MAX_NODES = 256 rows, got 257" in err
         assert out == ""
         assert not dst.exists()
+
+
+    def _counting(self, monkeypatch):
+        """Patch cli.apply_transform to record the graphs of each call."""
+        seen = []
+        real = cli.apply_transform
+
+        def counting(spec, x):
+            seen.append(len(x.graphs))
+            return real(spec, x)
+
+        monkeypatch.setattr(cli, "apply_transform", counting)
+        return seen
+
+    def test_refusal_stops_before_later_runs(self, capsys, tmp_path, monkeypatch):
+        src = tmp_path / "long.g6"
+        src.write_text("".join(write_graph6(g) + "\n" for g in (path(257), cycle(200), cycle(200))))
+        seen = self._counting(monkeypatch)
+        dst = tmp_path / "out.el"
+        code, out, err = run(
+            capsys, "transform", "--input", str(src),
+            "--transform", "graph_encoding", "--out", str(dst),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith(f"isobench: data error: {src}: graph 0: ")
+        assert "capped at JACOBI_MAX_NODES = 256 rows, got 257" in err
+        assert out == ""
+        assert not dst.exists()
+        # Only path(257)'s run was transformed.
+        assert seen == [1]
+
+    @pytest.mark.filterwarnings("ignore::isobench.PairingWarning")
+    def test_runs_give_the_bytes_of_one_graph_at_a_time(self, capsys, tmp_path, monkeypatch):
+        # cycle(190) is over the run bound, so it runs alone between the
+        # small graphs; the output is that of each graph transformed alone.
+        graphs = [path(n) for n in range(1, 120)] + [cycle(190)] + [cycle(n) for n in range(3, 40)]
+        src = tmp_path / "many.g6"
+        src.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+        dst = tmp_path / "out.el"
+        seen = self._counting(monkeypatch)
+        code, out, _ = run(
+            capsys, "transform", "--input", str(src), "--transform", "closeness", "--out", str(dst),
+        )
+        assert code == EXIT_OK
+        assert len(seen) > 2 and sum(seen) == len(graphs)
+        spec = TransformSpec(kind="closeness")
+        alone = [apply_transform(spec, g) for g in graphs]
+        assert dst.read_text() == "".join(write_edge_list(t) + "\n" for t in alone)
+        assert out.splitlines()[-1] == f"graph {len(graphs) - 1}: nodes 39 -> 39 (+0), edges 39 -> 39 (+0)"
 
 
 class TestOversizedHeader:

@@ -1,9 +1,13 @@
 """Graph constructors, the hard-pair library, and dataset files."""
 
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isobench import (
     ContractError,
@@ -190,3 +194,79 @@ class TestDatasetFiles:
     def test_pairs_from_graphs_catches_wrong_default_label(self):
         with pytest.raises(CorpusIntegrityError):
             pairs_from_graphs([path(3), path(3)], "demo")
+
+
+@st.composite
+def graph6_lines(draw):
+    """(graph, its file line): n = 0, 1, 2, 62, 63 (long form) or small,
+    random edges, a header on some lines and surrounding whitespace on some."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 62, 63]), st.integers(0, 12)))
+    p = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.random(len(pairs)) < p
+    g = Graph(n, tuple(pair for pair, k in zip(pairs, keep) if k))
+    line = draw(st.sampled_from(["", ">>graph6<<"])) + write_graph6(g)
+    return g, draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "]))
+
+
+class TestGraph6Files:
+    """load_dataset decodes a whole graph6 file in one pass."""
+
+    @pytest.mark.filterwarnings("ignore::isobench.PairingWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(graph6_lines(), min_size=1, max_size=12), st.data())
+    def test_mixed_sizes_round_trip(self, drawn, data):
+        lines = []
+        for _, line in drawn:
+            lines += [""] * data.draw(st.integers(0, 2)) + [line]
+        with tempfile.TemporaryDirectory() as tmp:
+            file = os.path.join(tmp, "mixed.g6")
+            with open(file, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            back = load_dataset(file)
+        graphs = [g for g, _ in drawn]
+        assert back == graphs
+        assert [g.edges for g in back] == [g.edges for g in graphs]
+        assert all(g.features.tobytes() == np.ones((g.n, 1)).tobytes() for g in back)
+
+    @pytest.mark.filterwarnings("ignore::isobench.PairingWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(graph6_lines(), min_size=1, max_size=8))
+    def test_agrees_with_networkx(self, drawn):
+        nx = pytest.importorskip("networkx")
+        with tempfile.TemporaryDirectory() as tmp:
+            file = os.path.join(tmp, "mixed.g6")
+            with open(file, "w") as fh:
+                fh.write("".join(write_graph6(g) + "\n" for g, _ in drawn))
+            back = load_dataset(file)
+        for g, mine in zip((g for g, _ in drawn), back):
+            other = nx.from_graph6_bytes(write_graph6(g).encode())
+            assert mine.n == other.number_of_nodes()
+            assert set(mine.edges) == {tuple(sorted(e)) for e in other.edges()}
+
+    # (bad line, message, byte offset), as parse_graph6 reports each alone.
+    BAD_LINES = [
+        (">>graph6<<", "empty graph6 payload", 0),
+        ("B!", "byte 33 outside graph6 range 63..126", 1),
+        ("D", "need 2 edge bytes for n=5, found 0", 1),
+        ("Bww", "trailing data after edge bits", 2),
+        ("B" + chr(0b111001 + 63), "non-zero padding bit", 1),
+        ("~~????", "8-byte node counts exceed the supported 65535", 0),
+        ("~??", "truncated long-form node count", 3),
+        ("~O??", "node count 65536 exceeds the supported 65535", 0),
+    ]
+
+    @pytest.mark.parametrize("bad,message,offset", BAD_LINES)
+    def test_first_bad_line_after_good_lines(self, tmp_path, bad, message, offset):
+        # Good lines of several sizes, a blank line and a header come
+        # first; a later bad line must not win.
+        file = tmp_path / "bad.g6"
+        good = ["Bw", "", ">>graph6<<A_", write_graph6(path(63)), "?"]
+        file.write_text("\n".join(good + [bad, "Bw", "D"]) + "\n")
+        with pytest.raises(GraphParseError) as err:
+            load_dataset(str(file))
+        lineno = len(good) + 1
+        assert str(err.value) == f"{file}:{lineno}: {message} (byte offset {offset}) (line {lineno})"
+        assert err.value.line == lineno
+        assert err.value.__cause__.offset == offset

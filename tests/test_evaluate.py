@@ -43,7 +43,7 @@ import isobench.evaluate as evaluate
 import isobench.models as models
 from isobench.cli import _build_parser
 
-from helpers import canonical_key, reference_cluster
+from helpers import canonical_key, graphs, reference_cluster
 
 
 def base_spec() -> TransformSpec:
@@ -170,6 +170,36 @@ class TestDatasets:
         assert any(
             pa.left != pb.left or pa.right != pb.right for pa, pb in zip(a.pairs, b.pairs)
         )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(graphs(min_n=1, max_n=7, feature_dims=3), min_size=1, max_size=8),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    def test_augmentation_matches_per_graph_relabeling(self, drawn, seed, data):
+        # A 1-node graph with d > 1 features is always among the candidates,
+        # and the drawn graphs mix feature widths 1..3.
+        pool = drawn + [Graph(1, (), np.array([[2.5, -1.0]]))]
+        count = data.draw(st.integers(0, len(pool)))
+        ds = augment_with_iso_pairs(pool, count, seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        chosen = [pool[int(i)] for i in rng.choice(len(pool), size=count, replace=False)]
+        expected = [apply_permutation(g, Permutation.random(g.n, rng)) for g in chosen]
+        assert [p.left for p in ds.pairs] == chosen
+        for pair, g, h in zip(ds.pairs, chosen, expected):
+            assert pair.right.edges == h.edges
+            assert pair.right.features.shape == h.features.shape
+            assert pair.right.features.tobytes() == h.features.tobytes()
+            assert pair.left is g
+        # The reference itself against the plain per-edge, per-row definition.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.choice(len(pool), size=count, replace=False)
+        for g, h in zip(chosen, expected):
+            m = Permutation.random(g.n, rng).mapping
+            assert h.edges == tuple(sorted((min(m[u], m[v]), max(m[u], m[v])) for u, v in g.edges))
+            for v in range(g.n):
+                assert h.features[m[v]].tobytes() == g.features[v].tobytes()
 
     def test_augmentation_bounds(self):
         with pytest.raises(ContractError):

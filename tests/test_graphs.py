@@ -496,6 +496,48 @@ class TestAreIsomorphic:
         assert are_isomorphic(g, h).isomorphic == are_isomorphic(h, g).isomorphic
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 9), st.integers(0, 2**32), st.data())
+    def test_different_degree_sequences_agree_with_networkx(self, n, seed, data):
+        nx = pytest.importorskip("networkx")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = data.draw(st.integers(1, len(pairs) - 1))
+        rng = np.random.default_rng(seed)
+        g, h = (
+            Graph(n, tuple(pairs[i] for i in rng.choice(len(pairs), m, replace=False)))
+            for _ in range(2)
+        )
+        if sorted(g.degrees) == sorted(h.degrees):
+            return
+        expected = nx.is_isomorphic(nx.Graph(list(g.edges)), nx.Graph(list(h.edges)))
+        assert are_isomorphic(g, h).isomorphic == expected
+        assert not expected
+
+    def test_degree_reject_runs_no_refinement(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("refined")
+
+        monkeypatch.setattr(wl, "_refine", refuse)
+        star_like = Graph(4, ((0, 1), (0, 2), (0, 3)))
+        assert not are_isomorphic(star_like, path(4)).isomorphic
+        assert not are_isomorphic(star_like, path(4), structure_only=True).isomorphic
+
+    # Witnesses found before the degree check existed, for relabelings by
+    # Permutation.random(n, default_rng(seed)).
+    PINNED_WITNESSES = [
+        ("er", 7, 1, (4, 0, 1, 5, 2, 6, 3)),
+        ("cubic", 12, 12, (1, 4, 6, 8, 10, 5, 7, 3, 0, 11, 2, 9)),
+        ("rook", 16, 0, (0, 2, 13, 14, 4, 11, 8, 12, 5, 10, 15, 9, 7, 3, 1, 6)),
+    ]
+
+    @pytest.mark.parametrize("kind,n,seed,witness", PINNED_WITNESSES)
+    def test_witnesses_are_unchanged(self, kind, n, seed, witness):
+        build = {"er": lambda: erdos_renyi(n, 0.4, seed), "cubic": lambda: random_cubic(n, seed)}
+        g = build.get(kind, rook4x4)()
+        h = apply_permutation(g, Permutation.random(n, np.random.default_rng(seed)))
+        assert are_isomorphic(g, h).witness.mapping == witness
+
+
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
 
