@@ -56,7 +56,6 @@ from .transforms import (
     apply_transform,
     distance_encoding,
     extra_node,
-    graph_encoding,
     parse_transform_token,
     subgraph_extraction,
     virtual_node,

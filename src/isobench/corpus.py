@@ -216,8 +216,16 @@ def load_dataset(path: str, fmt: str = "auto") -> list[Graph]:
             )
     if fmt not in ("graph6", "edge_list"):
         raise ContractError(f"unknown format {fmt!r}; valid: graph6, edge_list")
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Lines are numbered as str.splitlines numbers them below.
+        at = len((raw[: exc.start].decode("ascii") + "?").splitlines())
+        raise GraphParseError(
+            f"{path}:{at}: non-ASCII byte 0x{raw[exc.start]:02X}", line=at
+        ) from None
     graphs: list[Graph] = []
     if fmt == "graph6":
         numbered = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]

@@ -21,11 +21,11 @@ A cell runs in three steps. It transforms every distinct input graph
 of its pairs, embeds every distinct transformed graph of the pairs whose
 two transforms succeeded, and scores the pairs. Both passes take graphs
 in first-seen order, left before right, pair by pair, and compute a
-graph whatever its partner's fate: a failed left graph no longer saves
-its partner's work. A pair is excluded by its left graph's error, else
-its right graph's, transform notes before embed notes. The result type
-decides the classes for every embedder: bytes give exact classes by
-equality, anything else is clustered.
+graph whatever its partner's fate: a failed left graph does not spare
+its partner's transform or embedding. A pair is excluded by its left
+graph's error, else its right graph's, transform notes before embed
+notes. The result type decides the classes for every embedder: bytes
+give exact classes by equality, anything else is clustered.
 
 A grid computes each thing once: it transforms every distinct input
 graph object once per spec and embeds each result once per (spec,
@@ -246,10 +246,10 @@ class _Memo:
     `embedded` maps (id(transformed graph), model input width or 0) to
     its embedding under one embedder. A value is the result or the
     IsobenchError the call raised. A cell adds every distinct graph of
-    its pairs that a map lacks, failed partners included: a failed left
-    graph no longer saves its partner's work. Keys are object ids, which
-    stay valid because the dataset and `transformed` keep every keyed
-    graph alive.
+    its pairs that a map lacks, failed partners included: the right graph
+    of a pair whose left graph failed is computed all the same. Keys are
+    object ids, which stay valid because the dataset and `transformed`
+    keep every keyed graph alive.
     """
 
     transformed: dict[int, object] = field(default_factory=dict)

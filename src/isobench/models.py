@@ -16,6 +16,11 @@ pna  four rounds; each node concatenates its own state with five
 ds   a topology-blind set model: MLP2 applied to the sum over nodes of
      MLP1 of the raw features.
 
+Each architecture is one row of the _ARCHS table: the input widths of
+its MLPs for a given input width, and its node-state function; ARCHS
+is the table's keys. ModelParams holds the architecture, the input
+width, the MLP weights and gin's eps values.
+
 Weights are Glorot-uniform from a seeded generator; regenerating with
 the same seed reproduces them bit for bit. Every sum over neighbors or
 nodes accumulates in ascending node index. That order is part of the
@@ -69,15 +74,13 @@ import numpy as np
 from .errors import ContractError
 from .graphs import Graph, GraphBatch, as_batch
 
-ARCHS = ("gin", "pna", "ds")
-
 HIDDEN_DIM = 16
-OUTPUT_DIM = 16
 NUM_LAYERS = 4
 EPSILON_HIGH = 0.1
 
 AGGREGATOR_COUNT = 5  # mean, sum, max, min, std
 SCALER_COUNT = 3  # identity, amplification, attenuation
+_PNA_PARTS = 1 + AGGREGATOR_COUNT * SCALER_COUNT  # own state, then each aggregate per scaler
 
 Embedding = np.ndarray
 
@@ -95,13 +98,9 @@ class ModelParams:
     """Frozen weights for one architecture and input width."""
 
     arch: str
-    layers: int
     input_dim: int
-    hidden_dim: int
-    output_dim: int
     weights: tuple[MLPParams, ...]
     epsilons: tuple[float, ...]
-    seed: int
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -119,15 +118,6 @@ def _draw_mlp(rng: np.random.Generator, dims: tuple[int, int, int]) -> MLPParams
     return MLPParams(*parts)
 
 
-def _layer_input_dims(arch: str, input_dim: int) -> list[int]:
-    if arch == "gin":
-        return [input_dim] + [HIDDEN_DIM] * (NUM_LAYERS - 1)
-    if arch == "pna":
-        block = 1 + AGGREGATOR_COUNT * SCALER_COUNT
-        return [input_dim * block] + [HIDDEN_DIM * block] * (NUM_LAYERS - 1)
-    return [input_dim, HIDDEN_DIM]  # ds: MLP1 then MLP2
-
-
 def init_model(arch: str, input_dim: int, seed: int) -> ModelParams:
     """Draw all weights for one architecture from a seeded generator.
 
@@ -143,21 +133,12 @@ def init_model(arch: str, input_dim: int, seed: int) -> ModelParams:
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = tuple(
         _draw_mlp(rng, (dim_in, HIDDEN_DIM, HIDDEN_DIM))
-        for dim_in in _layer_input_dims(arch, input_dim)
+        for dim_in in _ARCHS[arch][0](input_dim)
     )
     epsilons: tuple[float, ...] = ()
     if arch == "gin":
         epsilons = tuple(float(x) for x in rng.uniform(0.0, EPSILON_HIGH, size=NUM_LAYERS))
-    return ModelParams(
-        arch=arch,
-        layers=NUM_LAYERS,
-        input_dim=input_dim,
-        hidden_dim=HIDDEN_DIM,
-        output_dim=OUTPUT_DIM,
-        weights=weights,
-        epsilons=epsilons,
-        seed=seed,
-    )
+    return ModelParams(arch, input_dim, weights, epsilons)
 
 
 def _mlp(params: MLPParams, x: np.ndarray) -> np.ndarray:
@@ -215,7 +196,6 @@ def _pna_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
     amplification[linked] = log_deg[linked] / delta[linked]
     attenuation = np.ones(b.n, dtype=np.float64)
     attenuation[linked] = delta[linked] / log_deg[linked]
-    parts_per_node = 1 + AGGREGATOR_COUNT * SCALER_COUNT
     for layer in m.weights:
         width = h.shape[1]
         # Rows in descending-degree order; isolated nodes keep zeros.
@@ -246,8 +226,8 @@ def _pna_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
         std[:n_linked] = np.sqrt(std[:n_linked] / linked_deg)
         # Rows in node order: parts[:, 0] is the own state and
         # parts[:, 1 + 5 * s + a] is aggregate a under scaler s.
-        block = np.empty((b.n, parts_per_node * width), dtype=np.float64)
-        parts = block.reshape(b.n, parts_per_node, width)
+        block = np.empty((b.n, _PNA_PARTS * width), dtype=np.float64)
+        parts = block.reshape(b.n, _PNA_PARTS, width)
         parts[:, 0] = h
         identity = parts[:, 1 : 1 + AGGREGATOR_COUNT]
         identity[order] = aggs.transpose(1, 0, 2)
@@ -262,7 +242,15 @@ def _ds_states(m: ModelParams, b: GraphBatch) -> np.ndarray:
     return _mlp_rows(m.weights[0], b.features, b.lone)
 
 
-_STATES = {"gin": _gin_states, "pna": _pna_states, "ds": _ds_states}
+# arch -> (its MLP input widths, in draw order, for input width d; its
+# final node states). The order is the reporting order.
+_ARCHS: dict[str, tuple[Callable[[int], list[int]], Callable[..., np.ndarray]]] = {
+    "gin": (lambda d: [d] + [HIDDEN_DIM] * (NUM_LAYERS - 1), _gin_states),
+    "pna": (lambda d: [d * _PNA_PARTS] + [HIDDEN_DIM * _PNA_PARTS] * (NUM_LAYERS - 1), _pna_states),
+    "ds": (lambda d: [d, HIDDEN_DIM], _ds_states),  # MLP1, then MLP2 on the readout
+}
+
+ARCHS = tuple(_ARCHS)
 
 
 def check_graph(m: ModelParams, g: Graph) -> None:
@@ -292,10 +280,10 @@ def _by_runs(
     width = max(layer.w1.shape[0] for layer in m.weights)
 
     def cells(rows: int, edges: int, graphs: int, largest: int) -> int:
-        return max(rows * width, graphs * (1 + largest) * m.hidden_dim)
+        return max(rows * width, graphs * (1 + largest) * HIDDEN_DIM)
 
     runs = _as_batch(m, x).runs(cells)
-    return np.concatenate([finish(run, _STATES[m.arch](m, run)) for run in runs])
+    return np.concatenate([finish(run, _ARCHS[m.arch][1](m, run)) for run in runs])
 
 
 def node_states(m: ModelParams, x: Graph | GraphBatch) -> np.ndarray:
@@ -309,8 +297,8 @@ def node_states(m: ModelParams, x: Graph | GraphBatch) -> np.ndarray:
 def forward(m: ModelParams, x: Graph | GraphBatch) -> Embedding:
     """Whole-graph embeddings: an ascending-index sum readout of node states.
 
-    A Graph gives a read-only vector of OUTPUT_DIM entries. A GraphBatch
-    gives a read-only (graphs, OUTPUT_DIM) matrix whose row i has the
+    A Graph gives a read-only vector of HIDDEN_DIM entries. A GraphBatch
+    gives a read-only (graphs, HIDDEN_DIM) matrix whose row i has the
     bytes of forward(m, graphs[i]); a Graph runs as a batch of one. Rows
     of 1-node graphs and ds's readout rows take the one-row kernel, and
     the readout is GraphBatch.graph_sums, sequential over a padded block

@@ -18,20 +18,21 @@ kinds
     subgraph_extraction   append ego-graph node and edge counts
     extra_node            subdivide every edge with a fresh node
 
-apply_transform takes a Graph or a GraphBatch, the disjoint union of
-several graphs, and runs a Graph as a batch of one. degree, closeness
-and distance_encoding compute their columns over the union at once
-(closeness and distance_encoding from centrality.ball_growth's
-breadth-first levels); the graphs of one feature width then share one
-read-only feature block. The other kinds run each graph alone through
-GraphBatch.each. Either way each graph gets the bytes of its transform
-alone.
+TRANSFORMS is the one table of kinds. Each column kind is a kernel and
+the text that refuses an empty graph. The union kernels of degree,
+closeness and distance_encoding (the last two from
+centrality.ball_growth's breadth-first levels) run through _columns
+over a whole GraphBatch, so the graphs of one feature width share one
+read-only feature block; the per-graph kernels of the other four run
+through _each_columns on each graph alone. apply_transform runs a Graph
+as a batch of one; either way each graph gets the bytes of its
+transform alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -93,15 +94,12 @@ class TransformSpec:
             raise ContractError(f"power_max_iter must be >= 1, got {self.power_max_iter}")
 
 
+# Token option -> (TransformSpec field, cast): every field but kind, cast
+# with the type of its default, and "sign" for sign_mode.
 _TOKEN_KEYS = {
-    "k": ("k", int),
-    "radius": ("radius", int),
-    "d_max": ("d_max", int),
-    "sign": ("sign_mode", str),
-    "sign_mode": ("sign_mode", str),
-    "power_tol": ("power_tol", float),
-    "power_max_iter": ("power_max_iter", int),
+    f.name: (f.name, type(f.default)) for f in fields(TransformSpec) if f.name != "kind"
 }
+_TOKEN_KEYS["sign"] = _TOKEN_KEYS["sign_mode"]
 
 
 def parse_transform_token(token: str) -> TransformSpec:
@@ -131,13 +129,6 @@ def parse_transform_token(token: str) -> TransformSpec:
     return TransformSpec(kind=kind, **overrides)
 
 
-def _append_columns(g: Graph, cols: np.ndarray) -> Graph:
-    cols = np.asarray(cols, dtype=np.float64)
-    if cols.ndim == 1:
-        cols = cols[:, None]
-    return g.with_features(np.hstack([g.features, cols]))
-
-
 def virtual_node(g: Graph) -> Graph:
     """Add node n adjacent to every existing node, features all ones."""
     hub = g.n
@@ -158,14 +149,6 @@ def extra_node(g: Graph) -> Graph:
 
 
 _CENTRALITY_REFUSAL = "centrality augmentation needs at least one node"
-_DISTANCE_REFUSAL = "distance encoding needs at least one node"
-
-
-def _centrality(g: Graph, measure: Callable[..., np.ndarray], *args) -> Graph:
-    """g with the column measure(g, *args) appended; an empty graph is refused."""
-    if g.n < 1:
-        raise ContractError(_CENTRALITY_REFUSAL)
-    return _append_columns(g, measure(g, *args))
 
 
 def distance_encoding(x: Graph | GraphBatch, d_max: int = 8) -> np.ndarray:
@@ -186,24 +169,12 @@ def distance_encoding(x: Graph | GraphBatch, d_max: int = 8) -> np.ndarray:
     return cols
 
 
-def graph_encoding(g: Graph, spec: TransformSpec) -> Graph:
-    """Append the k smallest non-trivial normalized-Laplacian eigenvectors.
-
-    Columns take sorted eigenvalue positions 1..k and are zero padded
-    when fewer exist. In raw sign mode the appended coordinates follow
-    the solver verbatim, so they need not commute with node relabeling.
-    """
-    if g.n < 1:
-        raise ContractError("graph encoding needs at least one node")
-    return _append_columns(g, laplacian_encoding_columns(g, spec.k, spec.sign_mode))
-
-
-def subgraph_extraction(g: Graph, spec: TransformSpec) -> Graph:
-    """Append ego-graph node and edge counts within the given radius."""
-    if g.n < 1:
-        raise ContractError("subgraph extraction needs at least one node")
+def subgraph_extraction(g: Graph, radius: int) -> np.ndarray:
+    """Each node's ego-graph node and edge counts within radius, as an
+    (n, 2) column block."""
+    if radius < 0:
+        raise ContractError(f"radius must be >= 0, got {radius}")
     neighbors = g.neighbors
-    radius = spec.radius
     rows = []
     for v in range(g.n):
         dist = bfs_distances(neighbors, v)
@@ -212,29 +183,44 @@ def subgraph_extraction(g: Graph, spec: TransformSpec) -> Graph:
         # neighbours of a reached node are all reached.
         ends = sum(1 for u in inside for w in neighbors[u] if dist[w] <= radius)
         rows.append((len(inside), ends // 2))
-    return _append_columns(g, np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64).reshape(g.n, 2)
 
 
 def _columns(
-    measure: Callable[[GraphBatch, TransformSpec], np.ndarray], refusal: str
+    kernel: Callable[[GraphBatch, TransformSpec], np.ndarray], refusal: str
 ) -> Callable[[GraphBatch, TransformSpec], list]:
-    """The batch transform that appends measure(b, spec), one row per union
-    node, to each graph's features; an empty graph gets ContractError(refusal)."""
+    """The batch transform that appends kernel(b, spec), one value or row
+    per union node, to each graph's features; an empty graph gets
+    ContractError(refusal)."""
 
     def run(b: GraphBatch, spec: TransformSpec) -> list:
-        out = b.with_columns(measure(b, spec))
+        out = b.with_columns(kernel(b, spec))
         return [ContractError(refusal) if g.n < 1 else t for g, t in zip(b.graphs, out)]
 
     return run
+
+
+def _each_columns(
+    kernel: Callable[[Graph, TransformSpec], np.ndarray], refusal: str
+) -> Callable[[GraphBatch, TransformSpec], list]:
+    """The batch transform that appends kernel(g, spec), one value or row
+    per node, to the features of each graph alone through GraphBatch.each;
+    an empty graph gets ContractError(refusal) before the kernel runs."""
+
+    def append(g: Graph, spec: TransformSpec) -> Graph:
+        if g.n < 1:
+            raise ContractError(refusal)
+        return g.with_features(np.hstack([g.features, kernel(g, spec).reshape(g.n, -1)]))
+
+    return lambda b, spec: b.each(lambda g: append(g, spec))
 
 
 # kind -> (report label, batch transform); the order is the reporting
 # order. A batch transform maps a GraphBatch to one result per graph,
 # as GraphBatch.each does: the transformed graph, or the IsobenchError
 # that transforming the graph alone raises. The lambdas look the
-# transform and centrality functions up in this module's globals at
-# call time, as graph_encoding does laplacian_encoding_columns, so a
-# wrapper patched onto this module sees every call.
+# kernels up in this module's globals at call time, so a wrapper patched
+# onto this module sees every call.
 TRANSFORMS: dict[str, tuple[str, Callable[[GraphBatch, TransformSpec], list]]] = {
     "base": ("Base", lambda b, spec: list(b.graphs)),
     "virtual_node": ("Virtual Node", lambda b, spec: b.each(virtual_node)),
@@ -245,27 +231,35 @@ TRANSFORMS: dict[str, tuple[str, Callable[[GraphBatch, TransformSpec], list]]] =
     ),
     "betweenness": (
         "Betweenness",
-        lambda b, spec: b.each(lambda g: _centrality(g, betweenness_centrality)),
+        _each_columns(lambda g, spec: betweenness_centrality(g), _CENTRALITY_REFUSAL),
     ),
     "eigenvector": (
         "Eigenvector",
-        lambda b, spec: b.each(
-            lambda g: _centrality(
-                g, eigenvector_centrality, spec.power_tol, spec.power_max_iter
-            )
+        _each_columns(
+            lambda g, spec: eigenvector_centrality(g, spec.power_tol, spec.power_max_iter),
+            _CENTRALITY_REFUSAL,
         ),
     ),
     "distance_encoding": (
         "Distance Encoding",
-        _columns(lambda b, spec: distance_encoding(b, spec.d_max), _DISTANCE_REFUSAL),
+        _columns(
+            lambda b, spec: distance_encoding(b, spec.d_max),
+            "distance encoding needs at least one node",
+        ),
     ),
     "graph_encoding": (
         "Graph Encoding",
-        lambda b, spec: b.each(lambda g: graph_encoding(g, spec)),
+        _each_columns(
+            lambda g, spec: laplacian_encoding_columns(g, spec.k, spec.sign_mode),
+            "graph encoding needs at least one node",
+        ),
     ),
     "subgraph_extraction": (
         "Subgraph Extraction",
-        lambda b, spec: b.each(lambda g: subgraph_extraction(g, spec)),
+        _each_columns(
+            lambda g, spec: subgraph_extraction(g, spec.radius),
+            "subgraph extraction needs at least one node",
+        ),
     ),
     "extra_node": ("Extra Node", lambda b, spec: b.each(extra_node)),
 }

@@ -319,6 +319,33 @@ class TestTruncatedInput:
         assert out == ""
 
 
+class TestNonAsciiInput:
+    """A byte outside ASCII is a data error that names the file, the line
+    (numbered as the parsers number lines) and the byte."""
+
+    CASES = {
+        "cr_lines.g6": (b"Bw\rA?\r\n\n\xff\n", 4, 0xFF),
+        "first.g6": (b"\xffBw\n", 1, 0xFF),
+        "feature.el": (b"3 1\n0 1\n1 2\n1.0\n2.\xc30\n3.0\n", 5, 0xC3),
+        "second_block.el": (b"2 1\n0 1\n1.0\n1.0\n\n2 1\xff\n", 6, 0xFF),
+    }
+
+    @pytest.mark.parametrize("command", ["evaluate", "transform"])
+    @pytest.mark.parametrize("name", CASES)
+    def test_exit_code_and_message(self, capsys, tmp_path, name, command):
+        data, line, byte = self.CASES[name]
+        src = tmp_path / name
+        src.write_bytes(data)
+        dst = tmp_path / "out.el"
+        extra = ["--transform", "base", "--out", str(dst)] if command == "transform" else []
+        code, out, err = run(capsys, command, "--input", str(src), *extra)
+        assert code == EXIT_DATA
+        where = f"{src}:{line}: non-ASCII byte 0x{byte:02X} (line {line})"
+        assert err == f"isobench: data error: {where}\n"
+        assert out == ""
+        assert not dst.exists()
+
+
 class TestHugeFeatures:
     """Features past the int64 quantization grid are refused, not merged:
     at eps 1e-6, 1e13 and 2e13 would both cast to one index."""

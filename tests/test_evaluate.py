@@ -294,6 +294,23 @@ class TestGridAndRendering:
         rows = self.two_rows()
         assert {(r.method, r.embedder) for r in rows} == {("degree", "wl1"), ("base", "wl1")}
 
+    def test_kwl_budget_excludes_pairs_over_n_to_the_k(self):
+        # wl2 refines n nodes with n**2 operations per round, wl3 n**2
+        # pairs with n**3; wl1 takes no budget.
+        rows = evaluate_grid(
+            hard_pair_library(), [base_spec()], ["wl1", "wl2", "wl3"], kwl_budget=100
+        )
+        assert [(r.embedder, r.pairs, r.excluded) for r in rows] == [
+            ("wl1", 4, 0), ("wl2", 3, 1), ("wl3", 1, 3)
+        ]
+        wl2, wl3 = rows[1].notes, rows[2].notes
+        assert [note.split(":")[0] for note in wl2] == ["pair 2 (rook4x4_vs_shrikhande)"]
+        assert [note.split(":")[0] for note in wl3] == [
+            "pair 0 (c6_vs_2c3)", "pair 1 (c8_vs_2c4)", "pair 2 (rook4x4_vs_shrikhande)"
+        ]
+        assert "needs 256 tuple-neighbor operations per round" in wl2[0]
+        assert all(note.endswith("budget is 100") for note in wl2 + wl3)
+
     def test_grid_by_origin(self):
         pairs = [
             LabeledPair(path(3), path(3), True, origin="a"),
@@ -527,13 +544,13 @@ class TestModelBatches:
         batches: list[tuple[int, ...]] = []
 
         # Each run of a forward pass computes its states once.
-        for arch, states in list(models._STATES.items()):
+        for arch, (widths, states) in list(models._ARCHS.items()):
 
             def recording(params, run, states=states):
                 batches.append(tuple(g.n for g in run.graphs))
                 return states(params, run)
 
-            monkeypatch.setitem(models._STATES, arch, recording)
+            monkeypatch.setitem(models._ARCHS, arch, (widths, recording))
 
         def grid(cells: int):
             monkeypatch.setattr("isobench.graphs.BATCH_CELLS", cells)

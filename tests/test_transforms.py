@@ -10,8 +10,10 @@ from isobench import (
     ConvergenceError,
     Graph,
     GraphBatch,
+    IsobenchError,
     KINDS,
     Permutation,
+    ResourceLimitError,
     TransformSpec,
     all_method_specs,
     apply_permutation,
@@ -25,13 +27,16 @@ from isobench import (
     path,
     quantize_matrix,
     simple_spectrum,
+    subgraph_extraction,
     wl1_signature,
 )
 from isobench.graphs import GRAPH6_MAX_NODES
+from isobench.spectral import JACOBI_MAX_NODES
 
 from helpers import (
     graphs,
     permutations_for,
+    reference_betweenness,
     reference_closeness,
     reference_distance_columns,
     reference_subgraph_columns,
@@ -204,6 +209,12 @@ class TestFeatureTransforms:
         g = apply_transform(spec("subgraph_extraction"), Graph(1))
         assert g.features[0, 1:].tolist() == [1.0, 0.0]
 
+    def test_subgraph_extraction_columns(self):
+        assert subgraph_extraction(path(3), 0).tolist() == [[1.0, 0.0]] * 3
+        assert subgraph_extraction(Graph(0), 2).shape == (0, 2)
+        with pytest.raises(ContractError, match="radius must be >= 0, got -1"):
+            subgraph_extraction(path(3), -1)
+
     def test_graph_encoding_appends_k_columns(self):
         g = apply_transform(spec("graph_encoding", k=3), cycle(6))
         assert g.d == 4
@@ -278,11 +289,11 @@ BATCH_MEMBERS = (
 
 
 @st.composite
-def batch_lists(draw):
-    """Graph lists that mix BATCH_MEMBERS with small random graphs, each
-    given features of width 1 or 2 that may hold -0.0."""
+def batch_lists(draw, members=BATCH_MEMBERS):
+    """Graph lists that mix members with small random graphs, each given
+    features of width 1 or 2 that may hold -0.0."""
     picks = draw(
-        st.lists(st.one_of(st.sampled_from(BATCH_MEMBERS), graphs(max_n=9)), min_size=1, max_size=6)
+        st.lists(st.one_of(st.sampled_from(members), graphs(max_n=9)), min_size=1, max_size=6)
     )
     out = []
     for g in picks:
@@ -331,6 +342,62 @@ class TestBatch:
             assert t.features.tobytes() == expected.tobytes()
             assert t.features.tobytes() == apply_transform(s, g).features.tobytes()
             assert not t.features.flags.writeable
+
+    # The per-graph column kinds, each with its reference columns if one
+    # exists. They run each graph alone, so the 130- and 150-node members,
+    # there for the union kernels' multi-block sources, only add Jacobi
+    # time (about a second each).
+    EACH_KINDS = (
+        (spec("betweenness"), lambda g: reference_betweenness(g)[:, None]),
+        (spec("eigenvector"), None),
+        (spec("graph_encoding"), None),
+        (spec("graph_encoding", sign_mode="first_nonzero_positive"), None),
+        (spec("subgraph_extraction"), lambda g: reference_subgraph_columns(g, 2)),
+    )
+    SMALL_MEMBERS = tuple(g for g in BATCH_MEMBERS if g.n <= 65)
+
+    @pytest.mark.parametrize(
+        "s, reference",
+        EACH_KINDS,
+        ids=[s.kind if s.kind != "graph_encoding" else s.sign_mode for s, _ in EACH_KINDS],
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(batch_lists(SMALL_MEMBERS))
+    @example(
+        [g.with_features(np.full((g.n, 1 + i % 2), (-0.0, 0.5)[i % 2]))
+         for i, g in enumerate(SMALL_MEMBERS)]
+        + [cycle(5), path(3).with_features(np.full((3, 2), -0.0))]
+    )
+    def test_per_graph_rows_match_single_graphs(self, s, reference, gs):
+        out = apply_transform(s, GraphBatch(gs))
+        assert len(out) == len(gs)
+        for g, t in zip(gs, out):
+            try:
+                alone = apply_transform(s, g)
+            except IsobenchError as exc:
+                assert type(t) is type(exc) and str(t) == str(exc)
+                continue
+            assert t.edges == g.edges
+            assert t.features.tobytes() == alone.features.tobytes()
+            if reference is not None:
+                expected = np.hstack([g.features, reference(g)])
+                assert t.features.tobytes() == expected.tobytes()
+            assert not t.features.flags.writeable
+        assert all(isinstance(t, ContractError) for g, t in zip(gs, out) if g.n == 0)
+
+    def test_graph_encoding_refuses_over_the_jacobi_cap_in_its_own_slot(self):
+        s = spec("graph_encoding")
+        gs = [path(3), path(JACOBI_MAX_NODES + 1), Graph(0), cycle(4)]
+        out = apply_transform(s, GraphBatch(gs))
+        assert isinstance(out[1], ResourceLimitError)
+        assert str(out[1]) == (
+            f"Jacobi eigensolver is capped at JACOBI_MAX_NODES = {JACOBI_MAX_NODES} rows, "
+            f"got {JACOBI_MAX_NODES + 1}"
+        )
+        assert type(out[2]) is ContractError
+        assert str(out[2]) == "graph encoding needs at least one node"
+        for i in (0, 3):
+            assert out[i].features.tobytes() == apply_transform(s, gs[i]).features.tobytes()
 
     def test_other_kinds_refuse_per_graph(self):
         bad = spec("eigenvector", power_tol=1e-15, power_max_iter=2)
