@@ -13,9 +13,14 @@ fn   non-isomorphic pairs that were merged (a real difference was
 
 Refinement signatures give exact classes by digest equality. Model
 embeddings are clustered by single linkage: two embeddings join the
-same class when some chain of embeddings connects them with max-norm
-steps of at most eps. Pairs whose transform or embedding raises are
-excluded and counted, never silently dropped.
+same class when some chain of embeddings connects them whose every step
+is a pair equal as floats or at max-norm distance of at most eps.
+cluster_embeddings finds the classes in whole-array passes, with no
+Python loop over rows or pairs: a sort groups equal rows, a sweep
+compares each row only with the rows whose coordinate 0 lies within
+2 * eps of its own, and the linked pairs merge by hooking roots and
+pointer jumping. Pairs whose transform or embedding raises are excluded
+and counted, never silently dropped.
 
 A cell runs in three steps. It transforms every distinct input graph
 of its pairs, embeds every distinct transformed graph of the pairs whose
@@ -154,61 +159,97 @@ def augment_with_iso_pairs(
     return PairDataset(tuple(pairs), seed)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def check_cluster_eps(eps: float) -> None:
+    """Raise ContractError unless eps is a usable tolerance: finite and >= 0."""
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ContractError(f"cluster tolerance must be finite and >= 0, got {eps}")
 
 
 def cluster_embeddings(vectors: np.ndarray, eps: float) -> list[int]:
     """Single-linkage classes under the max-norm metric at tolerance eps.
 
-    Bit-identical rows are pre-grouped; that is only an accelerator,
-    membership still comes from the eps linkage. Two rows can join only
-    if their coordinates 0 differ by at most eps, so with the distinct
-    rows sorted by coordinate 0 each is compared only with the later
-    rows whose coordinate 0 is within 2 * eps of its own, a bound that
-    float rounding cannot cross. The join test is max|a - b| <= eps on
-    whole rows, which a row holding NaN or an infinity never passes
-    against a different row.
+    Labels number the classes in order of first appearance. Three
+    whole-array passes compute them:
+
+    1. Rows equal as floats are pre-grouped by a stable lexsort over the
+       columns and an adjacent != test, which is np.unique(axis=0)'s
+       equality: -0.0 equals +0.0, equal infinities group together and a
+       row holding NaN equals no row. Grouping only saves work for finite
+       rows; for rows holding an infinity it is what puts equal rows in
+       one class, since inf - inf is NaN.
+    2. The lexsort leaves the distinct rows sorted by coordinate 0, and
+       two rows can join only if their coordinates 0 differ by at most
+       eps. So each row is compared only with the later rows whose
+       coordinate 0 is within 2 * eps of its own, a bound that float
+       rounding cannot cross: step k compares every row whose window
+       reaches k places with the row k places later, skipping pairs
+       already in one class. The join test is max|a - b| <= eps, which a
+       row holding NaN or an infinity never passes against another row.
+    3. Each step's joined pairs are merged by hooking the larger of their
+       two roots under the smaller (np.minimum.at) and pointer jumping
+       until every root is its class's first-seen distinct row.
+
+    With u distinct d-wide rows, no step holds more than O(u * d) cells
+    beyond the input and its sorted copy. A ContractError is raised for
+    input that is not 2-D and for an eps that is not finite and >= 0.
     """
+    check_cluster_eps(eps)
     vectors = np.asarray(vectors, dtype=np.float64)
-    m = vectors.shape[0]
-    if m == 0:
-        return []
-    uniq, inverse = np.unique(vectors, axis=0, return_inverse=True)
-    u = uniq.shape[0]
-    uf = _UnionFind(u)
-    # u > 1 implies at least one column to sort by.
-    if u > 1:
-        order = np.argsort(uniq[:, 0], kind="stable")
-        rows = uniq[order]
-        col = rows[:, 0]
-        ends = np.searchsorted(col, col + 2 * eps, side="right")
-        # inf - inf is NaN, which never joins; numpy's warning about it is noise.
-        with np.errstate(invalid="ignore"):
-            for p in np.nonzero(ends > np.arange(1, u + 1))[0]:
-                dist = np.max(np.abs(rows[p + 1 : ends[p]] - rows[p]), axis=1)
-                for q in np.nonzero(dist <= eps)[0]:
-                    uf.union(int(order[p]), int(order[p + 1 + q]))
-    labels = []
-    relabel: dict[int, int] = {}
-    for row in range(m):
-        root = uf.find(int(inverse[row]))
-        labels.append(relabel.setdefault(root, len(relabel)))
-    return labels
+    if vectors.ndim != 2:
+        raise ContractError(f"embeddings must be a 2-D array of rows, got shape {vectors.shape}")
+    m, d = vectors.shape
+    if d == 0:
+        return [0] * m
+    order = np.lexsort(vectors.T[::-1])
+    rows = vectors[order]
+    new = np.ones(m, dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    uniq = rows[starts]
+    del rows
+    u = len(starts)
+    # Distinct rows in sorted order -> rank of their first appearance.
+    first = np.zeros(m, dtype=np.intp)
+    first[order[starts]] = 1
+    seen = (np.cumsum(first) - 1)[order[starts]]
+    root = np.arange(u)
+    col = uniq[:, 0]
+    # inf - inf is NaN and an overflowing difference is inf, neither of
+    # which joins; numpy's warnings about them are noise.
+    with np.errstate(invalid="ignore", over="ignore"):
+        reach = np.searchsorted(col, col + 2 * eps, side="right") - np.arange(1, u + 1)
+        live = np.flatnonzero(reach)
+        for k in range(1, int(reach.max(initial=0)) + 1):
+            live = live[reach[live] >= k]
+            apart = live[root[seen[live]] != root[seen[live + k]]]
+            diff = uniq[apart + k]
+            diff -= uniq[apart]
+            near = apart[np.max(np.abs(diff, out=diff), axis=1) <= eps]
+            _merge(root, seen[near], seen[near + k])
+    label = np.cumsum(root == np.arange(u)) - 1
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = seen[np.cumsum(new) - 1]
+    return label[root][inverse].tolist()
+
+
+def _merge(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the classes of each pair (a[i], b[i]) in root, in place.
+
+    root maps each item to its class's smallest item on entry and on exit.
+    Each round hooks the larger root of every pair still apart under the
+    smallest root it is paired with, then jumps pointers until each item
+    points at a root again.
+    """
+    while a.size:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root[:] = jumped
 
 
 def ecc(class_labels: Sequence[int]) -> int:
@@ -306,8 +347,7 @@ def evaluate_pairs(
     name raises ContractError before any pair runs.
     """
     check_quant_eps(quant_eps)
-    if not (np.isfinite(cluster_eps) and cluster_eps >= 0.0):
-        raise ContractError(f"cluster tolerance must be finite and >= 0, got {cluster_eps}")
+    check_cluster_eps(cluster_eps)
     if not callable(embedder) and embedder not in EMBEDDERS:
         raise ContractError(f"unknown embedder {str(embedder)!r}; valid: {', '.join(EMBEDDERS)}")
     start = time.perf_counter()

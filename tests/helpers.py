@@ -366,10 +366,11 @@ def reference_forward(m, g: Graph) -> np.ndarray:
 def reference_cluster(vectors, eps: float) -> list[int]:
     """Single-linkage labels from comparing every pair of distinct rows.
 
-    Rows are grouped by np.unique as isobench.evaluate.cluster_embeddings
-    groups them; each distinct row is then compared with every later one
-    by max|a - b| <= eps, and labels number the classes in order of first
-    appearance. O(m^2) in the number of distinct rows.
+    Rows are grouped by np.unique(axis=0), whose float equality
+    isobench.evaluate.cluster_embeddings keeps; each distinct row is then
+    compared with every later one by max|a - b| <= eps, and labels number
+    the classes in order of first appearance. O(m^2) in the number of
+    distinct rows.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.shape[0] == 0:

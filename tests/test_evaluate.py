@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import re
+import time
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -123,6 +126,73 @@ class TestClustering:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cluster_embeddings(np.array([[math.inf, 0.0], [math.inf, 1.0]]), 1e-5) == [0, 1]
+
+    @pytest.mark.parametrize("eps", [1e-5, 0.0])
+    def test_large_mixed_input_matches_reference(self, eps):
+        # 1190 rows: a window of 300 rows that link in part, a chain with
+        # windows of one to three rows, ties on coordinate 0, groups of 60
+        # rows equal as floats (signed zeros included), and rows holding
+        # infinities or NaN, alone and in groups of 50.
+        rng = np.random.Generator(np.random.PCG64(11))
+        e = 1e-5
+        wide = np.hstack([rng.uniform(0.0, 2 * e, (300, 1)), rng.uniform(0.0, 30 * e, (300, 2))])
+        steps = rng.choice([0.4 * e, 0.9 * e, 1.1 * e, 3 * e], size=(300, 1))
+        chain = np.hstack([1.0 + np.cumsum(steps, axis=0), rng.integers(0, 3, (300, 2)) * 0.8 * e])
+        ties = np.hstack(
+            [3.0 + rng.integers(0, 2, (200, 1)) * e, rng.integers(0, 10, (200, 2)) * e]
+        )
+        equal = np.array([[2.0, 0.0, -0.0], [2.0, -0.0, 0.0], [5.0, 1.0, 1.0], [5.0, 1.0, 1.0 + e]])
+        groups = equal[rng.integers(0, 4, 240)]
+        inf, nan = math.inf, math.nan
+        special = np.array(
+            [[inf, 1.0, 0.0], [-inf, 0.0, -0.0], [0.0, inf, -inf], [nan, 0.0, 0.0], [0.0, nan, 1.0]]
+        )
+        odd = np.vstack([special[rng.integers(0, 5, 100)], np.repeat(special[:1], 50, axis=0)])
+        rows = np.vstack([wide, chain, ties, groups, odd])[rng.permutation(1190)]
+        labels = cluster_embeddings(rows, eps)
+        # The reference subtracts infinities from each other without numpy's errstate.
+        with np.errstate(invalid="ignore"):
+            assert labels == reference_cluster(rows, eps)
+        assert 100 < ecc(labels) < 1190
+
+    @pytest.mark.parametrize("linked", [True, False])
+    def test_one_window_of_3000_rows(self, linked):
+        # All coordinates 0 lie within eps of each other, so every row's
+        # window holds every later row: 4.5 M pairs to consider. Linked, all
+        # of them join; apart, none does.
+        eps = 1e-5
+        rng = np.random.Generator(np.random.PCG64(3))
+        rows = rng.uniform(0.0, eps, size=(3000, 16))
+        if not linked:
+            rows[:, 1:] += rng.permutation(3000)[:, None] * 1e-3
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            labels = cluster_embeddings(rows, eps)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels == ([0] * 3000 if linked else list(range(3000)))
+        assert peak <= 4 * 2**20
+        if linked:
+            assert seconds < 5.0
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 2), ()])
+    def test_rows_must_form_a_matrix(self, shape):
+        with pytest.raises(ContractError, match=re.escape(f"got shape {shape}")):
+            cluster_embeddings(np.ones(shape), 1e-5)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, eps):
+        message = re.escape(f"cluster tolerance must be finite and >= 0, got {eps}")
+        with pytest.raises(ContractError, match=message):
+            cluster_embeddings(np.zeros((2, 1)), eps)
+        with pytest.raises(ContractError, match=message):
+            evaluate_pairs(make_pair_dataset(toy_pairs()), base_spec(), "gin", cluster_eps=eps)
+
+    def test_zero_width_rows_share_one_class(self):
+        assert cluster_embeddings(np.zeros((3, 0)), 1e-5) == [0, 0, 0]
 
     def test_ecc_counts_classes(self):
         assert ecc([0, 1, 0, 2]) == 3

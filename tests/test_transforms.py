@@ -174,6 +174,17 @@ class TestFeatureTransforms:
         out = apply_transform(spec("betweenness"), g)
         assert out.n == g.n and out.edges == g.edges
 
+    def test_eigenvector_needs_a_higher_cap_on_path_50(self):
+        # Power iteration on I + A mixes slowly on long paths: at the default
+        # cap of 1000 steps, paths of 48 to 300 nodes are refused, so their
+        # pairs are excluded from the eigenvector column.
+        with pytest.raises(ConvergenceError, match="after 1000 steps"):
+            apply_transform(spec("eigenvector"), path(50))
+        g = apply_transform(spec("eigenvector", power_max_iter=20000), path(50))
+        # The principal eigenvector of a path is sin(pi * i / (n + 1)).
+        exact = np.sin(np.pi * np.arange(1, 51) / 51)
+        np.testing.assert_allclose(g.features[:, -1], exact / np.linalg.norm(exact), atol=1e-5)
+
     def test_distance_encoding_cycle6(self):
         g = apply_transform(spec("distance_encoding"), cycle(6))
         assert g.d == 1 + 9
