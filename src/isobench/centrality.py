@@ -106,10 +106,14 @@ def ball_growth(b: GraphBatch, depth: int) -> tuple[np.ndarray, np.ndarray, np.n
     not grow at a level is finished and leaves the arrays. A batch over
     graphs.BATCH_CELLS words runs one of its runs after another.
     """
-    if next(b.runs(_words)) is not b:
-        # A run splits no further, so each goes on below.
-        parts = [ball_growth(run, depth) for run in b.runs(_words)]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    parts = [_ball_growth_run(run, depth) for run in b.runs(_words)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _ball_growth_run(b: GraphBatch, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ball_growth on one run of GraphBatch.runs(_words)."""
     reach = np.ones(b.n, dtype=np.int64)
     total = np.zeros(b.n, dtype=np.int64)
     shells = np.zeros((b.n, depth), dtype=np.int64)

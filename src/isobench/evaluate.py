@@ -37,8 +37,11 @@ graph object once per spec and embeds each result once per (spec,
 embedder, model input width), then clusters per cell, because a cell's
 classes depend on which pairs it holds. So a custom embedder must be
 pure: a graph that several cells share is embedded for the first of
-them only. A cell's seconds cover only the work that cell triggered
-first, so a grid's rows still sum to its wall time.
+them only. A wl2 digest is the wl1 digest, so the wl1 and wl2 cells of
+a spec share one 1-WL refinement per graph; the wl2 cell first checks
+each graph against its tuple budget, as wlk_signature does. A cell's
+seconds cover only the work that cell triggered first, so a grid's rows
+still sum to its wall time.
 
 Each pass of a cell is one batch call over the distinct graphs its memo
 lacks, with GraphBatch.each's per-graph results: the result or the
@@ -60,7 +63,15 @@ from .graphs import Graph, GraphBatch, Permutation
 from .models import ARCHS, check_graph, forward, init_model
 from .quant import check_quant_eps
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
-from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET, are_isomorphic, wl1_signature, wlk_signature
+from .wl import (
+    DEFAULT_EPS,
+    DEFAULT_TUPLE_BUDGET,
+    are_isomorphic,
+    check_kwl_budget,
+    check_tuple_refinement,
+    wl1_signature,
+    wlk_signature,
+)
 
 # wl embedder name -> signature(g, quant_eps, kwl_budget). The lambdas look
 # the signature functions up as module globals at call time, so patching
@@ -284,16 +295,18 @@ class _Memo:
     """Per-graph results that the cells of one grid share.
 
     `transformed` maps id(input graph) to its transform under one spec;
-    `embedded` maps (id(transformed graph), model input width or 0) to
-    its embedding under one embedder. A value is the result or the
-    IsobenchError the call raised. A cell adds every distinct graph of
-    its pairs that a map lacks, failed partners included: the right graph
-    of a pair whose left graph failed is computed all the same. Keys are
-    object ids, which stay valid because the dataset and `transformed`
-    keep every keyed graph alive.
+    `refined` maps id(transformed graph) to its 1-WL digest, which the
+    wl1 and wl2 cells of that spec share; `embedded` maps (id(transformed
+    graph), model input width or 0) to its embedding under one embedder.
+    A value is the result or the IsobenchError the call raised. A cell
+    adds every distinct graph of its pairs that a map lacks, failed
+    partners included: the right graph of a pair whose left graph failed
+    is computed all the same. Keys are object ids, which stay valid
+    because the dataset and `transformed` keep every keyed graph alive.
     """
 
     transformed: dict[int, object] = field(default_factory=dict)
+    refined: dict[int, object] = field(default_factory=dict)
     embedded: dict[tuple[int, int], object] = field(default_factory=dict)
 
 
@@ -306,6 +319,30 @@ def _fill(cache: dict, keyed: Iterable[tuple], run: Callable[[GraphBatch], list]
             fresh.setdefault(key, g)
     if fresh:
         cache.update(zip(fresh, run(GraphBatch(list(fresh.values()))), strict=True))
+
+
+def _wl_digests(b: GraphBatch, embedder: str, eps: float, budget: int, refined: dict) -> list:
+    """Each graph's digest under a WL embedder, or the IsobenchError it raises.
+
+    wl1 and wl2 read the 1-WL digest from `refined`, refining only the
+    graphs it lacks. wl2 first applies wlk_signature's tuple guards to
+    every graph, so a refused graph stays refused whichever cell ran first.
+    """
+    if embedder not in ("wl1", "wl2"):
+        signature = WL_SIGNATURES[embedder]
+        return b.each(lambda g: bytes.fromhex(signature(g, eps, budget).digest))
+    if embedder == "wl2":
+        out = b.each(lambda g: check_tuple_refinement(g, 2, budget))
+    else:
+        out = [None] * len(b.graphs)
+    # Through this module's global: benchmarks/tracing.py patches
+    # evaluate.wl1_signature and counts its calls.
+    _fill(
+        refined,
+        ((id(g), g) for g, e in zip(b.graphs, out) if e is None),
+        lambda fit: fit.each(lambda g: bytes.fromhex(wl1_signature(g, eps).digest)),
+    )
+    return [e if isinstance(e, IsobenchError) else refined[id(g)] for g, e in zip(b.graphs, out)]
 
 
 def _sift(rows: Iterable[tuple], notes: list[str]) -> list[tuple]:
@@ -343,11 +380,13 @@ def evaluate_pairs(
     `memo` holds the transforms and embeddings that evaluate_grid shares
     between the cells of one spec and embedder; without it the cell
     computes everything itself. A quant_eps that is not finite and > 0,
-    a cluster_eps that is not finite and >= 0, or an unknown embedder
-    name raises ContractError before any pair runs.
+    a cluster_eps that is not finite and >= 0, a kwl_budget that is not
+    an integer >= 1, or an unknown embedder name raises ContractError
+    before any pair runs.
     """
     check_quant_eps(quant_eps)
     check_cluster_eps(cluster_eps)
+    check_kwl_budget(kwl_budget)
     if not callable(embedder) and embedder not in EMBEDDERS:
         raise ContractError(f"unknown embedder {str(embedder)!r}; valid: {', '.join(EMBEDDERS)}")
     start = time.perf_counter()
@@ -388,10 +427,7 @@ def evaluate_pairs(
     elif callable(embedder):
         embed = lambda b: b.each(embedder)
     else:
-        signature = WL_SIGNATURES[embedder]
-        embed = lambda b: b.each(
-            lambda g: bytes.fromhex(signature(g, quant_eps, kwl_budget).digest)
-        )
+        embed = lambda b: _wl_digests(b, embedder, quant_eps, kwl_budget, memo.refined)
     embedded = memo.embedded
     _fill(embedded, (((id(g), width), g) for row in survivors for g in row[2:]), embed)
     included = _sift(
@@ -445,8 +481,8 @@ def evaluate_grid(
     """One row per (spec, embedder, origin) cell, in that nesting order.
 
     Equal to calling evaluate_pairs once per cell, `seconds` aside: the
-    cells of one spec share its transforms, and the cells of one (spec,
-    embedder) share its embeddings.
+    cells of one spec share its transforms and its 1-WL digests, and the
+    cells of one (spec, embedder) share its embeddings.
     """
     origins: list[str | None] = [None]
     if by_origin:
@@ -457,9 +493,9 @@ def evaluate_grid(
         origins = list(seen)
     rows = []
     for spec in specs:
-        transformed: dict[int, object] = {}
+        shared = _Memo()
         for embedder in embedders:
-            memo = _Memo(transformed)
+            memo = _Memo(shared.transformed, shared.refined)
             for origin in origins:
                 rows.append(
                     evaluate_pairs(

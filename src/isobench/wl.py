@@ -2,12 +2,15 @@
 
 Node refinement (1-WL) replaces each color by a digest of the pair (own
 color, sorted multiset of neighbor colors) and stops once the induced
-node partition repeats.
+node partition repeats. Each round hashes each distinct (color,
+neighbor multiset) payload once, so the nodes of a regular or symmetric
+graph share a few BLAKE2b calls.
 
 The oblivious k-WL verdicts for k in {2, 3} come from folklore
 refinement: oblivious (k+1)-WL separates exactly the graphs that
 folklore k-WL separates (Cai, Fuerer & Immerman 1992; Morris et al.
-2019, arXiv:1810.02244). So 2-WL is node refinement again, and 3-WL is
+2019, arXiv:1810.02244). So 2-WL is node refinement again, and a grid
+with both wl1 and wl2 columns refines each graph once for both; 3-WL is
 2-FWL on ordered pairs: a pair starts from its equality and adjacency
 flags and the two quantized feature rows, and each round adds the
 sorted multiset over w of (color of (u, w), color of (w, v)).
@@ -30,6 +33,7 @@ running on.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -55,8 +59,20 @@ _CHUNK_CELLS = 1 << 18
 ColorKey = bytes  # 16-byte digest
 
 
+# The keyed state every digest starts from; _digest updates a copy.
+_HASHER = hashlib.blake2b(digest_size=16, person=_PERSON)
+
+
 def _digest(payload: bytes) -> ColorKey:
-    return hashlib.blake2b(payload, digest_size=16, person=_PERSON).digest()
+    h = _HASHER.copy()
+    h.update(payload)
+    return h.digest()
+
+
+def _digests(payloads: list[bytes]) -> list[ColorKey]:
+    """_digest of each payload, hashing each distinct payload once."""
+    named = {p: _digest(p) for p in set(payloads)}
+    return list(map(named.__getitem__, payloads))
 
 
 @dataclass(frozen=True)
@@ -90,22 +106,27 @@ def _finish(variant: str, eps: float, rounds: int, colors: list[ColorKey]) -> WL
 
 
 def _initial_colors(g: Graph, eps: float) -> list[ColorKey]:
-    return [_digest(_INIT + quantized_row_bytes(row)) for row in quantize_matrix(g.features, eps)]
+    return _digests([_INIT + quantized_row_bytes(row) for row in quantize_matrix(g.features, eps)])
 
 
 def _refine(g: Graph, colors: list[ColorKey]) -> tuple[list[ColorKey], int]:
     """Refine node colors until the induced partition repeats.
 
     Returns the stable colors and the number of rounds run. Each round
-    adds at least one class or stops, so n rounds always suffice.
+    adds at least one class or stops, so n rounds always suffice. Nodes
+    with equal (color, neighbor multiset) payloads share one digest
+    call, which gives each node the color its own call would.
     """
     classes = len(set(colors))
     rounds = 0
+    neighbors = g.neighbors
     for _ in range(g.n):
-        new = [
-            _digest(_REFINE + colors[v] + b"".join(sorted(colors[u] for u in g.neighbors[v])))
-            for v in range(g.n)
-        ]
+        new = _digests(
+            [
+                _REFINE + colors[v] + b"".join(sorted(map(colors.__getitem__, neighbors[v])))
+                for v in range(g.n)
+            ]
+        )
         rounds += 1
         new_classes = len(set(new))
         colors = new
@@ -189,6 +210,26 @@ def _fwl2(g: Graph, eps: float) -> tuple[list[ColorKey], int]:
     return [keys[i] for i in ranks.tolist()], rounds
 
 
+def check_kwl_budget(budget: int) -> None:
+    """Raise ContractError unless budget is a usable tuple budget: an integer >= 1."""
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+        raise ContractError(f"tuple budget must be an integer >= 1, got {budget!r}")
+
+
+def check_tuple_refinement(g: Graph, k: int, budget: int) -> None:
+    """Raise unless k-tuple refinement of g fits: ContractError for a graph
+    with no node, ResourceLimitError when a round's n**k tuple-neighbor
+    operations exceed budget."""
+    if g.n < 1:
+        raise ContractError("tuple refinement needs at least one node")
+    ops_per_round = g.n**k
+    if ops_per_round > budget:
+        raise ResourceLimitError(
+            f"tuple refinement needs {ops_per_round} tuple-neighbor operations per round, "
+            f"budget is {budget}"
+        )
+
+
 def wlk_signature(
     g: Graph,
     k: int,
@@ -203,18 +244,13 @@ def wlk_signature(
     pairs. The histogram counts the colored (k-1)-tuples: n nodes for
     k = 2, n**2 pairs for k = 3. A round substitutes each of n nodes
     into each (k-1)-tuple, n**k operations; the call is refused up
-    front when that exceeds the budget.
+    front when that exceeds the budget (check_tuple_refinement). A
+    budget that is not an integer >= 1 raises ContractError.
     """
     if k not in (2, 3):
         raise ContractError(f"tuple refinement supports k in {{2, 3}}, got {k}")
-    if g.n < 1:
-        raise ContractError("tuple refinement needs at least one node")
-    ops_per_round = g.n**k
-    if ops_per_round > budget:
-        raise ResourceLimitError(
-            f"tuple refinement needs {ops_per_round} tuple-neighbor operations per round, "
-            f"budget is {budget}"
-        )
+    check_kwl_budget(budget)
+    check_tuple_refinement(g, k, budget)
     if k == 2:
         colors, rounds = _refine(g, _initial_colors(g, eps))
     else:

@@ -381,6 +381,38 @@ class TestGridAndRendering:
         assert "needs 256 tuple-neighbor operations per round" in wl2[0]
         assert all(note.endswith("budget is 100") for note in wl2 + wl3)
 
+    @pytest.mark.parametrize("embedders", [["wl1", "wl2"], ["wl2", "wl1"]])
+    def test_wl2_keeps_its_budget_when_it_shares_wl1_refinements(self, embedders):
+        rows = evaluate_grid(hard_pair_library(), [base_spec()], embedders, kwl_budget=100)
+        by_name = {r.embedder: r for r in rows}
+        assert (by_name["wl1"].pairs, by_name["wl1"].excluded, by_name["wl1"].notes) == (4, 0, ())
+        assert (by_name["wl2"].pairs, by_name["wl2"].excluded) == (3, 1)
+        assert by_name["wl2"].notes == (
+            "pair 2 (rook4x4_vs_shrikhande): tuple refinement needs 256 "
+            "tuple-neighbor operations per round, budget is 100",
+        )
+
+    @pytest.mark.parametrize("embedders", [["wl1", "wl2"], ["wl2", "wl1"]])
+    def test_wl2_refuses_empty_graphs_that_wl1_refines(self, embedders):
+        ds = PairDataset((LabeledPair(Graph(0), Graph(0), True),))
+        by_name = {r.embedder: r for r in evaluate_grid(ds, [base_spec()], embedders)}
+        assert (by_name["wl1"].pairs, by_name["wl1"].excluded) == (1, 0)
+        assert by_name["wl2"].notes == (
+            "pair 0 (unlabeled): tuple refinement needs at least one node",
+        )
+
+    @pytest.mark.parametrize("budget", [0, -5, True, 2.5, "100"])
+    def test_unusable_kwl_budget_is_refused_before_any_pair(self, monkeypatch, budget):
+        def never(spec, x):
+            raise AssertionError("no transform may run")
+
+        monkeypatch.setattr(evaluate, "apply_transform", never)
+        ds = make_pair_dataset(toy_pairs())
+        with pytest.raises(ContractError, match="tuple budget must be an integer >= 1"):
+            evaluate_pairs(ds, base_spec(), "wl2", kwl_budget=budget)
+        with pytest.raises(ContractError, match="tuple budget must be an integer >= 1"):
+            evaluate_grid(ds, [base_spec()], ["wl1"], kwl_budget=budget)
+
     def test_grid_by_origin(self):
         pairs = [
             LabeledPair(path(3), path(3), True, origin="a"),
@@ -533,6 +565,41 @@ class TestGridSharing:
         assert "centrality augmentation needs at least one node" in notes
         assert "picky embedder refuses n=3" in notes
         assert "model expects" in notes
+
+    @pytest.mark.parametrize("embedders", [["wl1", "wl2"], ["wl2", "wl1", "wl2"]])
+    def test_wl1_and_wl2_refine_each_graph_once_per_spec(self, monkeypatch, embedders):
+        """wl2 reads wl1's refinement and never calls wlk_signature; its
+        rows still equal the cells run alone, refusals included."""
+        refined: list[Graph] = []  # keeps ids unique for the whole grid
+        original = evaluate.wl1_signature
+
+        def counting(g, eps):
+            refined.append(g)
+            return original(g, eps)
+
+        def never(*args):
+            raise AssertionError("wl2 must not refine tuples")
+
+        ds = two_width_pairs(with_empty=True)
+        alone = [
+            evaluate_pairs(ds, spec, embedder, kwl_budget=9)
+            for spec in self.SPECS
+            for embedder in embedders
+        ]
+        monkeypatch.setattr(evaluate, "wl1_signature", counting)
+        monkeypatch.setattr(evaluate, "wlk_signature", never)
+        grid = evaluate_grid(ds, self.SPECS, embedders, kwl_budget=9)
+
+        assert [dataclasses.replace(r, seconds=0.0) for r in grid] == [
+            dataclasses.replace(r, seconds=0.0) for r in alone
+        ]
+        # Closeness refuses Graph(0), so its pair's graphs are never
+        # embedded there; every other transformed graph is refined once.
+        objects = len({id(g) for g in ds.graphs})
+        assert len(refined) == len({id(g) for g in refined}) == len(self.SPECS) * objects - 2
+        notes = "\n".join(note for r in grid if r.embedder == "wl2" for note in r.notes)
+        assert "tuple refinement needs at least one node" in notes
+        assert "needs 16 tuple-neighbor operations per round, budget is 9" in notes
 
     @pytest.mark.parametrize("by_origin", [False, True])
     @pytest.mark.parametrize("arch", models.ARCHS)

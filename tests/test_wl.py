@@ -61,6 +61,21 @@ class TestWL1:
         assert len(sig.histogram) == 1
         assert sig.rounds == 1
 
+    def test_each_distinct_payload_is_hashed_once_per_round(self, monkeypatch):
+        calls: list[bytes] = []
+        original = wl._digest
+
+        def counting(payload):
+            calls.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(wl, "_digest", counting)
+        sig = wl1_signature(cycle(12))
+        # One payload for the initial colors, then one per round.
+        assert len(calls) == 1 + sig.rounds
+        monkeypatch.undo()
+        assert sig == wl1_signature(cycle(12))
+
     def test_histogram_counts_every_node(self):
         assert wl1_signature(star(5)).histogram_size == 5
 
@@ -133,6 +148,14 @@ class TestWLK:
     def test_budget_is_enforced(self):
         with pytest.raises(ResourceLimitError):
             wlk_signature(cycle(10), 3, budget=100)
+
+    @pytest.mark.parametrize("budget", [0, -5, True, 2.5, None])
+    def test_unusable_budget_is_a_contract_error(self, budget):
+        with pytest.raises(ContractError, match="tuple budget must be an integer >= 1"):
+            wlk_signature(Graph(3), 2, budget=budget)
+
+    def test_numpy_integer_budget_is_usable(self):
+        assert wlk_signature(Graph(3), 2, budget=np.int64(9)).variant == "2-WL"
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_budget_boundary_is_n_to_the_k(self, k):
