@@ -8,11 +8,14 @@ graph6
     The compact 6-bit printable encoding. A length prefix N(n) is one
     byte chr(n + 63) for n <= 62, otherwise '~' followed by three bytes
     holding n in 18 bits big-endian (accepted up to n = 65535). The
-    upper triangle of the adjacency matrix is then emitted column by
-    column, cell (i, j) with i < j ordered by (j, i), packed six bits
-    per byte most significant bit first, zero padded, each byte offset
-    by 63. Features are not representable; parsing yields the all-ones
-    n x 1 matrix.
+    upper triangle of the adjacency matrix then follows column by
+    column: cell (u, v) with u < v is bit v(v-1)/2 + u (_graph6_bit), and
+    the bits are packed six per byte, most significant first, zero
+    padded, each byte offset by 63. The reader checks each payload's
+    prefix and body size in turn (_graph6_layout) and unpacks the bodies
+    of one node count together; the writer sets the bits of the edges
+    by position in one array pass. Features are not representable;
+    parsing yields the all-ones n x 1 matrix.
 
 edge list
     Line one is "n d", with n at most 65535 and n * d at most 2**24
@@ -26,6 +29,7 @@ edge list
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -61,21 +65,10 @@ class Graph:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
             raise ContractError(f"node count must be a non-negative int, got {self.n!r}")
-        seen = set()
-        canon = []
-        for pair in self.edges:
-            u, v = pair
-            u, v = int(u), int(v)
-            if u == v:
-                raise ContractError(f"self-loop at node {u} is not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ContractError(f"edge {pair!r} out of range for n={self.n}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ContractError(f"duplicate edge {key!r}")
-            seen.add(key)
-            canon.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        seen: set[tuple[int, int]] = set()
+        for u, v in self.edges:
+            seen.add(_edge_key(self.n, int(u), int(v), seen))
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
         feats = self.features
         if feats is None:
             feats = np.ones((self.n, 1), dtype=np.float64)
@@ -178,6 +171,19 @@ class Graph:
 
 
 _STRUCTURE_CACHES = ("neighbors", "edge_index", "degrees", "edge_set", "adjacency_matrix")
+
+
+def _edge_key(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
+    """The key (min, max) of edge u v, which must join two distinct nodes
+    of 0..n-1 and not be in seen; ContractError names the first rule broken."""
+    if u == v:
+        raise ContractError(f"self-loop at node {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ContractError(f"index {u if not 0 <= u < n else v} out of range for n={n}")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ContractError(f"duplicate edge {key}")
+    return key
 
 
 def _checked_features(n: int, features) -> np.ndarray:
@@ -440,10 +446,6 @@ class Permutation:
         return Permutation(tuple(inv))
 
     @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    @staticmethod
     def random(n: int, rng: np.random.Generator) -> "Permutation":
         return Permutation(tuple(rng.permutation(n).tolist()))
 
@@ -457,11 +459,67 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
 # graph6
 
 
+# Any character outside graph6's byte range 63..126, '?' to '~'.
+_GRAPH6_BAD_BYTE = re.compile(r"[^?-~]")
+
+
 def _strip_graph6_header(text: str) -> str:
     text = text.strip()
     if text.startswith(GRAPH6_HEADER):
         text = text[len(GRAPH6_HEADER):]
     return text
+
+
+def _graph6_bit(u, v):
+    """The bit of cell (u, v), u < v, in a graph6 body: the cells run column
+    by column, so _graph6_bit(0, n) is the n(n-1)/2 bits of n nodes. u and
+    v are ints or intp arrays."""
+    return v * (v - 1) // 2 + u
+
+
+def _graph6_prefix(n: int) -> str:
+    """N(n): chr(n + 63) for n <= 62, else '~' and n in three 6-bit bytes."""
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+
+
+def _graph6_layout(payload: str, bad: int | None) -> tuple[int, int, int]:
+    """(n, body, need) of one stripped graph6 payload: its node count, the
+    offset of its edge bytes and their number.
+
+    bad is the offset of the payload's first byte outside 63..126, or
+    None when it has none. GraphParseError names the first fault, with
+    its byte offset, checked in this order: empty payload, byte out of
+    range, 8-byte node count, truncated long-form count, node count over
+    65535, too few edge bytes, trailing bytes, and non-zero padding.
+    """
+    size = len(payload)
+    if size == 0:
+        raise GraphParseError("empty graph6 payload", offset=0)
+    if bad is not None:
+        raise GraphParseError(f"byte {ord(payload[bad])} outside graph6 range 63..126", offset=bad)
+    if payload[0] != "~":
+        n, body = ord(payload[0]) - 63, 1
+    elif payload[1:2] == "~":
+        raise GraphParseError("8-byte node counts exceed the supported 65535", offset=0)
+    elif size < 4:
+        raise GraphParseError("truncated long-form node count", offset=size)
+    else:
+        high, mid, low = (ord(c) - 63 for c in payload[1:4])
+        n, body = (high << 12) | (mid << 6) | low, 4
+        if n > GRAPH6_MAX_NODES:
+            raise GraphParseError(f"node count {n} exceeds the supported 65535", offset=0)
+    bits = _graph6_bit(0, n)
+    need = (bits + 5) // 6
+    found = size - body
+    if found < need:
+        raise GraphParseError(f"need {need} edge bytes for n={n}, found {found}", offset=size)
+    if found > need:
+        raise GraphParseError("trailing data after edge bits", offset=body + need)
+    if need and (ord(payload[-1]) - 63) & ((1 << (6 * need - bits)) - 1):
+        raise GraphParseError("non-zero padding bit", offset=size - 1)
+    return n, body, need
 
 
 def parse_graph6(text: str) -> Graph:
@@ -473,91 +531,46 @@ def decode_graph6(texts: Sequence[str], lines: Sequence[int] | None = None) -> l
     """Decode each text as one graph6 graph, in one pass over all of them.
 
     Each text is stripped and loses a leading ">>graph6<<" as in
-    parse_graph6. The byte range is checked over all texts at once, then
-    the length prefixes and body sizes of every text. The first bad text
-    raises the GraphParseError that parse_graph6 raises for it alone,
-    with line set to lines[i] when lines is given. The texts of one node
-    count n decode together: np.unpackbits gives their bits, which fill
-    the upper triangles of one boolean (graphs, n, n) block column by
-    column, one byte per node pair, and np.nonzero reads each graph's
-    edges from it already sorted.
+    parse_graph6. One search over all texts finds the first byte outside
+    63..126; then each text's prefix and body size are checked in turn
+    (_graph6_layout), and only the text holding that byte sees it. The
+    first bad text raises the GraphParseError that parse_graph6 raises
+    for it alone, with line set to lines[i] when lines is given. The
+    texts of one node count n decode together: np.unpackbits gives their
+    bits, which fill the upper triangles of one boolean (graphs, n, n)
+    block column by column, one slice of _graph6_bit positions per
+    column, and np.nonzero reads each graph's edges from it already sorted.
     """
     payloads = [_strip_graph6_header(t) for t in texts]
-    m = len(payloads)
     joined = "".join(payloads)
-    # One code point per character; four trailing zeros let every
-    # payload's prefix be read in place.
-    codes = np.frombuffer((joined + "\0\0\0\0").encode("utf-32-le"), dtype=np.uint32)
-    size = np.fromiter(map(len, payloads), np.int64, m)
-    start = np.cumsum(size) - size
+    found = _GRAPH6_BAD_BYTE.search(joined)
+    bad = found.start() if found else len(joined)
+    layouts = []
+    start = 0
+    for i, payload in enumerate(payloads):
+        stop = start + len(payload)
+        try:
+            n, body, need = _graph6_layout(payload, bad - start if start <= bad < stop else None)
+        except GraphParseError as exc:
+            line = None if lines is None else lines[i]
+            raise GraphParseError(exc.message, offset=exc.offset, line=line) from None
+        layouts.append((n, start + body, need))
+        start = stop
+    # Every byte is now known to lie in 63..126.
+    codes = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - 63
+    layout = np.fromiter(chain.from_iterable(layouts), np.intp, 3 * len(layouts)).reshape(-1, 3)
 
-    bad = np.flatnonzero((codes[: len(joined)] < 63) | (codes[: len(joined)] > 126))
-    owner = np.searchsorted(start, bad, side="right") - 1
-    first_bad = size.copy()
-    np.minimum.at(first_bad, owner, bad - start[owner])
-
-    def at(k: int) -> np.ndarray:
-        """Byte k of each payload as an int, or -1 past its end."""
-        return np.where(size > k, codes[start + k].astype(np.int64), -1)
-
-    c0, c1, c2, c3 = at(0), at(1), at(2), at(3)
-    long = c0 == 126
-    error = np.zeros(m, dtype=np.int8)
-
-    def flag(code: int, mask: np.ndarray) -> None:
-        error[(error == 0) & mask] = code
-
-    flag(1, size == 0)
-    flag(2, first_bad < size)
-    flag(3, long & (c1 == 126))
-    flag(4, long & (size < 4))
-    n = big = np.where(long, ((c1 - 63) << 12) | ((c2 - 63) << 6) | (c3 - 63), c0 - 63)
-    flag(5, n > GRAPH6_MAX_NODES)
-    # A payload that has failed a check counts as the null graph from here on.
-    n = np.where(error == 0, n, 0)
-    body = np.where(long, 4, 1)
-    bits = n * (n - 1) // 2
-    need = (bits + 5) // 6
-    found = size - body
-    flag(6, found < need)
-    flag(7, found > need)
-    last = np.where(error == 0, start + body + need - 1, 0)
-    padding = (codes[last].astype(np.int64) - 63) & ((1 << (6 * need - bits)) - 1)
-    flag(8, (need > 0) & (padding != 0))
-
-    failed = np.flatnonzero(error)
-    if failed.size:
-        i = int(failed[0])
-        message, offset = {
-            1: lambda: ("empty graph6 payload", 0),
-            2: lambda: (
-                f"byte {int(codes[start[i] + first_bad[i]])} outside graph6 range 63..126",
-                first_bad[i],
-            ),
-            3: lambda: ("8-byte node counts exceed the supported 65535", 0),
-            4: lambda: ("truncated long-form node count", size[i]),
-            5: lambda: (f"node count {big[i]} exceeds the supported 65535", 0),
-            6: lambda: (f"need {need[i]} edge bytes for n={n[i]}, found {found[i]}", size[i]),
-            7: lambda: ("trailing data after edge bits", body[i] + need[i]),
-            8: lambda: ("non-zero padding bit", body[i] + need[i] - 1),
-        }[int(error[i])]()
-        raise GraphParseError(
-            message, offset=int(offset), line=None if lines is None else lines[i]
-        )
-
-    out: list[Graph] = [None] * m
-    for count in np.unique(n).tolist():
-        members = np.flatnonzero(n == count)
-        width = int(need[members[0]])
-        at_body = (start[members] + body[members])[:, None] + np.arange(width)
-        packed = (codes[at_body] - 63).astype(np.uint8)
-        unpacked = np.unpackbits(packed[:, :, None], axis=2)[:, :, 2:]
-        bits = unpacked.reshape(len(members), -1)
-        # Column v of the upper triangle is graph6's run of v bits for v,
-        # so np.nonzero reads each graph's edges in sorted (u, v) order.
+    out: list[Graph] = [None] * len(payloads)
+    for count in np.unique(layout[:, 0]).tolist():
+        members = np.flatnonzero(layout[:, 0] == count)
+        need = int(layout[members[0], 2])
+        packed = codes[layout[members, 1][:, None] + np.arange(need)]
+        bits = np.unpackbits(packed[:, :, None], axis=2)[:, :, 2:].reshape(len(members), -1)
+        # Column v of the upper triangle holds bits _graph6_bit(0, v) on, so
+        # np.nonzero reads each graph's edges in sorted (u, v) order.
         upper = np.zeros((len(members), count, count), dtype=bool)
         for v in range(1, count):
-            upper[:, :v, v] = bits[:, v * (v - 1) // 2 : v * (v + 1) // 2]
+            upper[:, :v, v] = bits[:, _graph6_bit(0, v) : _graph6_bit(0, v + 1)]
         graph, u, v = np.nonzero(upper)
         index = np.stack((u, v), axis=1)
         index.setflags(write=False)
@@ -575,31 +588,19 @@ def decode_graph6(texts: Sequence[str], lines: Sequence[int] | None = None) -> l
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode structure only; features are dropped by the format."""
+    """Encode structure only; features are dropped by the format.
+
+    Each edge sets its bit (_graph6_bit) in the zeroed body in one array
+    pass, so the time grows with the output, not with the node pairs.
+    """
     n = g.n
     if n > GRAPH6_MAX_NODES:
         raise UnsupportedSizeError(f"graph6 output is limited to 65535 nodes, got {n}")
-    if n <= 62:
-        prefix = chr(n + 63)
-    else:
-        prefix = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    edge_set = g.edge_set
-    bits_needed = n * (n - 1) // 2
-    out = []
-    acc = 0
-    filled = 0
-    for v in range(1, n):
-        for u in range(v):
-            acc = (acc << 1) | (1 if (u, v) in edge_set else 0)
-            filled += 1
-            if filled == 6:
-                out.append(chr(acc + 63))
-                acc, filled = 0, 0
-    if filled:
-        acc <<= 6 - filled
-        out.append(chr(acc + 63))
-    assert len(out) == (bits_needed + 5) // 6
-    return prefix + "".join(out)
+    body = np.zeros((_graph6_bit(0, n) + 5) // 6, dtype=np.uint8)
+    bit = _graph6_bit(g.edge_index[:, 0], g.edge_index[:, 1])
+    np.bitwise_or.at(body, bit // 6, (32 >> (bit % 6)).astype(np.uint8))
+    body += 63
+    return _graph6_prefix(n) + body.tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -648,26 +649,19 @@ def parse_edge_list(text: str) -> Graph:
     split = 0
     while split < len(body) and _looks_like_edge(body[split][1].split()):
         split += 1
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for no, ln in body[:split]:
         u, v = (int(t) for t in ln.split())
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", line=no)
-        if not (0 <= u < n and 0 <= v < n):
-            bad = u if not 0 <= u < n else v
-            raise GraphParseError(f"index {bad} out of range for n={n}", line=no)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphParseError(f"duplicate edge {key}", line=no)
-        seen.add(key)
-        edges.append(key)
-    edges.sort()
+        try:
+            seen.add(_edge_key(n, u, v, seen))
+        except ContractError as exc:
+            raise GraphParseError(str(exc), line=no) from None
+    edges = tuple(sorted(seen))
     feature_lines = body[split:]
     if not feature_lines:
         ones = np.ones((n, d), dtype=np.float64)
         ones.setflags(write=False)
-        return Graph._trusted(n, tuple(edges), ones)
+        return Graph._trusted(n, edges, ones)
     if len(feature_lines) != n:
         no, first = feature_lines[0]
         found = len(feature_lines)
@@ -695,7 +689,7 @@ def parse_edge_list(text: str) -> Graph:
         rows[r] = vals
     rows.setflags(write=False)
     # The line loop has checked every edge and feature value.
-    return Graph._trusted(n, tuple(edges), rows)
+    return Graph._trusted(n, edges, rows)
 
 
 def write_edge_list(g: Graph) -> str:

@@ -105,8 +105,16 @@ def _finish(variant: str, eps: float, rounds: int, colors: list[ColorKey]) -> WL
     return WLSignature(variant, eps, rounds, histogram, acc.hexdigest())
 
 
+def _row_keys(g: Graph, eps: float) -> list[bytes]:
+    """quantized_row_bytes of each quantized feature row, as slices of the
+    whole matrix's encoding, which holds the rows' encodings end to end."""
+    buffer = quantized_row_bytes(quantize_matrix(g.features, eps))
+    width = 8 * g.d
+    return [buffer[start : start + width] for start in range(0, len(buffer), width)]
+
+
 def _initial_colors(g: Graph, eps: float) -> list[ColorKey]:
-    return _digests([_INIT + quantized_row_bytes(row) for row in quantize_matrix(g.features, eps)])
+    return _digests([_INIT + key for key in _row_keys(g, eps)])
 
 
 def _refine(g: Graph, colors: list[ColorKey]) -> tuple[list[ColorKey], int]:
@@ -162,7 +170,7 @@ def _fwl2(g: Graph, eps: float) -> tuple[list[ColorKey], int]:
     sorted multiset over w of (c(u, w), c(w, v)).
     """
     n = g.n
-    row_keys = [quantized_row_bytes(row) for row in quantize_matrix(g.features, eps)]
+    row_keys = _row_keys(g, eps)
     adjacent = g.adjacency_matrix.astype(np.uint8).tolist()
     digests = [
         _digest(_INIT + bytes((u == v, adjacent[u][v])) + row_keys[u] + row_keys[v])
@@ -290,15 +298,14 @@ def are_isomorphic(
     h: Graph,
     *,
     structure_only: bool = False,
-    eps: float = DEFAULT_EPS,
     max_nodes: int = 64,
 ) -> IsoVerdict:
     """Exact isomorphism by individualisation and refinement.
 
     Differing node counts, edge counts or sorted degree sequences prove
     non-isomorphism before any refinement. Otherwise both graphs start
-    from wl1_signature's initial colors (one constant color when
-    structure_only is set) and are refined; differing color histograms
+    from wl1_signature's initial colors at DEFAULT_EPS (one constant color
+    when structure_only is set) and are refined; differing color histograms
     prove non-isomorphism. Target cell: the class of the
     lowest-index node v of g in a class of more than one node. v is
     individualised and g refined, then each w of h with v's color, in
@@ -327,7 +334,7 @@ def are_isomorphic(
     if structure_only:
         init_g = init_h = [_digest(_INIT)] * n
     else:
-        init_g, init_h = _initial_colors(g, eps), _initial_colors(h, eps)
+        init_g, init_h = _initial_colors(g, DEFAULT_EPS), _initial_colors(h, DEFAULT_EPS)
     colors_g, colors_h = _refine(g, init_g)[0], _refine(h, init_h)[0]
     if Counter(colors_g) != Counter(colors_h):
         return IsoVerdict(False)

@@ -14,7 +14,8 @@ from collections import Counter, deque
 import numpy as np
 from hypothesis import strategies as st
 
-from isobench import ContractError, Graph, NumericError
+from isobench import ContractError, Graph, NumericError, UnsupportedSizeError
+from isobench.graphs import GRAPH6_MAX_NODES
 from isobench.quant import quantize_matrix
 
 
@@ -272,6 +273,38 @@ def canonical_key(g: Graph) -> bytes:
         if best is None or bits < best:
             best = bits
     return bytes([g.n]) + bytes(best or ())
+
+
+# ---------------------------------------------------------------------------
+# graph6 by a walk over the node pairs (reference for the array writer)
+
+
+def reference_graph6(g: Graph) -> str:
+    """graph6 text of g, built one node pair at a time, column by column."""
+    n = g.n
+    if n > GRAPH6_MAX_NODES:
+        raise UnsupportedSizeError(f"graph6 output is limited to 65535 nodes, got {n}")
+    if n <= 62:
+        prefix = chr(n + 63)
+    else:
+        prefix = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
+    edge_set = g.edge_set
+    bits_needed = n * (n - 1) // 2
+    out = []
+    acc = 0
+    filled = 0
+    for v in range(1, n):
+        for u in range(v):
+            acc = (acc << 1) | (1 if (u, v) in edge_set else 0)
+            filled += 1
+            if filled == 6:
+                out.append(chr(acc + 63))
+                acc, filled = 0, 0
+    if filled:
+        acc <<= 6 - filled
+        out.append(chr(acc + 63))
+    assert len(out) == (bits_needed + 5) // 6
+    return prefix + "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -270,3 +270,22 @@ class TestGraph6Files:
         assert str(err.value) == f"{file}:{lineno}: {message} (byte offset {offset}) (line {lineno})"
         assert err.value.line == lineno
         assert err.value.__cause__.offset == offset
+
+    @pytest.mark.parametrize(
+        "bad,message,offset,lineno",
+        [
+            # A header error on line 2 wins over an out-of-range byte on line 3.
+            (["D", "B!"], "need 2 edge bytes for n=5, found 0", 1, 2),
+            # An out-of-range byte on line 2 wins over a header error on line 3.
+            (["B!", "D"], "byte 33 outside graph6 range 63..126", 1, 2),
+            # Offsets count from the payload after the ">>graph6<<" header.
+            (["", ">>graph6<<B!"], "byte 33 outside graph6 range 63..126", 1, 3),
+        ],
+    )
+    def test_faults_are_ordered_by_line(self, tmp_path, bad, message, offset, lineno):
+        file = tmp_path / "bad.g6"
+        file.write_text("\n".join(["Bw"] + bad) + "\n")
+        with pytest.raises(GraphParseError) as err:
+            load_dataset(str(file))
+        assert str(err.value) == f"{file}:{lineno}: {message} (byte offset {offset}) (line {lineno})"
+        assert err.value.__cause__.offset == offset

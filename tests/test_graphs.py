@@ -38,7 +38,15 @@ from isobench import (
     write_graph6,
 )
 
-from helpers import brute_force_isomorphic, graphs, permutations_for, random_cubic
+from isobench.graphs import decode_graph6
+
+from helpers import (
+    brute_force_isomorphic,
+    graphs,
+    permutations_for,
+    random_cubic,
+    reference_graph6,
+)
 
 
 def _peak_mib(fn) -> float:
@@ -328,6 +336,41 @@ class TestGraph6:
         mine = parse_graph6(nx.to_graph6_bytes(other, header=False).decode().strip())
         assert mine.edges == g.edges
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.integers(0, 70), st.integers(62, 70)),
+        st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_writer_matches_the_pairwise_reference(self, n, p, seed):
+        # Up to 70 nodes, half of them drawn near 63, so the long form is
+        # covered without networkx.
+        g = erdos_renyi(n, p, seed)
+        assert write_graph6(g) == reference_graph6(g)
+
+    @pytest.mark.parametrize(
+        "texts,message,offset,line",
+        [
+            # An earlier header error wins over a later out-of-range byte.
+            (["Bw", "D", "B!"], "need 2 edge bytes for n=5, found 0", 1, 12),
+            (["", "B!"], "empty graph6 payload", 0, 11),
+            # An out-of-range byte wins over a later header error.
+            (["Bw", "B!", "D"], "byte 33 outside graph6 range 63..126", 1, 12),
+            (["~" + chr(200), "~~"], "byte 200 outside graph6 range 63..126", 1, 11),
+            # A header line's offsets count from the payload after ">>graph6<<".
+            (["Bw", " >>graph6<<B!\t"], "byte 33 outside graph6 range 63..126", 1, 12),
+            ([">>graph6<<Bx"], "non-zero padding bit", 1, 11),
+        ],
+    )
+    def test_first_fault_in_text_order_wins(self, texts, message, offset, line):
+        lines = list(range(11, 11 + len(texts)))
+        with pytest.raises(GraphParseError) as err:
+            decode_graph6(texts, lines)
+        assert (err.value.message, err.value.offset, err.value.line) == (message, offset, line)
+        with pytest.raises(GraphParseError) as err:
+            decode_graph6(texts)
+        assert (err.value.message, err.value.offset, err.value.line) == (message, offset, None)
+
 
 class TestEdgeList:
     def test_round_trip_with_features(self):
@@ -390,6 +433,24 @@ class TestEdgeList:
     @given(graphs(max_n=7, feature_dims=3))
     def test_round_trip_random(self, g):
         assert parse_edge_list(write_edge_list(g)) == g
+
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((2, 2), "self-loop at node 2"),
+            ((0, 5), "index 5 out of range for n=3"),
+            ((-1, 1), "index -1 out of range for n=3"),
+            ((7, 7), "self-loop at node 7"),
+            ((1, 0), "duplicate edge (0, 1)"),
+        ],
+    )
+    def test_graph_and_parser_state_one_edge_rule(self, edge, message):
+        with pytest.raises(ContractError) as err:
+            Graph(3, ((0, 1), edge))
+        assert str(err.value) == message
+        with pytest.raises(GraphParseError) as err:
+            parse_edge_list("3 1\n0 1\n%d %d\n" % edge)
+        assert (err.value.message, err.value.line) == (message, 3)
 
 
 class TestPermutation:

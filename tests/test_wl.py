@@ -29,6 +29,7 @@ from isobench import (
 )
 
 from isobench import wl
+from isobench.quant import quantize_matrix, quantized_row_bytes
 
 from helpers import graphs, naive_tuple_refinement_splits, permutations_for
 
@@ -75,6 +76,12 @@ class TestWL1:
         assert len(calls) == 1 + sig.rounds
         monkeypatch.undo()
         assert sig == wl1_signature(cycle(12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(max_n=6, feature_dims=3))
+    def test_row_keys_are_each_rows_encoding(self, g):
+        rows = quantize_matrix(g.features, 1e-3)
+        assert wl._row_keys(g, 1e-3) == [quantized_row_bytes(row) for row in rows]
 
     def test_histogram_counts_every_node(self):
         assert wl1_signature(star(5)).histogram_size == 5
