@@ -19,8 +19,9 @@ eigenvector  principal adjacency eigenvector. Iterates x <- x + A x
              tol in max norm, otherwise a ConvergenceError reports the
              final iterate gap.
 
-Closeness and distance_encoding read breadth-first levels that
-ball_growth computes for every graph of a batch at once. Each node holds
+Closeness, distance_encoding and the distance profiles of
+wl.are_isomorphic read breadth-first levels that ball_growth computes
+for every graph of a batch at once. Each node holds
 one bit per source of its own graph, 64 sources to a uint64 word (a
 multi-source BFS: Then et al., "The More the Merrier", VLDB 2014), and
 one level ORs each node's words with its neighbours' words, so after

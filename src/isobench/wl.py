@@ -21,7 +21,13 @@ The signature of a graph is the multiset of final colors of its nodes
 (1-WL, 2-WL) or its ordered pairs (3-WL); two graphs are distinguished
 exactly when those multisets differ.
 
-Exact isomorphism reuses node refinement (McKay & Piperno 2014,
+Exact isomorphism runs necessary checks from cheapest to dearest, each
+preserved by every isomorphism: node and edge counts, sorted degree
+sequences, 1-WL color histograms, then sorted per-node distance
+profiles, which 1-WL cannot see (a 6-cycle against two triangles) but
+folklore 2-WL can (Zhang et al. 2023, "Rethinking the Expressive Power
+of GNNs via Graph Biconnectivity"). Only a pair that passes them all is
+searched. The search reuses node refinement (McKay & Piperno 2014,
 "Practical graph isomorphism, II"): it individualises one node, giving
 it a color no refinement round produces, refines again, and repeats
 until every class is a single node. Each candidate node of the second
@@ -39,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .centrality import ball_growth
 from .errors import ContractError, ResourceLimitError
-from .graphs import Graph, Permutation
+from .graphs import Graph, GraphBatch, Permutation
 from .quant import quantize_matrix, quantized_row_bytes
 
 _PERSON = b"isobench.wl"
@@ -281,10 +288,15 @@ def distinguishes(a: WLSignature, b: WLSignature) -> bool:
 
 @dataclass(frozen=True)
 class IsoVerdict:
-    """Result of an exact isomorphism test, with a witness when positive."""
+    """Result of an exact isomorphism test, with a witness when positive.
+
+    steps counts the individualise-and-refine steps the search took: 0
+    when a necessary check decided the pair before any search.
+    """
 
     isomorphic: bool
     witness: Permutation | None = None
+    steps: int = 0
 
 
 def _individualise(colors: list[ColorKey], v: int) -> list[ColorKey]:
@@ -302,11 +314,17 @@ def are_isomorphic(
 ) -> IsoVerdict:
     """Exact isomorphism by individualisation and refinement.
 
-    Differing node counts, edge counts or sorted degree sequences prove
-    non-isomorphism before any refinement. Otherwise both graphs start
-    from wl1_signature's initial colors at DEFAULT_EPS (one constant color
-    when structure_only is set) and are refined; differing color histograms
-    prove non-isomorphism. Target cell: the class of the
+    Necessary checks come first, in this order, and each one that fails
+    proves non-isomorphism with steps 0: node counts, edge counts, sorted
+    degree sequences (no refinement yet), then 1-WL color histograms and
+    then distance profiles. For the histograms both graphs start from
+    wl1_signature's initial colors at DEFAULT_EPS (one constant color
+    when structure_only is set) and are refined. A node's distance
+    profile counts the nodes at each distance 1..n-1 from it
+    (centrality.ball_growth, one call for both graphs); the pair fails
+    when the sorted profiles differ. It goes after refinement because it
+    costs several refinements and refinement alone already splits most
+    pairs. The search comes last. Target cell: the class of the
     lowest-index node v of g in a class of more than one node. v is
     individualised and g refined, then each w of h with v's color, in
     ascending index, is individualised and h refined, and the search
@@ -314,6 +332,8 @@ def are_isomorphic(
     single node, the color-matching map, if it carries every edge of g
     onto an edge of h; the first such leaf in this order, so the same on
     every run. More than ISO_SEARCH_BUDGET steps raise ResourceLimitError.
+    A pair that a check decides never reaches the search, so one with
+    unequal profiles is decided however large its search tree.
     """
     if g.n != h.n:
         return IsoVerdict(False)
@@ -337,6 +357,10 @@ def are_isomorphic(
         init_g, init_h = _initial_colors(g, DEFAULT_EPS), _initial_colors(h, DEFAULT_EPS)
     colors_g, colors_h = _refine(g, init_g)[0], _refine(h, init_h)[0]
     if Counter(colors_g) != Counter(colors_h):
+        return IsoVerdict(False)
+    # An isomorphism preserves distances, which 1-WL does not see.
+    profiles = ball_growth(GraphBatch((g, h)), n - 1)[2].reshape(2, n, n - 1).tolist()
+    if sorted(profiles[0]) != sorted(profiles[1]):
         return IsoVerdict(False)
     steps = 0
 
@@ -373,5 +397,5 @@ def are_isomorphic(
             at = {c: w for w, c in enumerate(colors_h)}
             mapping = tuple(at[c] for c in colors_g)
             if all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges):
-                return IsoVerdict(True, Permutation(mapping))
-    return IsoVerdict(False)
+                return IsoVerdict(True, Permutation(mapping), steps)
+    return IsoVerdict(False, steps=steps)

@@ -46,7 +46,7 @@ import isobench.evaluate as evaluate
 import isobench.models as models
 from isobench.cli import _build_parser
 
-from helpers import canonical_key, graphs, reference_cluster
+from helpers import canonical_key, graphs, random_cubic, reference_cluster
 
 
 def base_spec() -> TransformSpec:
@@ -214,6 +214,21 @@ class TestDatasets:
         lie = LabeledPair(path(3), star(4), True)
         with pytest.raises(CorpusIntegrityError):
             verify_pair_labels([lie])
+
+    def test_wl1_equal_iso_label_is_rejected(self):
+        # Counts, degrees and 1-WL all agree on two random cubic graphs.
+        lie = LabeledPair(random_cubic(12, 12), random_cubic(12, 13), True, "cubic")
+        with pytest.raises(CorpusIntegrityError) as err:
+            verify_pair_labels([lie])
+        assert str(err.value) == "pair 'cubic' labeled isomorphic=True but the exact test says False"
+
+    def test_width_mismatch_is_refused_before_distance_profiles(self):
+        # Same node and edge counts and unequal distance profiles: the
+        # width refusal still comes first.
+        left = Graph(6, cycle(6).edges, np.ones((6, 1)))
+        right = Graph(6, disjoint_cycles([3, 3]).edges, np.ones((6, 2)))
+        with pytest.raises(ContractError, match=r"feature widths differ \(1 vs 2\)"):
+            verify_pair_labels([LabeledPair(left, right, False)])
 
     def test_big_pairs_stay_unverified(self):
         big = LabeledPair(cycle(20), cycle(20), True)

@@ -24,6 +24,8 @@ from isobench import (
     apply_permutation,
     apply_transform,
     are_isomorphic,
+    cycle,
+    disjoint_cycles,
     erdos_renyi,
     forward,
     hard_pair_library,
@@ -499,8 +501,6 @@ class TestAreIsomorphic:
         assert apply_permutation(g, verdict.witness).edges == h.edges
 
     def test_cycle_vs_two_triangles(self):
-        from isobench import cycle, disjoint_cycles
-
         assert not are_isomorphic(cycle(6), disjoint_cycles([3, 3])).isomorphic
 
     def test_features_matter(self):
@@ -603,28 +603,121 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
 
 
+def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    """C_n(jumps): v ~ v + j (mod n) for each jump j. CSL graphs are C41(1, R)."""
+    edges = {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps}
+    return Graph(n, tuple(sorted(edges)))
+
+
+def relabeled(g: Graph, seed: int) -> Graph:
+    return apply_permutation(g, Permutation.random(g.n, np.random.default_rng(seed)))
+
+
+def cubic_case(n: int, seed: int):
+    g = random_cubic(n, seed=seed)
+    return g, (random_cubic(n, seed=seed + 1), relabeled(g, seed)), False
+
+
+def vf2_cases() -> list:
+    """(g, partners, structure_only): pairs that unequal distance profiles
+    decide (the random cubic and CSL pairs, C6 vs 2C3, C8 vs 2C4) and
+    pairs that pass them to the search (every relabeling, rook4x4 vs
+    Shrikhande)."""
+    cases = [pytest.param(*cubic_case(n, n), id=str(n)) for n in (12, 16, 22, 30)]
+    cases += [
+        pytest.param(*cubic_case(n, seed), id=f"cubic{n}-{seed}")
+        for n in (12, 14, 16)
+        for seed in (101, 202, 303)
+    ]
+    csl = {r: circulant(41, (1, r)) for r in (2, 3, 4, 5)}
+    cases += [
+        pytest.param(g, (*(h for s, h in csl.items() if s != r), relabeled(g, r)), False, id=f"csl41-{r}")
+        for r, g in csl.items()
+    ]
+    c6, c8 = cycle(6), cycle(8)
+    two_c3, two_c4 = disjoint_cycles([3, 3]), disjoint_cycles([4, 4])
+    c6_isolated, two_c3_isolated = Graph(8, c6.edges), Graph(8, two_c3.edges)
+    rook = rook4x4()
+    cases += [
+        pytest.param(c6, (two_c3, relabeled(c6, 1)), False, id="c6-2c3"),
+        pytest.param(two_c3, (c6, relabeled(two_c3, 1)), False, id="2c3-c6"),
+        pytest.param(c8, (two_c4, relabeled(c8, 1)), False, id="c8-2c4"),
+        pytest.param(c6_isolated, (two_c3_isolated, relabeled(c6_isolated, 1)), False, id="isolated"),
+        pytest.param(rook, (shrikhande(), relabeled(rook, 1)), False, id="rook-shrikhande"),
+        pytest.param(Graph(1), (Graph(1),), False, id="n1"),
+        pytest.param(Graph(2), (Graph(2), Graph(2, ((0, 1),))), False, id="n2-empty"),
+        pytest.param(Graph(2, ((0, 1),)), (relabeled(Graph(2, ((0, 1),)), 1),), False, id="n2-edge"),
+    ]
+    rng = np.random.default_rng(7)
+    g = random_cubic(12, seed=7)
+    partners = (random_cubic(12, seed=8), relabeled(g, 7))
+    cases.append(
+        pytest.param(
+            Graph(12, g.edges, rng.random((12, 2))),
+            tuple(Graph(12, h.edges, rng.random((12, 3))) for h in partners),
+            True,
+            id="structure-only",
+        )
+    )
+    return cases
+
+
+def nx_graph(nx, g: Graph):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
 class TestIsomorphismSearch:
     """Individualisation-refinement against networkx's VF2, and its budget."""
 
-    @pytest.mark.parametrize("n", [12, 16, 22, 30])
-    def test_random_cubic_pairs_agree_with_vf2(self, n):
+    @pytest.mark.parametrize("g,partners,structure_only", vf2_cases())
+    def test_random_cubic_pairs_agree_with_vf2(self, g, partners, structure_only):
         nx = pytest.importorskip("networkx")
-        g = random_cubic(n, seed=n)
-        other = random_cubic(n, seed=n + 1)
-        relabeled = apply_permutation(g, Permutation.random(n, np.random.default_rng(n)))
-        for h, expected in ((other, False), (relabeled, True)):
-            assert nx.is_isomorphic(nx.Graph(g.edges), nx.Graph(h.edges)) == expected
+        for h in partners:
+            expected = nx.is_isomorphic(nx_graph(nx, g), nx_graph(nx, h))
             start = time.perf_counter()
-            verdict = are_isomorphic(g, h)
+            verdict = are_isomorphic(g, h, structure_only=structure_only)
             assert time.perf_counter() - start < 1.0
             assert verdict.isomorphic == expected
             if expected:
                 m = verdict.witness.mapping
                 assert all(h.has_edge(m[u], m[v]) for u, v in g.edges)
 
+    def test_distance_profiles_decide_a_cubic_pair_without_search(self):
+        # The search took 12 steps here before distance profiles were compared.
+        g, h = random_cubic(12, seed=12), random_cubic(12, seed=13)
+        assert not wl.distinguishes(wl.wl1_signature(g), wl.wl1_signature(h))
+        assert are_isomorphic(g, h) == wl.IsoVerdict(False, None, 0)
+
+    def test_strongly_regular_pair_is_searched_in_pinned_steps(self):
+        # Same SRG parameters: every node has 6 nodes at distance 1 and 9
+        # at distance 2, so the profiles agree and the search decides.
+        verdict = are_isomorphic(rook4x4(), shrikhande())
+        assert (verdict.isomorphic, verdict.steps) == (False, 112)
+
+    def test_unequal_profiles_need_no_search_budget(self, monkeypatch):
+        monkeypatch.setattr(wl, "ISO_SEARCH_BUDGET", 0)
+        assert not are_isomorphic(random_cubic(12, seed=12), random_cubic(12, seed=13)).isomorphic
+        with pytest.raises(ResourceLimitError):
+            are_isomorphic(rook4x4(), shrikhande())
+
+    def test_refinement_split_computes_no_distance_profiles(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("distance profiles computed")
+
+        monkeypatch.setattr(wl, "ball_growth", refuse)
+        # Equal degree sequences; the degree-3 node has two degree-1
+        # neighbours in h and one in g, so 1-WL splits them.
+        g = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)))
+        h = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 5)))
+        assert sorted(g.degrees) == sorted(h.degrees)
+        assert are_isomorphic(g, h) == wl.IsoVerdict(False, None, 0)
+
     def test_budget_refuses_srg_union_pair(self):
-        # 2 x rook4x4 vs rook4x4 + Shrikhande: 1-WL-equal, with a search
-        # tree far beyond the budget.
+        # 2 x rook4x4 vs rook4x4 + Shrikhande: 1-WL-equal and with equal
+        # distance profiles, with a search tree far beyond the budget.
         g = disjoint_union(rook4x4(), rook4x4())
         h = disjoint_union(rook4x4(), shrikhande())
         start = time.perf_counter()
