@@ -1,7 +1,9 @@
 """Finite labeled graphs, node permutations, and their file formats.
 
 A Graph is an immutable simple undirected graph on nodes 0..n-1 with a
-dense float feature matrix of shape (n, d). Two serializations are
+dense float feature matrix of shape (n, d). Its edges are stored once,
+as the canonical (edge_count, 2) intp array edge_index; the tuple view
+edges is derived from it on first use. Two serializations are
 supported:
 
 graph6
@@ -29,6 +31,7 @@ edge list
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,47 +56,53 @@ BATCH_CELLS = 2**15
 class Graph:
     """Immutable simple graph with node features.
 
-    edges are stored canonically: each pair as (u, v) with u < v, the
-    whole tuple sorted lexicographically. features is a read-only
+    Graph(n, edges=(), features=None) takes the edges as pairs of node
+    indices in any order. They are stored once, as edge_index: a
+    read-only (edge_count, 2) intp array with u < v in each row and the
+    rows sorted lexicographically. edges, the same pairs as a tuple of
+    int tuples, is derived from it on first use. features is a read-only
     float64 array of shape (n, d) with d >= 1; it defaults to all ones.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...] = ()
-    features: np.ndarray | None = None
+    edge_index: np.ndarray
+    features: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ContractError(f"node count must be a non-negative int, got {self.n!r}")
+    def __init__(self, n: int, edges=(), features=None):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ContractError(f"node count must be a non-negative int, got {n!r}")
         seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
-            seen.add(_edge_key(self.n, int(u), int(v), seen))
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        feats = self.features
-        if feats is None:
-            feats = np.ones((self.n, 1), dtype=np.float64)
-        object.__setattr__(self, "features", _checked_features(self.n, feats))
+        for edge in edges:
+            try:
+                u, v = map(operator.index, edge)
+            except (TypeError, ValueError):
+                raise ContractError(f"edge {edge!r} is not a pair of int node indices") from None
+            seen.add(_edge_key(n, u, v, seen))
+        if features is None:
+            features = np.ones((n, 1), dtype=np.float64)
+        features = _checked_features(n, features)
+        self.__dict__.update(n=n, edge_index=_edge_array(seen), features=features)
 
     @classmethod
     def _trusted(
         cls,
         n: int,
-        edges: tuple[tuple[int, int], ...],
+        edge_index: np.ndarray,
         features: np.ndarray,
         caches: dict | None = None,
     ) -> Graph:
         """A Graph built without the constructor's checks.
 
-        edges must be canonical by construction and features a read-only
-        float64 (n, d >= 1) matrix of finite values, as _checked_features
-        gives. caches holds structure properties already computed for this n and
-        these edges: another graph's __dict__, or an edge_index built
-        alongside edges. Its entries that name one are kept; they depend
-        only on n and edges, and their arrays are read-only.
+        edge_index must be canonical and read-only, as _edge_array gives,
+        and features a read-only float64 (n, d >= 1) matrix of finite
+        values, as _checked_features gives. caches is another graph's
+        __dict__ with this n and these edges: its structure properties
+        already computed are kept, since they depend only on n and the
+        edges, and their arrays are read-only.
         """
         out = object.__new__(cls)
         fields = out.__dict__
-        fields.update(n=n, edges=edges, features=features)
+        fields.update(n=n, edge_index=edge_index, features=features)
         if caches:
             fields.update((name, caches[name]) for name in _STRUCTURE_CACHES if name in caches)
         return out
@@ -102,12 +111,13 @@ class Graph:
         """This graph's nodes and edges with a new feature matrix.
 
         features passes the constructor's shape and finiteness checks
-        and is stored as a read-only copy. The edges are taken as they
-        are, since they are already canonical, and the cached structure
-        properties this graph has computed (neighbors, degrees, edge_set,
-        edge_index, adjacency_matrix) are shared with the result.
+        and is stored as a read-only copy. The edge array is shared, and
+        so are the cached structure properties this graph has computed
+        (edges, neighbors, degrees, edge_set, adjacency_matrix).
         """
-        return self._trusted(self.n, self.edges, _checked_features(self.n, features), self.__dict__)
+        return self._trusted(
+            self.n, self.edge_index, _checked_features(self.n, features), self.__dict__
+        )
 
     @property
     def d(self) -> int:
@@ -115,7 +125,12 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_index)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """edge_index as a tuple of (u, v) int pairs, in order."""
+        return tuple(zip(*self.edge_index.T.tolist()))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -125,14 +140,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def edge_index(self) -> np.ndarray:
-        """The edges as a read-only (edge_count, 2) intp array, in order."""
-        index = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
-        index = index.reshape(-1, 2)
-        index.setflags(write=False)
-        return index
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -161,16 +168,16 @@ class Graph:
             return NotImplemented
         return (
             self.n == other.n
-            and self.edges == other.edges
+            and bool(np.array_equal(self.edge_index, other.edge_index))
             and self.features.shape == other.features.shape
             and bool(np.array_equal(self.features, other.features))
         )
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self.edges)}, d={self.d})"
+        return f"Graph(n={self.n}, edges={self.edge_count}, d={self.d})"
 
 
-_STRUCTURE_CACHES = ("neighbors", "edge_index", "degrees", "edge_set", "adjacency_matrix")
+_STRUCTURE_CACHES = ("edges", "neighbors", "degrees", "edge_set", "adjacency_matrix")
 
 
 def _edge_key(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
@@ -184,6 +191,14 @@ def _edge_key(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> tuple[int, 
     if key in seen:
         raise ContractError(f"duplicate edge {key}")
     return key
+
+
+def _edge_array(keys: set[tuple[int, int]]) -> np.ndarray:
+    """The read-only (len(keys), 2) intp array of edge keys, lexsorted."""
+    index = np.fromiter(chain.from_iterable(sorted(keys)), np.intp, 2 * len(keys))
+    index = index.reshape(-1, 2)
+    index.setflags(write=False)
+    return index
 
 
 def _checked_features(n: int, features) -> np.ndarray:
@@ -234,7 +249,7 @@ class GraphBatch:
 
     @cached_property
     def edges(self) -> np.ndarray:
-        counts = [len(g.edges) for g in self.graphs]
+        counts = [g.edge_count for g in self.graphs]
         index = np.concatenate([g.edge_index for g in self.graphs])
         index += np.repeat(self.offsets, counts)[:, None]
         index.setflags(write=False)
@@ -329,10 +344,10 @@ class GraphBatch:
         """
         start = rows = edges = largest = 0
         for i, g in enumerate(self.graphs):
-            grown = (rows + g.n, edges + len(g.edges), i + 1 - start, max(largest, g.n))
+            grown = (rows + g.n, edges + g.edge_count, i + 1 - start, max(largest, g.n))
             if i > start and cells(*grown) > BATCH_CELLS:
                 yield GraphBatch(self.graphs[start:i])
-                start, grown = i, (g.n, len(g.edges), 1, g.n)
+                start, grown = i, (g.n, g.edge_count, 1, g.n)
             rows, edges, _, largest = grown
         yield self if start == 0 else GraphBatch(self.graphs[start:])
 
@@ -371,7 +386,7 @@ class GraphBatch:
                 raise ContractError("features must be finite")
             for i, feats in self._split(members, block):
                 g = self.graphs[i]
-                out[i] = Graph._trusted(g.n, g.edges, feats, g.__dict__)
+                out[i] = Graph._trusted(g.n, g.edge_index, feats, g.__dict__)
         return out
 
     def relabeled(self, perms: Sequence[Permutation]) -> list[Graph]:
@@ -395,7 +410,6 @@ class GraphBatch:
         ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
         ends -= shift[ends[:, 0]][:, None]
         ends.setflags(write=False)
-        pairs = list(zip(*ends.T.tolist()))
         features = [None] * len(self.graphs)
         for members, rows in self._width_groups():
             block = np.concatenate([self.graphs[i].features for i in members])
@@ -405,15 +419,9 @@ class GraphBatch:
             moved[at[image[rows]]] = block
             for i, feats in self._split(members, moved):
                 features[i] = feats
-        out = []
-        start = 0
-        for g, feats in zip(self.graphs, features):
-            stop = start + len(g.edges)
-            out.append(
-                Graph._trusted(g.n, tuple(pairs[start:stop]), feats, {"edge_index": ends[start:stop]})
-            )
-            start = stop
-        return out
+        stops = np.cumsum([g.edge_count for g in self.graphs])[:-1]
+        parts = np.split(ends, stops)
+        return [Graph._trusted(g.n, e, f) for g, e, f in zip(self.graphs, parts, features)]
 
 
 def as_batch(x: Graph | GraphBatch) -> GraphBatch:
@@ -574,16 +582,11 @@ def decode_graph6(texts: Sequence[str], lines: Sequence[int] | None = None) -> l
         graph, u, v = np.nonzero(upper)
         index = np.stack((u, v), axis=1)
         index.setflags(write=False)
-        pairs = list(zip(*index.T.tolist()))
         ones = np.ones((count, 1))
         ones.setflags(write=False)
-        stops = np.cumsum(np.bincount(graph, minlength=len(members))).tolist()
-        begin = 0
-        for i, stop in zip(members.tolist(), stops):
-            out[i] = Graph._trusted(
-                count, tuple(pairs[begin:stop]), ones, {"edge_index": index[begin:stop]}
-            )
-            begin = stop
+        stops = np.cumsum(np.bincount(graph, minlength=len(members))[:-1])
+        for i, part in zip(members.tolist(), np.split(index, stops)):
+            out[i] = Graph._trusted(count, part, ones)
     return out
 
 
@@ -656,7 +659,7 @@ def parse_edge_list(text: str) -> Graph:
             seen.add(_edge_key(n, u, v, seen))
         except ContractError as exc:
             raise GraphParseError(str(exc), line=no) from None
-    edges = tuple(sorted(seen))
+    edges = _edge_array(seen)
     feature_lines = body[split:]
     if not feature_lines:
         ones = np.ones((n, d), dtype=np.float64)

@@ -37,15 +37,12 @@ SIGN_MODES = ("raw", "first_nonzero_positive")
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """I - D^{-1/2} A D^{-1/2}, with zero rows for isolated nodes."""
-    lap = np.zeros((g.n, g.n), dtype=np.float64)
     deg = g.degrees
-    for v in range(g.n):
-        if deg[v] > 0:
-            lap[v, v] = 1.0
-    for u, v in g.edges:
-        w = 1.0 / math.sqrt(float(deg[u]) * float(deg[v]))
-        lap[u, v] = -w
-        lap[v, u] = -w
+    lap = np.diag((deg > 0).astype(np.float64))
+    u, v = g.edge_index.T
+    w = -(1.0 / np.sqrt(deg[u].astype(np.float64) * deg[v]))
+    lap[u, v] = w
+    lap[v, u] = w
     return lap
 
 

@@ -100,6 +100,89 @@ class TestGraphType:
         assert list(g.degrees) == [1, 3, 1, 1]
         assert g.neighbors[1] == (0, 2, 3)
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, ((0, 1.7),), "edge (0, 1.7) is not a pair of int node indices"),
+            (3, ((0, "2"),), "edge (0, '2') is not a pair of int node indices"),
+            (3, ((0, 1, 2),), "edge (0, 1, 2) is not a pair of int node indices"),
+            (3, ((0,),), "edge (0,) is not a pair of int node indices"),
+            (3, (1,), "edge 1 is not a pair of int node indices"),
+            (True, (), "node count must be a non-negative int, got True"),
+            (2.0, (), "node count must be a non-negative int, got 2.0"),
+            (-1, (), "node count must be a non-negative int, got -1"),
+            (2, ((1, 1),), "self-loop at node 1"),
+            (2, ((0, 2),), "index 2 out of range for n=2"),
+            (2, ((-1, 0),), "index -1 out of range for n=2"),
+            (3, ((0, 1), (1, 0)), "duplicate edge (0, 1)"),
+        ],
+        ids=[
+            "float-end", "str-end", "triple", "single", "not-a-pair", "bool-n", "float-n",
+            "negative-n", "self-loop", "range", "negative-end", "duplicate",
+        ],
+    )
+    def test_bad_edge_or_count_names_it(self, n, edges, message):
+        with pytest.raises(ContractError) as err:
+            Graph(n, edges)
+        assert str(err.value) == message
+
+    def test_numpy_integer_endpoints(self):
+        g = Graph(3, [(np.int64(2), np.int32(0)), np.array([1, 2])])
+        assert g.edges == ((0, 2), (1, 2))
+        assert all(type(x) is int for e in g.edges for x in e)
+
+
+def assert_one_edge_form(g: Graph) -> None:
+    """g's edges are stored once, as a canonical read-only intp array,
+    and edges and the constructor agree with it."""
+    index = g.edge_index
+    assert index.dtype == np.intp and index.shape == (g.edge_count, 2)
+    assert not index.flags.writeable
+    u, v = index.T
+    assert np.all(u < v) and np.all(u >= 0) and np.all(v < g.n)
+    # Strictly increasing u * n + v: lexsorted and unique.
+    assert np.all(np.diff(u * g.n + v) > 0)
+    assert g.edges == tuple(map(tuple, index.tolist()))
+    assert Graph(g.n, g.edges, g.features) == g
+
+
+class TestEdgeForm:
+    """Every builder stores a graph's edges as one canonical edge_index,
+    and the array builders leave the tuple view unbuilt."""
+
+    @given(
+        st.data(),
+        graphs(feature_dims=2),
+        graphs(min_n=1, feature_dims=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_builder_gives_the_one_form(self, data, g, h):
+        perms = [Permutation(data.draw(permutations_for(x.n))) for x in (g, h)]
+        shuffled = [(v, u) for u, v in reversed(g.edges)]
+        batch = GraphBatch([g, h])
+        built = [
+            g,
+            Graph(g.n, shuffled, g.features),
+            Graph(n=g.n, edges=g.edges),
+            parse_edge_list(write_edge_list(g)),
+            *decode_graph6([write_graph6(g), write_graph6(h)]),
+            *batch.relabeled(perms),
+            *batch.with_columns(np.arange(batch.n, dtype=np.float64)),
+            g.with_features(np.zeros((g.n, 3))),
+        ]
+        for out in built:
+            assert_one_edge_form(out)
+        assert built[1] == g and built[3] == g
+
+    def test_array_builders_build_no_tuples(self):
+        gs = decode_graph6([write_graph6(cycle(6)), write_graph6(path(4)), "@"])
+        moved = GraphBatch(gs).relabeled([Permutation(tuple(reversed(range(g.n)))) for g in gs])
+        wider = GraphBatch(moved).with_columns(np.arange(11.0))
+        for g in gs + moved + wider:
+            assert "edges" not in g.__dict__
+        assert moved[0].edges == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
+        assert moved[0].with_features(np.ones((6, 1))).edges is moved[0].edges
+
 
 class TestWithFeatures:
     @staticmethod
@@ -212,8 +295,6 @@ class TestBatchRuns:
 
     def test_peak_memory_stays_near_one_graph(self):
         gs = [erdos_renyi(1000, 6 / 1000, seed) for seed in range(8)]
-        for g in gs:
-            g.edge_index  # cached before any measurement
         closeness = TransformSpec(kind="closeness")
         pna = init_model("pna", 1, 0)
         for run in (lambda b: apply_transform(closeness, b), lambda b: forward(pna, b)):
