@@ -169,10 +169,15 @@ def _cmd_transform(args) -> int:
         # Run by run, so a refused graph stops the command before later runs.
         for run in GraphBatch(graphs).runs(_squares):
             for g, t in zip(run.graphs, apply_transform(spec, run)):
-                if isinstance(t, IsobenchError):
-                    # A graph the transform refuses is bad input, not a bad option.
-                    raise IsobenchError(f"{args.input}: graph {index}: {t}") from t
-                fh.write(write_edge_list(t))
+                try:
+                    if isinstance(t, IsobenchError):
+                        raise t
+                    text = write_edge_list(t)
+                except IsobenchError as exc:
+                    # A graph the transform refuses, or whose image the edge-list
+                    # format cannot hold, is bad input, not a bad option.
+                    raise IsobenchError(f"{args.input}: graph {index}: {exc}") from exc
+                fh.write(text)
                 fh.write("\n")
                 print(
                     f"graph {index}: nodes {g.n} -> {t.n} ({t.n - g.n:+d}), "

@@ -26,7 +26,9 @@ edge list
     edge starts the feature block, which must then hold exactly n rows
     of d finite decimal reals. Written files always include the feature
     block, and feature values are printed with a decimal point so they
-    can never be mistaken for edges.
+    can never be mistaken for edges. The writer refuses a graph over the
+    two size limits, as the reader refuses its header
+    (_edge_list_size_fault).
 """
 
 from __future__ import annotations
@@ -622,6 +624,20 @@ def _looks_like_edge(tokens: list[str]) -> bool:
     return len(tokens) == 2 and _is_int(tokens[0]) and _is_int(tokens[1])
 
 
+def _edge_list_size_fault(n: int, d: int) -> str | None:
+    """Why an edge-list header "n d" is over the format's size limits, or
+    None: n at most GRAPH6_MAX_NODES and n * d at most EDGE_LIST_MAX_CELLS.
+    The reader refuses such a header and the writer such a graph."""
+    if n > GRAPH6_MAX_NODES:
+        return f"header node count {n} exceeds the supported {GRAPH6_MAX_NODES}"
+    if n * d > EDGE_LIST_MAX_CELLS:
+        return (
+            f"header declares {n} x {d} feature cells, more than the supported "
+            f"{EDGE_LIST_MAX_CELLS}"
+        )
+    return None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse one edge-list block. Errors carry 1-based line numbers."""
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
@@ -638,16 +654,9 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError("header must hold two integers 'n d'", line=head_no) from None
     if n < 0 or d < 1:
         raise GraphParseError(f"header requires n >= 0 and d >= 1, got n={n} d={d}", line=head_no)
-    if n > GRAPH6_MAX_NODES:
-        raise GraphParseError(
-            f"header node count {n} exceeds the supported {GRAPH6_MAX_NODES}", line=head_no
-        )
-    if n * d > EDGE_LIST_MAX_CELLS:
-        raise GraphParseError(
-            f"header declares {n} x {d} feature cells, more than the supported "
-            f"{EDGE_LIST_MAX_CELLS}",
-            line=head_no,
-        )
+    fault = _edge_list_size_fault(n, d)
+    if fault:
+        raise GraphParseError(fault, line=head_no)
     body = lines[1:]
     split = 0
     while split < len(body) and _looks_like_edge(body[split][1].split()):
@@ -696,7 +705,14 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
-    """Canonical edge-list text: sorted edges, then all n feature rows."""
+    """Canonical edge-list text: sorted edges, then all n feature rows.
+
+    A graph whose header parse_edge_list would refuse raises
+    UnsupportedSizeError with the reader's message.
+    """
+    fault = _edge_list_size_fault(g.n, g.d)
+    if fault:
+        raise UnsupportedSizeError(f"edge-list output: {fault}")
     lines = [f"{g.n} {g.d}"]
     for u, v in g.edges:
         lines.append(f"{u} {v}")

@@ -23,10 +23,16 @@ the text that refuses an empty graph. The union kernels of degree,
 closeness and distance_encoding (the last two from
 centrality.ball_growth's breadth-first levels) run through _columns
 over a whole GraphBatch, so the graphs of one feature width share one
-read-only feature block; the per-graph kernels of the other four run
-through _each_columns on each graph alone. apply_transform runs a Graph
-as a batch of one; either way each graph gets the bytes of its
-transform alone.
+read-only feature block; the per-graph kernels of the other four
+(betweenness, eigenvector, graph_encoding, subgraph_extraction) run
+through _each_columns on each graph alone. The two structural kinds,
+virtual_node and extra_node, also run per graph, through GraphBatch.each:
+each builds its image's canonical edge array directly from the graph's
+edge_index, by appending the new rows and one lexsort, and appends the
+new nodes' all-ones rows to the features in one read-only block; no edge
+tuples are built and the checking Graph constructor is not run.
+apply_transform runs a Graph as a batch of one; either way each graph
+gets the bytes of its transform alone.
 """
 
 from __future__ import annotations
@@ -130,22 +136,41 @@ def parse_transform_token(token: str) -> TransformSpec:
 
 
 def virtual_node(g: Graph) -> Graph:
-    """Add node n adjacent to every existing node, features all ones."""
-    hub = g.n
-    edges = g.edges + tuple((v, hub) for v in range(g.n))
-    feats = np.vstack([g.features, np.ones((1, g.d))])
-    return Graph(g.n + 1, edges, feats)
+    """Add node n adjacent to every existing node, features all ones.
+
+    The hub is the last node and its all-ones feature row the last row.
+    The edge rows are g's plus (v, n) for every node v, lexsorted, so
+    node v's hub row follows its rows (v, w) with w < n.
+    """
+    nodes = np.arange(g.n, dtype=np.intp)
+    hub = np.stack((nodes, np.full_like(nodes, g.n)), axis=1)
+    return _grown(g, np.concatenate([g.edge_index, hub]), 1)
 
 
 def extra_node(g: Graph) -> Graph:
-    """Subdivide every edge; fresh nodes follow canonical edge order."""
-    edges = []
-    for i, (u, v) in enumerate(g.edges):
-        mid = g.n + i
-        edges.append((u, mid))
-        edges.append((mid, v))
-    feats = np.vstack([g.features, np.ones((len(g.edges), g.d))])
-    return Graph(g.n + len(g.edges), tuple(edges), feats)
+    """Subdivide every edge; fresh nodes follow canonical edge order.
+
+    Edge i (u, v) of g's edge_index becomes node n + i, with an all-ones
+    feature row after g's rows, and the rows (u, n + i) and (v, n + i).
+    The rows are lexsorted, so each old node's rows come in the order of
+    its edges, and no row joins two fresh nodes.
+    """
+    mid = np.arange(g.n, g.n + g.edge_count, dtype=np.intp)
+    return _grown(g, np.stack((g.edge_index.ravel(), np.repeat(mid, 2)), axis=1), g.edge_count)
+
+
+def _grown(g: Graph, rows: np.ndarray, added: int) -> Graph:
+    """g grown by `added` nodes with all-ones feature rows; its edges are
+    `rows`, each u < v, lexsorted into canonical order.
+
+    The rows are valid by construction, so the image is built without the
+    checking constructor, and neither graph builds its edges tuple view.
+    """
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    rows.setflags(write=False)
+    feats = np.vstack([g.features, np.ones((added, g.d))])
+    feats.setflags(write=False)
+    return Graph._trusted(g.n + added, rows, feats)
 
 
 _CENTRALITY_REFUSAL = "centrality augmentation needs at least one node"

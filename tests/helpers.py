@@ -308,6 +308,30 @@ def reference_graph6(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
+# structural images from edge tuples through the checking constructor
+# (reference for the array-built virtual_node and extra_node)
+
+
+def reference_virtual_node(g: Graph) -> Graph:
+    """g plus node n joined to every node, with an all-ones feature row."""
+    hub = g.n
+    edges = g.edges + tuple((v, hub) for v in range(g.n))
+    feats = np.vstack([g.features, np.ones((1, g.d))])
+    return Graph(g.n + 1, edges, feats)
+
+
+def reference_extra_node(g: Graph) -> Graph:
+    """g with edge i, in canonical order, subdivided by node n + i."""
+    edges = []
+    for i, (u, v) in enumerate(g.edges):
+        mid = g.n + i
+        edges.append((u, mid))
+        edges.append((mid, v))
+    feats = np.vstack([g.features, np.ones((len(g.edges), g.d))])
+    return Graph(g.n + len(g.edges), tuple(edges), feats)
+
+
+# ---------------------------------------------------------------------------
 # per-node message passing (reference for the vectorised models)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import isobench
 import isobench.cli as cli
+import isobench.graphs as graphs_module
 from isobench import (
     Graph,
     TransformSpec,
@@ -201,6 +202,36 @@ class TestTransform:
         assert out == ""
         assert not dst.exists()
 
+    @pytest.mark.parametrize(
+        "transform, cells, message",
+        [
+            ("virtual_node", None, "header node count 65536 exceeds the supported 65535"),
+            ("extra_node", 7, "header declares 4 x 2 feature cells, more than the supported 7"),
+        ],
+    )
+    def test_image_the_reader_refuses_is_data_error(
+        self, capsys, tmp_path, monkeypatch, transform, cells, message
+    ):
+        # Graph 0 is written to the temporary file before graph 1's image,
+        # over the edge-list limits that parse_edge_list checks, is refused.
+        if cells is None:
+            big = "65535 1\n0 1\n"
+        else:
+            monkeypatch.setattr(graphs_module, "EDGE_LIST_MAX_CELLS", cells)
+            big = "3 2\n0 1\n"
+        src = tmp_path / "in.el"
+        src.write_text("2 1\n0 1\n\n" + big)
+        dst = tmp_path / "out.el"
+        dst.write_text("old\n")
+        code, out, err = run(
+            capsys, "transform", "--input", str(src),
+            "--transform", transform, "--out", str(dst),
+        )
+        assert code == EXIT_DATA
+        assert err == f"isobench: data error: {src}: graph 1: edge-list output: {message}\n"
+        assert out.startswith("graph 0: ") and "graph 1" not in out
+        assert dst.read_text() == "old\n"
+        assert not list(tmp_path.glob(".isobench-*"))
 
     def _counting(self, monkeypatch):
         """Patch cli.apply_transform to record the graphs of each call."""

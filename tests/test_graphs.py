@@ -40,7 +40,8 @@ from isobench import (
     write_graph6,
 )
 
-from isobench.graphs import decode_graph6
+import isobench.graphs as graphs_module
+from isobench.graphs import GRAPH6_MAX_NODES, decode_graph6
 
 from helpers import (
     brute_force_isomorphic,
@@ -534,6 +535,30 @@ class TestEdgeList:
         with pytest.raises(GraphParseError) as err:
             parse_edge_list("3 1\n0 1\n%d %d\n" % edge)
         assert (err.value.message, err.value.line) == (message, 3)
+
+    # (n, d, EDGE_LIST_MAX_CELLS or None for the real one, refused): the
+    # cell rule runs under a small patched limit, not on 128 MB of features.
+    SIZES = [
+        (GRAPH6_MAX_NODES, 1, None, False),
+        (GRAPH6_MAX_NODES + 1, 1, None, True),
+        (3, 2, 6, False),
+        (3, 3, 6, True),
+        (0, 7, 6, False),
+    ]
+
+    @pytest.mark.parametrize("n, d, cells, refused", SIZES)
+    def test_writer_refuses_exactly_what_the_reader_refuses(self, monkeypatch, n, d, cells, refused):
+        if cells is not None:
+            monkeypatch.setattr(graphs_module, "EDGE_LIST_MAX_CELLS", cells)
+        g = Graph(n, ((0, 1),) if n > 1 else (), np.full((n, d), -0.0))
+        if not refused:
+            assert parse_edge_list(write_edge_list(g)) == g
+            return
+        with pytest.raises(GraphParseError) as read:
+            parse_edge_list(f"{n} {d}\n")
+        with pytest.raises(UnsupportedSizeError) as written:
+            write_edge_list(g)
+        assert str(written.value) == f"edge-list output: {read.value.message}"
 
 
 class TestPermutation:

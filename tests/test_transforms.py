@@ -39,7 +39,9 @@ from helpers import (
     reference_betweenness,
     reference_closeness,
     reference_distance_columns,
+    reference_extra_node,
     reference_subgraph_columns,
+    reference_virtual_node,
 )
 
 
@@ -160,6 +162,52 @@ class TestStructuralTransforms:
         en = apply_transform(spec("extra_node"), g)
         assert all(en.degrees[v] == g.degrees[v] for v in range(g.n))
         assert all(en.degrees[v] == 2 for v in range(g.n, en.n))
+
+
+STRUCTURAL_REFERENCES = (
+    ("virtual_node", reference_virtual_node),
+    ("extra_node", reference_extra_node),
+)
+
+
+class TestStructuralImages:
+    """virtual_node and extra_node build their images from edge arrays;
+    the bytes are those of the tuple-built references."""
+
+    @pytest.mark.parametrize("kind, reference", STRUCTURAL_REFERENCES)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(graphs(max_n=9, feature_dims=3), min_size=1, max_size=5))
+    @example(
+        [
+            Graph(0),
+            Graph(0, features=np.ones((0, 3))),
+            Graph(1, features=[[-0.0]]),
+            Graph(5, features=np.full((5, 3), -0.0)),
+            cycle(4).with_features([[-0.0, 1.5], [2.0, -0.0], [0.0, 3.0], [-1.0, -0.0]]),
+            path(3).with_features(np.full((3, 3), -0.0)),
+        ]
+    )
+    def test_images_match_the_reference(self, kind, reference, gs):
+        s = spec(kind)
+        batch = apply_transform(s, GraphBatch(gs))
+        assert len(batch) == len(gs)
+        for g, t in zip(gs, batch):
+            expected = reference(g)
+            for image in (t, apply_transform(s, g)):
+                assert image.n == expected.n
+                assert image.edge_index.dtype == expected.edge_index.dtype == np.intp
+                assert image.edge_index.tobytes() == expected.edge_index.tobytes()
+                assert not image.edge_index.flags.writeable
+                assert image.features.shape == expected.features.shape
+                assert image.features.tobytes() == expected.features.tobytes()
+                assert not image.features.flags.writeable
+
+    @pytest.mark.parametrize("kind", [kind for kind, _ in STRUCTURAL_REFERENCES])
+    def test_no_edge_tuples_are_built(self, kind):
+        gs = [erdos_renyi(12, 0.3, seed=5), Graph(3, ((0, 2),))]
+        images = [apply_transform(spec(kind), gs[0])] + apply_transform(spec(kind), GraphBatch(gs))
+        for g in gs + images:
+            assert "edges" not in g.__dict__
 
 
 class TestFeatureTransforms:
