@@ -121,12 +121,10 @@ def srg_parameters(g: Graph) -> tuple[int, int, int, int]:
     if len(degs) != 1:
         raise CorpusIntegrityError(f"not regular: degrees {sorted(degs)}")
     k = degs.pop()
-    lams, mus = set(), set()
-    nbrs = [set(a) for a in g.neighbors]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            common = len(nbrs[u] & nbrs[v])
-            (lams if g.has_edge(u, v) else mus).add(common)
+    a, upper = g.adjacency_matrix, np.triu_indices(g.n, 1)
+    # Common-neighbour counts of the pairs u < v: small integers, exact in float64.
+    common, adjacent = (a @ a)[upper].astype(int), a[upper] == 1.0
+    lams, mus = set(common[adjacent].tolist()), set(common[~adjacent].tolist())
     if len(lams) != 1 or len(mus) != 1:
         raise CorpusIntegrityError(
             f"not strongly regular: lambda set {sorted(lams)}, mu set {sorted(mus)}"

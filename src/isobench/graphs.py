@@ -1,10 +1,9 @@
 """Finite labeled graphs, node permutations, and their file formats.
 
 A Graph is an immutable simple undirected graph on nodes 0..n-1 with a
-dense float feature matrix of shape (n, d). Its edges are stored once,
-as the canonical (edge_count, 2) intp array edge_index; the tuple view
-edges is derived from it on first use. Two serializations are
-supported:
+dense float feature matrix of shape (n, d). Its edges have one form,
+the canonical (edge_count, 2) intp array edge_index, whose row order
+_canonical_rows states. Two serializations are supported:
 
 graph6
     The compact 6-bit printable encoding. A length prefix N(n) is one
@@ -61,9 +60,10 @@ class Graph:
     Graph(n, edges=(), features=None) takes the edges as pairs of node
     indices in any order. They are stored once, as edge_index: a
     read-only (edge_count, 2) intp array with u < v in each row and the
-    rows sorted lexicographically. edges, the same pairs as a tuple of
-    int tuples, is derived from it on first use. features is a read-only
-    float64 array of shape (n, d) with d >= 1; it defaults to all ones.
+    rows sorted lexicographically. features is a read-only float64 array
+    of shape (n, d) with d >= 1; it defaults to all ones. neighbors,
+    degrees and adjacency_matrix are computed from edge_index on first
+    use and cached.
     """
 
     n: int
@@ -95,7 +95,7 @@ class Graph:
     ) -> Graph:
         """A Graph built without the constructor's checks.
 
-        edge_index must be canonical and read-only, as _edge_array gives,
+        edge_index must be canonical and read-only, as _canonical_rows gives,
         and features a read-only float64 (n, d >= 1) matrix of finite
         values, as _checked_features gives. caches is another graph's
         __dict__ with this n and these edges: its structure properties
@@ -115,7 +115,7 @@ class Graph:
         features passes the constructor's shape and finiteness checks
         and is stored as a read-only copy. The edge array is shared, and
         so are the cached structure properties this graph has computed
-        (edges, neighbors, degrees, edge_set, adjacency_matrix).
+        (neighbors, degrees, adjacency_matrix).
         """
         return self._trusted(
             self.n, self.edge_index, _checked_features(self.n, features), self.__dict__
@@ -130,15 +130,10 @@ class Graph:
         return len(self.edge_index)
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """edge_index as a tuple of (u, v) int pairs, in order."""
-        return tuple(zip(*self.edge_index.T.tolist()))
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists in ascending node order."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self.edge_index.tolist():
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
@@ -150,10 +145,6 @@ class Graph:
         return deg
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
         u, v = self.edge_index.T
@@ -161,9 +152,6 @@ class Graph:
         a[v, u] = 1.0
         a.setflags(write=False)
         return a
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -179,7 +167,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count}, d={self.d})"
 
 
-_STRUCTURE_CACHES = ("edges", "neighbors", "degrees", "edge_set", "adjacency_matrix")
+_STRUCTURE_CACHES = ("neighbors", "degrees", "adjacency_matrix")
 
 
 def _edge_key(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
@@ -196,11 +184,16 @@ def _edge_key(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> tuple[int, 
 
 
 def _edge_array(keys: set[tuple[int, int]]) -> np.ndarray:
-    """The read-only (len(keys), 2) intp array of edge keys, lexsorted."""
-    index = np.fromiter(chain.from_iterable(sorted(keys)), np.intp, 2 * len(keys))
-    index = index.reshape(-1, 2)
-    index.setflags(write=False)
-    return index
+    """The canonical edge array of a set of edge keys."""
+    index = np.fromiter(chain.from_iterable(keys), np.intp, 2 * len(keys))
+    return _canonical_rows(index.reshape(-1, 2))
+
+
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """rows, (m, 2) intp with u < v in each, lexsorted and read-only: the canonical order."""
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    rows.setflags(write=False)
+    return rows
 
 
 def _checked_features(n: int, features) -> np.ndarray:
@@ -396,9 +389,9 @@ class GraphBatch:
         and its feature row moves with it.
 
         The union image of every node maps the union edges at once. Each
-        row's two ends are sorted and the rows lexsorted; a graph's nodes
-        form one union range, so its rows stay together in graph order and
-        come out canonical. The features of each width move as one block.
+        row's two ends are sorted and the rows put in canonical order; a
+        graph's nodes form one union range, so its rows stay together in
+        graph order. The features of each width move as one block.
         """
         if len(perms) != len(self.graphs):
             raise ContractError(f"{len(perms)} permutations for {len(self.graphs)} graphs")
@@ -408,9 +401,8 @@ class GraphBatch:
         shift = self.offsets[self.node_graph]
         image = np.fromiter(chain.from_iterable(p.mapping for p in perms), np.intp, self.n)
         image += shift
-        ends = np.sort(image[self.edges], axis=1)
-        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
-        ends -= shift[ends[:, 0]][:, None]
+        ends = _canonical_rows(np.sort(image[self.edges], axis=1))
+        ends = ends - shift[ends[:, 0]][:, None]
         ends.setflags(write=False)
         features = [None] * len(self.graphs)
         for members, rows in self._width_groups():
@@ -714,7 +706,7 @@ def write_edge_list(g: Graph) -> str:
     if fault:
         raise UnsupportedSizeError(f"edge-list output: {fault}")
     lines = [f"{g.n} {g.d}"]
-    for u, v in g.edges:
+    for u, v in g.edge_index.tolist():
         lines.append(f"{u} {v}")
     for row in g.features:
         lines.append(" ".join(repr(float(x)) for x in row))

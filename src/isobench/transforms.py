@@ -18,21 +18,21 @@ kinds
     subgraph_extraction   append ego-graph node and edge counts
     extra_node            subdivide every edge with a fresh node
 
-TRANSFORMS is the one table of kinds. Each column kind is a kernel and
-the text that refuses an empty graph. The union kernels of degree,
-closeness and distance_encoding (the last two from
-centrality.ball_growth's breadth-first levels) run through _columns
-over a whole GraphBatch, so the graphs of one feature width share one
-read-only feature block; the per-graph kernels of the other four
-(betweenness, eigenvector, graph_encoding, subgraph_extraction) run
+TRANSFORMS is the one table of kinds. Each row names the TransformSpec
+fields its kind reads, and a spec or token that sets another is refused.
+Each column kind is a kernel and the text that refuses an empty graph.
+The union kernels of degree, closeness and distance_encoding (the last
+two from centrality.ball_growth's breadth-first levels) run through
+_columns over a whole GraphBatch, so the graphs of one feature width
+share one read-only feature block; the per-graph kernels of the other
+four (betweenness, eigenvector, graph_encoding, subgraph_extraction) run
 through _each_columns on each graph alone. The two structural kinds,
 virtual_node and extra_node, also run per graph, through GraphBatch.each:
-each builds its image's canonical edge array directly from the graph's
-edge_index, by appending the new rows and one lexsort, and appends the
-new nodes' all-ones rows to the features in one read-only block; no edge
-tuples are built and the checking Graph constructor is not run.
-apply_transform runs a Graph as a batch of one; either way each graph
-gets the bytes of its transform alone.
+each appends the new rows to the graph's edge_index, which
+graphs._canonical_rows puts in canonical order, and the new nodes'
+all-ones rows to the features in one read-only block; the checking Graph
+constructor is not run. apply_transform runs a Graph as a batch of one;
+either way each graph gets the bytes of its transform alone.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .centrality import (
     eigenvector_centrality,
 )
 from .errors import ContractError, IsobenchError
-from .graphs import GRAPH6_MAX_NODES, Graph, GraphBatch, as_batch
+from .graphs import GRAPH6_MAX_NODES, Graph, GraphBatch, _canonical_rows, as_batch
 from .spectral import SIGN_MODES, laplacian_encoding_columns
 
 
@@ -69,6 +69,7 @@ class TransformSpec:
     power_max_iter  eigenvector iteration cap
 
     k and d_max are at most GRAPH6_MAX_NODES; no graph has more nodes.
+    Fields that the kind's TRANSFORMS row does not name keep their defaults.
     """
 
     kind: str
@@ -98,6 +99,9 @@ class TransformSpec:
             raise ContractError(f"power_tol must be finite and positive, got {self.power_tol}")
         if self.power_max_iter < 1:
             raise ContractError(f"power_max_iter must be >= 1, got {self.power_max_iter}")
+        for f in fields(self)[1:]:
+            if getattr(self, f.name) != f.default and f.name not in TRANSFORMS[self.kind][1]:
+                raise _foreign(self.kind, f.name)
 
 
 # Token option -> (TransformSpec field, cast): every field but kind, cast
@@ -106,6 +110,12 @@ _TOKEN_KEYS = {
     f.name: (f.name, type(f.default)) for f in fields(TransformSpec) if f.name != "kind"
 }
 _TOKEN_KEYS["sign"] = _TOKEN_KEYS["sign_mode"]
+
+
+def _foreign(kind: str, name: str) -> ContractError:
+    """The error for option or field `name`, which `kind` does not read."""
+    own = ", ".join(k for k, (f, _) in sorted(_TOKEN_KEYS.items()) if f in TRANSFORMS[kind][1])
+    return ContractError(f"transform {kind} takes no option {name!r}; its options: {own or 'none'}")
 
 
 def parse_transform_token(token: str) -> TransformSpec:
@@ -128,6 +138,8 @@ def parse_transform_token(token: str) -> TransformSpec:
                     f"{', '.join(sorted(set(_TOKEN_KEYS)))}"
                 )
             field, cast = _TOKEN_KEYS[key]
+            if field not in TRANSFORMS[kind][1]:
+                raise _foreign(kind, key)
             try:
                 overrides[field] = cast(value)
             except ValueError:
@@ -161,16 +173,11 @@ def extra_node(g: Graph) -> Graph:
 
 def _grown(g: Graph, rows: np.ndarray, added: int) -> Graph:
     """g grown by `added` nodes with all-ones feature rows; its edges are
-    `rows`, each u < v, lexsorted into canonical order.
-
-    The rows are valid by construction, so the image is built without the
-    checking constructor, and neither graph builds its edges tuple view.
-    """
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-    rows.setflags(write=False)
+    `rows`, each u < v, in any order. They are valid by construction, so
+    the image is built without the checking constructor."""
     feats = np.vstack([g.features, np.ones((added, g.d))])
     feats.setflags(write=False)
-    return Graph._trusted(g.n + added, rows, feats)
+    return Graph._trusted(g.n + added, _canonical_rows(rows), feats)
 
 
 _CENTRALITY_REFUSAL = "centrality augmentation needs at least one node"
@@ -240,53 +247,53 @@ def _each_columns(
     return lambda b, spec: b.each(lambda g: append(g, spec))
 
 
-# kind -> (report label, batch transform); the order is the reporting
-# order. A batch transform maps a GraphBatch to one result per graph,
-# as GraphBatch.each does: the transformed graph, or the IsobenchError
-# that transforming the graph alone raises. The lambdas look the
-# kernels up in this module's globals at call time, so a wrapper patched
-# onto this module sees every call.
-TRANSFORMS: dict[str, tuple[str, Callable[[GraphBatch, TransformSpec], list]]] = {
-    "base": ("Base", lambda b, spec: list(b.graphs)),
-    "virtual_node": ("Virtual Node", lambda b, spec: b.each(virtual_node)),
-    "degree": ("Degree", _columns(lambda b, spec: degree_centrality(b), _CENTRALITY_REFUSAL)),
+# kind -> (report label, the TransformSpec fields it reads, batch
+# transform); the order is the reporting order. A batch transform maps a
+# GraphBatch to one result per graph, as GraphBatch.each does: the
+# transformed graph, or the IsobenchError that transforming the graph
+# alone raises. The lambdas look the kernels up in this module's globals
+# at call time, so a wrapper patched onto this module sees every call.
+TRANSFORMS: dict[str, tuple[str, tuple[str, ...], Callable[[GraphBatch, TransformSpec], list]]] = {
+    "base": ("Base", (), lambda b, spec: list(b.graphs)),
+    "virtual_node": ("Virtual Node", (), lambda b, spec: b.each(virtual_node)),
+    "degree": ("Degree", (), _columns(lambda b, spec: degree_centrality(b), _CENTRALITY_REFUSAL)),
     "closeness": (
-        "Closeness",
+        "Closeness", (),
         _columns(lambda b, spec: closeness_centrality(b), _CENTRALITY_REFUSAL),
     ),
     "betweenness": (
-        "Betweenness",
+        "Betweenness", (),
         _each_columns(lambda g, spec: betweenness_centrality(g), _CENTRALITY_REFUSAL),
     ),
     "eigenvector": (
-        "Eigenvector",
+        "Eigenvector", ("power_tol", "power_max_iter"),
         _each_columns(
             lambda g, spec: eigenvector_centrality(g, spec.power_tol, spec.power_max_iter),
             _CENTRALITY_REFUSAL,
         ),
     ),
     "distance_encoding": (
-        "Distance Encoding",
+        "Distance Encoding", ("d_max",),
         _columns(
             lambda b, spec: distance_encoding(b, spec.d_max),
             "distance encoding needs at least one node",
         ),
     ),
     "graph_encoding": (
-        "Graph Encoding",
+        "Graph Encoding", ("k", "sign_mode"),
         _each_columns(
             lambda g, spec: laplacian_encoding_columns(g, spec.k, spec.sign_mode),
             "graph encoding needs at least one node",
         ),
     ),
     "subgraph_extraction": (
-        "Subgraph Extraction",
+        "Subgraph Extraction", ("radius",),
         _each_columns(
             lambda g, spec: subgraph_extraction(g, spec.radius),
             "subgraph extraction needs at least one node",
         ),
     ),
-    "extra_node": ("Extra Node", lambda b, spec: b.each(extra_node)),
+    "extra_node": ("Extra Node", (), lambda b, spec: b.each(extra_node)),
 }
 
 KINDS = tuple(TRANSFORMS)
@@ -304,7 +311,7 @@ def apply_transform(
     compute their columns over the batch's disjoint union at once; the
     other kinds run each graph alone through GraphBatch.each.
     """
-    out = TRANSFORMS[spec.kind][1](as_batch(x), spec)
+    out = TRANSFORMS[spec.kind][2](as_batch(x), spec)
     if isinstance(x, GraphBatch):
         return out
     if isinstance(out[0], IsobenchError):

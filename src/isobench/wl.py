@@ -47,7 +47,7 @@ import numpy as np
 
 from .centrality import ball_growth
 from .errors import ContractError, ResourceLimitError
-from .graphs import Graph, GraphBatch, Permutation
+from .graphs import Graph, GraphBatch, Permutation, apply_permutation
 from .quant import quantize_matrix, quantized_row_bytes
 
 _PERSON = b"isobench.wl"
@@ -329,9 +329,9 @@ def are_isomorphic(
     individualised and g refined, then each w of h with v's color, in
     ascending index, is individualised and h refined, and the search
     descends where the histograms agree. Witness: once every class is a
-    single node, the color-matching map, if it carries every edge of g
-    onto an edge of h; the first such leaf in this order, so the same on
-    every run. More than ISO_SEARCH_BUDGET steps raise ResourceLimitError.
+    single node, the color-matching map, if g relabeled by it has h's
+    edge_index; the first such leaf in this order, so the same on every
+    run. More than ISO_SEARCH_BUDGET steps raise ResourceLimitError.
     A pair that a check decides never reaches the search, so one with
     unequal profiles is decided however large its search tree.
     """
@@ -395,7 +395,7 @@ def are_isomorphic(
         else:
             colors_g, colors_h = node
             at = {c: w for w, c in enumerate(colors_h)}
-            mapping = tuple(at[c] for c in colors_g)
-            if all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges):
-                return IsoVerdict(True, Permutation(mapping), steps)
+            witness = Permutation(tuple(at[c] for c in colors_g))
+            if np.array_equal(apply_permutation(g, witness).edge_index, h.edge_index):
+                return IsoVerdict(True, witness, steps)
     return IsoVerdict(False, steps=steps)

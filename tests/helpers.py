@@ -63,17 +63,22 @@ def random_cubic(n: int, seed: int) -> Graph:
 # brute-force isomorphism for tiny graphs
 
 
+def edge_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The rows of g.edge_index as (u, v) int pairs, in order."""
+    return [(u, v) for u, v in g.edge_index.tolist()]
+
+
 def brute_force_isomorphic(g: Graph, h: Graph, eps: float = 1e-6) -> bool:
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if g.n != h.n or g.edge_count != h.edge_count:
         return False
     if g.d != h.d:
         return False
     qg = quantize_matrix(g.features, eps)
     qh = quantize_matrix(h.features, eps)
-    h_edges = set(h.edges)
+    h_edges = set(edge_pairs(h))
     for perm in itertools.permutations(range(g.n)):
         if all(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) in h_edges for u, v in g.edges
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) in h_edges for u, v in edge_pairs(g)
         ) and all(tuple(qg[v]) == tuple(qh[perm[v]]) for v in range(g.n)):
             return True
     return False
@@ -205,10 +210,30 @@ def reference_subgraph_columns(g: Graph, radius: int) -> np.ndarray:
     for v in range(g.n):
         dist = _bfs_distances(g, v)
         inside = {u for u in range(g.n) if 0 <= dist[u] <= radius}
-        edge_total = sum(1 for u, w in g.edges if u in inside and w in inside)
+        edge_total = sum(1 for u, w in edge_pairs(g) if u in inside and w in inside)
         cols[v, 0] = float(len(inside))
         cols[v, 1] = float(edge_total)
     return cols
+
+
+# ---------------------------------------------------------------------------
+# strongly regular parameters by a walk over the node pairs
+
+
+def reference_srg_parameters(g: Graph) -> tuple[int, int, int, int] | str:
+    """(n, degree, lambda, mu) as srg_parameters gives it, else its error text."""
+    degs = set(int(x) for x in g.degrees)
+    if len(degs) != 1:
+        return f"not regular: degrees {sorted(degs)}"
+    edges = set(edge_pairs(g))
+    nbrs = [set(a) for a in g.neighbors]
+    lams, mus = set(), set()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            (lams if (u, v) in edges else mus).add(len(nbrs[u] & nbrs[v]))
+    if len(lams) != 1 or len(mus) != 1:
+        return f"not strongly regular: lambda set {sorted(lams)}, mu set {sorted(mus)}"
+    return g.n, degs.pop(), lams.pop(), mus.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +245,12 @@ def naive_tuple_refinement_splits(g: Graph, h: Graph, k: int, eps: float = 1e-6)
 
     def atomic(graph: Graph):
         q = quantize_matrix(graph.features, eps)
+        edges = set(edge_pairs(graph))
         out = {}
         for tup in itertools.product(range(graph.n), repeat=k):
             eq = tuple(a == b for a in tup for b in tup)
             adj = tuple(
-                graph.has_edge(a, b) for a in tup for b in tup if a != b
+                (min(a, b), max(a, b)) in edges for a in tup for b in tup if a != b
             )
             feats = tuple(tuple(int(x) for x in q[v]) for v in tup)
             out[tup] = (eq, adj, feats)
@@ -264,9 +290,10 @@ def naive_tuple_refinement_splits(g: Graph, h: Graph, k: int, eps: float = 1e-6)
 def canonical_key(g: Graph) -> bytes:
     """Lexicographically smallest adjacency encoding over all relabelings."""
     best = None
+    edge_set = set(edge_pairs(g))
     for perm in itertools.permutations(range(g.n)):
         bits = tuple(
-            1 if (min(perm[u], perm[v]), max(perm[u], perm[v])) in g.edge_set else 0
+            1 if (min(perm[u], perm[v]), max(perm[u], perm[v])) in edge_set else 0
             for u in range(g.n)
             for v in range(u + 1, g.n)
         )
@@ -288,7 +315,7 @@ def reference_graph6(g: Graph) -> str:
         prefix = chr(n + 63)
     else:
         prefix = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    edge_set = g.edge_set
+    edge_set = set(edge_pairs(g))
     bits_needed = n * (n - 1) // 2
     out = []
     acc = 0
@@ -315,7 +342,7 @@ def reference_graph6(g: Graph) -> str:
 def reference_virtual_node(g: Graph) -> Graph:
     """g plus node n joined to every node, with an all-ones feature row."""
     hub = g.n
-    edges = g.edges + tuple((v, hub) for v in range(g.n))
+    edges = edge_pairs(g) + [(v, hub) for v in range(g.n)]
     feats = np.vstack([g.features, np.ones((1, g.d))])
     return Graph(g.n + 1, edges, feats)
 
@@ -323,12 +350,12 @@ def reference_virtual_node(g: Graph) -> Graph:
 def reference_extra_node(g: Graph) -> Graph:
     """g with edge i, in canonical order, subdivided by node n + i."""
     edges = []
-    for i, (u, v) in enumerate(g.edges):
+    for i, (u, v) in enumerate(edge_pairs(g)):
         mid = g.n + i
         edges.append((u, mid))
         edges.append((mid, v))
-    feats = np.vstack([g.features, np.ones((len(g.edges), g.d))])
-    return Graph(g.n + len(g.edges), tuple(edges), feats)
+    feats = np.vstack([g.features, np.ones((g.edge_count, g.d))])
+    return Graph(g.n + g.edge_count, tuple(edges), feats)
 
 
 # ---------------------------------------------------------------------------

@@ -317,12 +317,12 @@ def test_09_size_laws():
         n = int(rng.integers(1, 26))
         p = float(rng.uniform(0.0, 1.0))
         g = erdos_renyi(n, p, seed=i)
-        m = len(g.edges)
+        m = g.edge_count
         tg = apply_transform(vn, g)
-        if tg.n != n + 1 or len(tg.edges) != m + n:
+        if tg.n != n + 1 or tg.edge_count != m + n:
             bad += 1
         tg = apply_transform(en, g)
-        if tg.n != n + m or len(tg.edges) != 2 * m:
+        if tg.n != n + m or tg.edge_count != 2 * m:
             bad += 1
     ok = bad == 0
     _report(9, "size_laws", ok, f"1000 graphs, {bad} deviations")

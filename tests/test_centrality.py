@@ -186,7 +186,7 @@ class TestEigenvector:
     def test_matches_dense_eigensolver(self):
         for g in [path(7), star(5), complete(4), cycle(9)]:
             a = np.zeros((g.n, g.n))
-            for u, v in g.edges:
+            for u, v in g.edge_index.tolist():
                 a[u, v] = a[v, u] = 1.0
             vals, vecs = np.linalg.eigh(a)
             lead = np.abs(vecs[:, np.argmax(vals)])

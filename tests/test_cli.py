@@ -497,6 +497,32 @@ class TestWL:
         assert code == EXIT_USAGE
 
 
+class TestForeignTransformOption:
+    """An option the transform kind does not read is a usage error, before any pair runs."""
+
+    MESSAGE = "isobench: usage error: transform degree takes no option 'k'; its options: none\n"
+
+    def test_evaluate(self, capsys):
+        code, out, err = run(
+            capsys, "evaluate", "--input", "hard_pairs", "--transform", "degree",
+            "--transform", "degree:k=5", "--transform", "closeness:radius=9",
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", self.MESSAGE)
+
+    def test_wl(self, capsys):
+        code, out, err = run(capsys, "wl", "--input", "hard_pairs", "--transform", "degree:k=4")
+        assert (code, out, err) == (EXIT_USAGE, "", self.MESSAGE)
+
+    def test_transform(self, capsys, tmp_path):
+        out_file = tmp_path / "out.el"
+        code, out, err = run(
+            capsys, "transform", "--input", "hard_pairs", "--transform", "degree:k=5",
+            "--out", str(out_file),
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", self.MESSAGE)
+        assert not out_file.exists()
+
+
 class TestOutOfRangeTransformToken:
     @pytest.mark.parametrize(
         "token",

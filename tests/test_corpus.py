@@ -36,11 +36,14 @@ from isobench import (
 from isobench import corpus
 from isobench.cli import EXIT_INTERNAL, main
 
+from helpers import edge_pairs, random_cubic, reference_srg_parameters
+
 
 def has_k4(g: Graph) -> bool:
     nodes = range(g.n)
+    edges = set(edge_pairs(g))
     return any(
-        all(g.has_edge(a, b) for a, b in itertools.combinations(quad, 2))
+        all(pair in edges for pair in itertools.combinations(quad, 2))
         for quad in itertools.combinations(nodes, 4)
     )
 
@@ -48,17 +51,17 @@ def has_k4(g: Graph) -> bool:
 class TestFamilies:
     def test_cycle(self):
         g = cycle(5)
-        assert g.n == 5 and len(g.edges) == 5
+        assert g.n == 5 and g.edge_count == 5
         assert all(d == 2 for d in g.degrees)
 
     def test_path_star_complete(self):
-        assert len(path(6).edges) == 5
+        assert path(6).edge_count == 5
         assert star(6).degrees[0] == 5
-        assert len(complete(5).edges) == 10
+        assert complete(5).edge_count == 10
 
     def test_disjoint_cycles(self):
         g = disjoint_cycles([3, 4, 5])
-        assert g.n == 12 and len(g.edges) == 12
+        assert g.n == 12 and g.edge_count == 12
 
     def test_size_guards(self):
         with pytest.raises(ContractError):
@@ -75,8 +78,8 @@ class TestFamilies:
         assert a != erdos_renyi(12, 0.4, seed=6)
 
     def test_random_graph_extremes(self):
-        assert erdos_renyi(6, 0.0, seed=0).edges == ()
-        assert len(erdos_renyi(6, 1.0, seed=0).edges) == 15
+        assert erdos_renyi(6, 0.0, seed=0).edge_count == 0
+        assert erdos_renyi(6, 1.0, seed=0).edge_count == 15
 
     def test_random_graph_guards(self):
         with pytest.raises(ContractError):
@@ -93,6 +96,41 @@ class TestStronglyRegularPair:
     def test_non_srg_is_rejected(self):
         with pytest.raises(CorpusIntegrityError):
             srg_parameters(path(5))
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (cycle(6), "not strongly regular: lambda set [0], mu set [0, 1]"),
+            (complete(4), "not strongly regular: lambda set [2], mu set []"),
+            (Graph(1), "not strongly regular: lambda set [], mu set []"),
+            (Graph(3), "not strongly regular: lambda set [], mu set [0]"),
+            (path(5), "not regular: degrees [1, 2]"),
+        ],
+    )
+    def test_rejection_texts(self, g, message):
+        with pytest.raises(CorpusIntegrityError) as info:
+            srg_parameters(g)
+        assert str(info.value) == message
+
+    def test_pentagon_parameters(self):
+        assert srg_parameters(cycle(5)) == (5, 2, 0, 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(n) for n in (3, 4, 5, 7)]
+        + [complete(n) for n in (2, 5)]
+        + [disjoint_cycles([3, 3]), disjoint_cycles([4, 5]), Graph(0), Graph(2)]
+        + [random_cubic(n, seed=n) for n in (8, 10, 16)]
+        + [rook4x4(), shrikhande()],
+    )
+    def test_matches_the_pair_walk(self, g):
+        expected = reference_srg_parameters(g)
+        if isinstance(expected, str):
+            with pytest.raises(CorpusIntegrityError) as info:
+                srg_parameters(g)
+            assert str(info.value) == expected
+        else:
+            assert srg_parameters(g) == expected
 
     def test_clique_structure_separates_them(self):
         assert has_k4(rook4x4())
@@ -146,7 +184,7 @@ class TestDatasetFiles:
         file = tmp_path / "pairs.g6"
         file.write_text("".join(write_graph6(g) + "\n" for g in graphs))
         back = load_dataset(str(file))
-        assert [g.edges for g in back] == [g.edges for g in graphs]
+        assert [edge_pairs(g) for g in back] == [edge_pairs(g) for g in graphs]
 
     def test_edge_list_file_round_trip(self, tmp_path):
         a = Graph(3, ((0, 1), (1, 2)), np.array([[0.5], [1.5], [-2.0]]))
@@ -227,7 +265,7 @@ class TestGraph6Files:
             back = load_dataset(file)
         graphs = [g for g, _ in drawn]
         assert back == graphs
-        assert [g.edges for g in back] == [g.edges for g in graphs]
+        assert [edge_pairs(g) for g in back] == [edge_pairs(g) for g in graphs]
         assert all(g.features.tobytes() == np.ones((g.n, 1)).tobytes() for g in back)
 
     @pytest.mark.filterwarnings("ignore::isobench.PairingWarning")
@@ -243,7 +281,7 @@ class TestGraph6Files:
         for g, mine in zip((g for g, _ in drawn), back):
             other = nx.from_graph6_bytes(write_graph6(g).encode())
             assert mine.n == other.number_of_nodes()
-            assert set(mine.edges) == {tuple(sorted(e)) for e in other.edges()}
+            assert set(edge_pairs(mine)) == {tuple(sorted(e)) for e in other.edges()}
 
     # (bad line, message, byte offset), as parse_graph6 reports each alone.
     BAD_LINES = [

@@ -225,8 +225,8 @@ class TestDatasets:
     def test_width_mismatch_is_refused_before_distance_profiles(self):
         # Same node and edge counts and unequal distance profiles: the
         # width refusal still comes first.
-        left = Graph(6, cycle(6).edges, np.ones((6, 1)))
-        right = Graph(6, disjoint_cycles([3, 3]).edges, np.ones((6, 2)))
+        left = Graph(6, cycle(6).edge_index, np.ones((6, 1)))
+        right = Graph(6, disjoint_cycles([3, 3]).edge_index, np.ones((6, 2)))
         with pytest.raises(ContractError, match=r"feature widths differ \(1 vs 2\)"):
             verify_pair_labels([LabeledPair(left, right, False)])
 
@@ -273,7 +273,7 @@ class TestDatasets:
         expected = [apply_permutation(g, Permutation.random(g.n, rng)) for g in chosen]
         assert [p.left for p in ds.pairs] == chosen
         for pair, g, h in zip(ds.pairs, chosen, expected):
-            assert pair.right.edges == h.edges
+            assert pair.right.edge_index.tolist() == h.edge_index.tolist()
             assert pair.right.features.shape == h.features.shape
             assert pair.right.features.tobytes() == h.features.tobytes()
             assert pair.left is g
@@ -282,7 +282,8 @@ class TestDatasets:
         rng.choice(len(pool), size=count, replace=False)
         for g, h in zip(chosen, expected):
             m = Permutation.random(g.n, rng).mapping
-            assert h.edges == tuple(sorted((min(m[u], m[v]), max(m[u], m[v])) for u, v in g.edges))
+            expected = sorted([min(m[u], m[v]), max(m[u], m[v])] for u, v in g.edge_index.tolist())
+            assert h.edge_index.tolist() == expected
             for v in range(g.n):
                 assert h.features[m[v]].tobytes() == g.features[v].tobytes()
 

@@ -45,7 +45,7 @@ def _with_features(g: Graph, d: int, seed: int) -> Graph:
     feats = np.round(rng.uniform(-2.0, 2.0, size=(g.n, d)), 1)
     feats[feats == 0.0] = -0.0
     feats[::4, 0] = -0.0
-    return Graph(g.n, g.edges, feats)
+    return Graph(g.n, g.edge_index, feats)
 
 
 def _corpus() -> list[Graph]:

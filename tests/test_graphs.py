@@ -45,6 +45,7 @@ from isobench.graphs import GRAPH6_MAX_NODES, decode_graph6
 
 from helpers import (
     brute_force_isomorphic,
+    edge_pairs,
     graphs,
     permutations_for,
     random_cubic,
@@ -64,7 +65,7 @@ def _peak_mib(fn) -> float:
 class TestGraphType:
     def test_canonical_edge_storage(self):
         g = Graph(4, ((3, 1), (0, 2), (2, 1)))
-        assert g.edges == ((0, 2), (1, 2), (1, 3))
+        assert g.edge_index.tolist() == [[0, 2], [1, 2], [1, 3]]
 
     def test_default_features_are_ones(self):
         g = Graph(3, ((0, 1),))
@@ -129,13 +130,13 @@ class TestGraphType:
 
     def test_numpy_integer_endpoints(self):
         g = Graph(3, [(np.int64(2), np.int32(0)), np.array([1, 2])])
-        assert g.edges == ((0, 2), (1, 2))
-        assert all(type(x) is int for e in g.edges for x in e)
+        assert g.edge_index.tolist() == [[0, 2], [1, 2]]
+        assert g.edge_index.dtype == np.intp
 
 
 def assert_one_edge_form(g: Graph) -> None:
     """g's edges are stored once, as a canonical read-only intp array,
-    and edges and the constructor agree with it."""
+    and the constructor agrees with it."""
     index = g.edge_index
     assert index.dtype == np.intp and index.shape == (g.edge_count, 2)
     assert not index.flags.writeable
@@ -143,13 +144,12 @@ def assert_one_edge_form(g: Graph) -> None:
     assert np.all(u < v) and np.all(u >= 0) and np.all(v < g.n)
     # Strictly increasing u * n + v: lexsorted and unique.
     assert np.all(np.diff(u * g.n + v) > 0)
-    assert g.edges == tuple(map(tuple, index.tolist()))
-    assert Graph(g.n, g.edges, g.features) == g
+    assert Graph(g.n, index, g.features) == g
 
 
 class TestEdgeForm:
     """Every builder stores a graph's edges as one canonical edge_index,
-    and the array builders leave the tuple view unbuilt."""
+    and the array builders leave the neighbor tuples unbuilt."""
 
     @given(
         st.data(),
@@ -159,12 +159,12 @@ class TestEdgeForm:
     @settings(max_examples=60, deadline=None)
     def test_every_builder_gives_the_one_form(self, data, g, h):
         perms = [Permutation(data.draw(permutations_for(x.n))) for x in (g, h)]
-        shuffled = [(v, u) for u, v in reversed(g.edges)]
+        shuffled = [(v, u) for u, v in reversed(g.edge_index.tolist())]
         batch = GraphBatch([g, h])
         built = [
             g,
             Graph(g.n, shuffled, g.features),
-            Graph(n=g.n, edges=g.edges),
+            Graph(n=g.n, edges=g.edge_index),
             parse_edge_list(write_edge_list(g)),
             *decode_graph6([write_graph6(g), write_graph6(h)]),
             *batch.relabeled(perms),
@@ -180,16 +180,17 @@ class TestEdgeForm:
         moved = GraphBatch(gs).relabeled([Permutation(tuple(reversed(range(g.n)))) for g in gs])
         wider = GraphBatch(moved).with_columns(np.arange(11.0))
         for g in gs + moved + wider:
-            assert "edges" not in g.__dict__
-        assert moved[0].edges == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
-        assert moved[0].with_features(np.ones((6, 1))).edges is moved[0].edges
+            assert "neighbors" not in g.__dict__
+        assert moved[0].edge_index.tolist() == [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]
+        built = moved[0].neighbors
+        assert moved[0].with_features(np.ones((6, 1))).neighbors is built
 
 
 class TestWithFeatures:
     @staticmethod
     def source() -> Graph:
         g = Graph(4, ((2, 3), (0, 1), (1, 2)), np.arange(4.0)[:, None])
-        for name in ("neighbors", "degrees", "edge_set", "adjacency_matrix"):
+        for name in ("neighbors", "degrees", "adjacency_matrix"):
             getattr(g, name)
         return g
 
@@ -197,17 +198,16 @@ class TestWithFeatures:
         g = self.source()
         f = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 1e-9], [7.0, 8.0]])
         out = g.with_features(f)
-        assert out == Graph(g.n, g.edges, f)
-        assert out.edges is g.edges
+        assert out == Graph(g.n, g.edge_index, f)
+        assert out.edge_index is g.edge_index
 
     def test_carried_caches_equal_fresh_ones(self):
         g = self.source()
         out = g.with_features(np.ones((4, 3)))
-        fresh = Graph(g.n, g.edges)
-        for name in ("neighbors", "degrees", "edge_set", "adjacency_matrix"):
+        fresh = Graph(g.n, g.edge_index)
+        for name in ("neighbors", "degrees", "adjacency_matrix"):
             assert getattr(out, name) is getattr(g, name)
         assert out.neighbors == fresh.neighbors
-        assert out.edge_set == fresh.edge_set
         np.testing.assert_array_equal(out.degrees, fresh.degrees)
         np.testing.assert_array_equal(out.adjacency_matrix, fresh.adjacency_matrix)
         assert out.degrees.dtype == fresh.degrees.dtype
@@ -244,7 +244,7 @@ class TestWithFeatures:
     def test_bad_features_raise_the_constructor_message(self, features):
         g = self.source()
         with pytest.raises(ContractError) as expected:
-            Graph(g.n, g.edges, features)
+            Graph(g.n, g.edge_index, features)
         with pytest.raises(ContractError) as err:
             g.with_features(features)
         assert str(err.value) == str(expected.value)
@@ -349,12 +349,12 @@ class TestGraph6:
     def test_k3_decodes_from_Bw(self):
         g = parse_graph6("Bw")
         assert g.n == 3
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.edge_index.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_two_isolated_nodes_decode_from_A_question(self):
         g = parse_graph6("A?")
         assert g.n == 2
-        assert g.edges == ()
+        assert g.edge_count == 0
 
     def test_null_graph(self):
         assert parse_graph6("?").n == 0
@@ -394,7 +394,7 @@ class TestGraph6:
         text = write_graph6(g)
         assert text.startswith("~")
         back = parse_graph6(text)
-        assert back.n == 63 and back.edges == ((0, 62),)
+        assert back.n == 63 and back.edge_index.tolist() == [[0, 62]]
 
     def test_oversized_count_rejected(self):
         with pytest.raises(UnsupportedSizeError):
@@ -407,7 +407,7 @@ class TestGraph6:
     def test_round_trip_structure(self, g):
         back = parse_graph6(write_graph6(g))
         assert back.n == g.n
-        assert back.edges == g.edges
+        assert np.array_equal(back.edge_index, g.edge_index)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=8))
@@ -416,9 +416,9 @@ class TestGraph6:
         text = write_graph6(g)
         other = nx.from_graph6_bytes(text.encode())
         assert other.number_of_nodes() == g.n
-        assert {tuple(sorted(e)) for e in other.edges()} == set(g.edges)
+        assert {tuple(sorted(e)) for e in other.edges()} == set(edge_pairs(g))
         mine = parse_graph6(nx.to_graph6_bytes(other, header=False).decode().strip())
-        assert mine.edges == g.edges
+        assert np.array_equal(mine.edge_index, g.edge_index)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -465,7 +465,7 @@ class TestEdgeList:
 
     def test_missing_feature_block_defaults_to_ones(self):
         g = parse_edge_list("3 2\n0 1\n")
-        assert g.edges == ((0, 1),)
+        assert g.edge_index.tolist() == [[0, 1]]
         assert np.all(g.features == 1.0)
         assert g.d == 2
 
@@ -496,7 +496,7 @@ class TestEdgeList:
 
     def test_integer_feature_rows_still_parse(self):
         g = parse_edge_list("3 1\n0 1\n1\n2\n3\n")
-        assert g.edges == ((0, 1),)
+        assert g.edge_index.tolist() == [[0, 1]]
         assert g.features[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_non_finite_feature_fails(self):
@@ -582,7 +582,7 @@ class TestPermutation:
         p = Permutation((2, 0, 1))  # node 0 becomes node 2
         out = apply_permutation(g, p)
         assert out.features[2, 0] == 1.0
-        assert out.edges == ((0, 2),)
+        assert out.edge_index.tolist() == [[0, 2]]
 
     def test_length_mismatch_fails(self):
         with pytest.raises(ContractError):
@@ -604,7 +604,7 @@ class TestAreIsomorphic:
         h = apply_permutation(g, p)
         verdict = are_isomorphic(g, h)
         assert verdict.isomorphic
-        assert apply_permutation(g, verdict.witness).edges == h.edges
+        assert np.array_equal(apply_permutation(g, verdict.witness).edge_index, h.edge_index)
 
     def test_cycle_vs_two_triangles(self):
         assert not are_isomorphic(cycle(6), disjoint_cycles([3, 3])).isomorphic
@@ -653,7 +653,7 @@ class TestAreIsomorphic:
         assert verdict.isomorphic == expected
         if verdict.isomorphic:
             mapped = apply_permutation(g, verdict.witness)
-            assert mapped.edges == h.edges
+            assert np.array_equal(mapped.edge_index, h.edge_index)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -676,7 +676,7 @@ class TestAreIsomorphic:
         )
         if sorted(g.degrees) == sorted(h.degrees):
             return
-        expected = nx.is_isomorphic(nx.Graph(list(g.edges)), nx.Graph(list(h.edges)))
+        expected = nx.is_isomorphic(nx.Graph(edge_pairs(g)), nx.Graph(edge_pairs(h)))
         assert are_isomorphic(g, h).isomorphic == expected
         assert not expected
 
@@ -706,7 +706,7 @@ class TestAreIsomorphic:
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
-    return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+    return Graph(a.n + b.n, np.concatenate([a.edge_index, b.edge_index + a.n]))
 
 
 def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
@@ -742,7 +742,7 @@ def vf2_cases() -> list:
     ]
     c6, c8 = cycle(6), cycle(8)
     two_c3, two_c4 = disjoint_cycles([3, 3]), disjoint_cycles([4, 4])
-    c6_isolated, two_c3_isolated = Graph(8, c6.edges), Graph(8, two_c3.edges)
+    c6_isolated, two_c3_isolated = Graph(8, c6.edge_index), Graph(8, two_c3.edge_index)
     rook = rook4x4()
     cases += [
         pytest.param(c6, (two_c3, relabeled(c6, 1)), False, id="c6-2c3"),
@@ -759,8 +759,8 @@ def vf2_cases() -> list:
     partners = (random_cubic(12, seed=8), relabeled(g, 7))
     cases.append(
         pytest.param(
-            Graph(12, g.edges, rng.random((12, 2))),
-            tuple(Graph(12, h.edges, rng.random((12, 3))) for h in partners),
+            Graph(12, g.edge_index, rng.random((12, 2))),
+            tuple(Graph(12, h.edge_index, rng.random((12, 3))) for h in partners),
             True,
             id="structure-only",
         )
@@ -771,7 +771,7 @@ def vf2_cases() -> list:
 def nx_graph(nx, g: Graph):
     out = nx.Graph()
     out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges)
+    out.add_edges_from(edge_pairs(g))
     return out
 
 
@@ -789,7 +789,8 @@ class TestIsomorphismSearch:
             assert verdict.isomorphic == expected
             if expected:
                 m = verdict.witness.mapping
-                assert all(h.has_edge(m[u], m[v]) for u, v in g.edges)
+                h_edges = set(edge_pairs(h))
+                assert all((min(m[u], m[v]), max(m[u], m[v])) in h_edges for u, v in edge_pairs(g))
 
     def test_distance_profiles_decide_a_cubic_pair_without_search(self):
         # The search took 12 steps here before distance profiles were compared.
@@ -802,6 +803,15 @@ class TestIsomorphismSearch:
         # at distance 2, so the profiles agree and the search decides.
         verdict = are_isomorphic(rook4x4(), shrikhande())
         assert (verdict.isomorphic, verdict.steps) == (False, 112)
+
+    def test_leaf_check_refuses_a_map_that_moves_an_edge(self, monkeypatch):
+        # Refinement that tells every node apart by its index makes the
+        # identity the only leaf, so the edge check alone decides: it
+        # refuses rook4x4 -> Shrikhande and accepts rook4x4 -> itself.
+        monkeypatch.setattr(wl, "_refine", lambda g, colors: ([bytes([v]) for v in range(g.n)], 1))
+        assert are_isomorphic(rook4x4(), shrikhande()) == wl.IsoVerdict(False, None, 0)
+        verdict = are_isomorphic(rook4x4(), rook4x4())
+        assert verdict.isomorphic and verdict.witness.mapping == tuple(range(16))
 
     def test_unequal_profiles_need_no_search_budget(self, monkeypatch):
         monkeypatch.setattr(wl, "ISO_SEARCH_BUDGET", 0)

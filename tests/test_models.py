@@ -265,7 +265,7 @@ def signed_zero_star() -> Graph:
     """A 13-node star whose leaves mix +0.0 and -0.0 in both columns."""
     g = star(13)
     feats = np.array([[(-0.0, 0.0)[v % 2], (-0.0, 0.0)[v % 3 == 0]] for v in range(13)])
-    return Graph(13, g.edges, feats)
+    return Graph(13, g.edge_index, feats)
 
 
 def lone_slot_hub() -> Graph:
@@ -291,7 +291,7 @@ class TestHubFold:
     def test_folded_hub_keeps_reference_bytes(self, g, arch):
         _, _, slots, tail = GraphBatch([g]).slots
         assert tail.size >= 2
-        assert sum(count for count, _ in slots) + tail.size == 2 * len(g.edges)
+        assert sum(count for count, _ in slots) + tail.size == 2 * g.edge_count
         m = init_model(arch, g.d, 3)
         assert forward(m, g).tobytes() == reference_forward(m, g).tobytes()
 

@@ -115,7 +115,7 @@ class TestJacobiEigh:
     def test_tiny_off_diagonal_cell_rotates_without_warning(self):
         # Sweeps on P8 + P3 meet cells so small that theta squared
         # overflows to inf; that must not warn.
-        g = Graph(11, path(8).edges + tuple((u + 8, v + 8) for u, v in path(3).edges))
+        g = Graph(11, np.concatenate([path(8).edge_index, path(3).edge_index + 8]))
         lap = normalized_laplacian(g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -215,7 +215,7 @@ class TestJacobiMatchesReference:
                 assert_same_as_reference(normalized_laplacian(transform[image](g)))
 
     def test_degenerate_spectra_of_named_graphs(self):
-        p8_p3 = Graph(11, path(8).edges + tuple((u + 8, v + 8) for u, v in path(3).edges))
+        p8_p3 = Graph(11, np.concatenate([path(8).edge_index, path(3).edge_index + 8]))
         for g in (cycle(12), p8_p3):
             assert_same_as_reference(normalized_laplacian(g))
 

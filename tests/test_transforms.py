@@ -34,6 +34,7 @@ from isobench.graphs import GRAPH6_MAX_NODES
 from isobench.spectral import JACOBI_MAX_NODES
 
 from helpers import (
+    edge_pairs,
     graphs,
     permutations_for,
     reference_betweenness,
@@ -66,7 +67,8 @@ class TestSpecAndTokens:
         ]:
             with pytest.raises(ContractError):
                 spec("base", **kw)
-        assert spec("base", k=big - 1, d_max=big - 1).d_max == GRAPH6_MAX_NODES
+        assert spec("graph_encoding", k=big - 1).k == GRAPH6_MAX_NODES
+        assert spec("distance_encoding", d_max=big - 1).d_max == GRAPH6_MAX_NODES
 
     def test_plain_token(self):
         assert parse_transform_token("closeness").kind == "closeness"
@@ -88,6 +90,72 @@ class TestSpecAndTokens:
             parse_transform_token("graph_encoding:k=abc")
         with pytest.raises(ContractError, match="bad transform option"):
             parse_transform_token("degree:k")
+
+    # The TransformSpec fields each kind reads; the other kinds read none.
+    READS = {
+        "graph_encoding": ("k", "sign_mode"),
+        "subgraph_extraction": ("radius",),
+        "distance_encoding": ("d_max",),
+        "eigenvector": ("power_tol", "power_max_iter"),
+    }
+    NON_DEFAULTS = {
+        "k": 3, "radius": 3, "d_max": 3, "sign_mode": "first_nonzero_positive",
+        "power_tol": 1e-9, "power_max_iter": 7,
+    }
+    # Each token option at its field's default value.
+    DEFAULT_TOKENS = {
+        "k": "4", "radius": "2", "d_max": "8", "sign": "raw", "sign_mode": "raw",
+        "power_tol": "1e-08", "power_max_iter": "1000",
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_spec_refuses_a_field_its_kind_does_not_read(self, kind):
+        reads = self.READS.get(kind, ())
+        for field, value in self.NON_DEFAULTS.items():
+            if field in reads:
+                assert getattr(spec(kind, **{field: value}), field) == value
+                continue
+            with pytest.raises(ContractError) as err:
+                spec(kind, **{field: value})
+            assert f"transform {kind} takes no option {field!r}; its options: " in str(err.value)
+            # An explicit default cannot be told from an omitted one.
+            default = TransformSpec.__dataclass_fields__[field].default
+            assert spec(kind, **{field: default}) == spec(kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_token_refuses_an_option_its_kind_does_not_read(self, kind):
+        reads = self.READS.get(kind, ())
+        for key, value in self.DEFAULT_TOKENS.items():
+            token = f"{kind}:{key}={value}"
+            if ("sign_mode" if key == "sign" else key) in reads:
+                assert parse_transform_token(token) == spec(kind)
+                continue
+            with pytest.raises(ContractError, match=f"transform {kind} takes no option {key!r}"):
+                parse_transform_token(token)
+
+    def test_foreign_option_texts_list_the_kind_options(self):
+        cases = {
+            "degree:k=5": "transform degree takes no option 'k'; its options: none",
+            "closeness:radius=9": "transform closeness takes no option 'radius'; its options: none",
+            "graph_encoding:radius=2": (
+                "transform graph_encoding takes no option 'radius'; its options: k, sign, sign_mode"
+            ),
+            "eigenvector:sign=raw": (
+                "transform eigenvector takes no option 'sign'; "
+                "its options: power_max_iter, power_tol"
+            ),
+        }
+        for token, message in cases.items():
+            with pytest.raises(ContractError) as err:
+                parse_transform_token(token)
+            assert str(err.value) == message
+        with pytest.raises(ContractError) as err:
+            spec("subgraph_extraction", d_max=3)
+        assert str(err.value) == (
+            "transform subgraph_extraction takes no option 'd_max'; its options: radius"
+        )
+        with pytest.raises(ContractError, match="unknown transform option 'nope'"):
+            parse_transform_token("graph_encoding:nope=1")
 
     def test_all_method_specs_covers_every_kind(self):
         specs = all_method_specs()
@@ -130,7 +198,7 @@ class TestStructuralTransforms:
     def test_virtual_node_wiring(self):
         g = apply_transform(spec("virtual_node"), path(3))
         assert g.n == 4
-        assert set(g.edges) == {(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)}
+        assert set(edge_pairs(g)) == {(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)}
         assert np.all(g.features[3] == 1.0)
 
     def test_virtual_node_keeps_features(self):
@@ -144,17 +212,17 @@ class TestStructuralTransforms:
 
     def test_extra_node_on_edgeless_graph(self):
         out = apply_transform(spec("extra_node"), Graph(3))
-        assert out.n == 3 and out.edges == ()
+        assert out.n == 3 and out.edge_count == 0
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=8))
     def test_size_laws(self, g):
         vn = apply_transform(spec("virtual_node"), g)
         assert vn.n == g.n + 1
-        assert len(vn.edges) == len(g.edges) + g.n
+        assert vn.edge_count == g.edge_count + g.n
         en = apply_transform(spec("extra_node"), g)
-        assert en.n == g.n + len(g.edges)
-        assert len(en.edges) == 2 * len(g.edges)
+        assert en.n == g.n + g.edge_count
+        assert en.edge_count == 2 * g.edge_count
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=7))
@@ -202,13 +270,6 @@ class TestStructuralImages:
                 assert image.features.tobytes() == expected.features.tobytes()
                 assert not image.features.flags.writeable
 
-    @pytest.mark.parametrize("kind", [kind for kind, _ in STRUCTURAL_REFERENCES])
-    def test_no_edge_tuples_are_built(self, kind):
-        gs = [erdos_renyi(12, 0.3, seed=5), Graph(3, ((0, 2),))]
-        images = [apply_transform(spec(kind), gs[0])] + apply_transform(spec(kind), GraphBatch(gs))
-        for g in gs + images:
-            assert "edges" not in g.__dict__
-
 
 class TestFeatureTransforms:
     def test_centrality_appends_one_column(self):
@@ -220,7 +281,7 @@ class TestFeatureTransforms:
     def test_structure_is_untouched(self):
         g = cycle(5)
         out = apply_transform(spec("betweenness"), g)
-        assert out.n == g.n and out.edges == g.edges
+        assert out.n == g.n and np.array_equal(out.edge_index, g.edge_index)
 
     def test_eigenvector_needs_a_higher_cap_on_path_50(self):
         # Power iteration on I + A mixes slowly on long paths: at the default
@@ -302,7 +363,7 @@ class TestDistanceTransformsMatchNumpyArrayReference:
     @staticmethod
     def check(s: TransformSpec, g: Graph, cols: np.ndarray):
         out = apply_transform(s, g)
-        assert out.edges == g.edges
+        assert np.array_equal(out.edge_index, g.edge_index)
         assert out.features.tobytes() == np.hstack([g.features, cols]).tobytes()
 
     @pytest.mark.parametrize("d_max", [1, 3, 8])
@@ -397,7 +458,7 @@ class TestBatch:
                 assert type(t) is ContractError and str(t) == str(alone.value)
                 continue
             expected = np.hstack([g.features, _reference_columns(s, g)])
-            assert t.edges == g.edges
+            assert np.array_equal(t.edge_index, g.edge_index)
             assert t.features.tobytes() == expected.tobytes()
             assert t.features.tobytes() == apply_transform(s, g).features.tobytes()
             assert not t.features.flags.writeable
@@ -436,7 +497,7 @@ class TestBatch:
             except IsobenchError as exc:
                 assert type(t) is type(exc) and str(t) == str(exc)
                 continue
-            assert t.edges == g.edges
+            assert np.array_equal(t.edge_index, g.edge_index)
             assert t.features.tobytes() == alone.features.tobytes()
             if reference is not None:
                 expected = np.hstack([g.features, reference(g)])

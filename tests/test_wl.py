@@ -31,7 +31,7 @@ from isobench import (
 from isobench import wl
 from isobench.quant import quantize_matrix, quantized_row_bytes
 
-from helpers import graphs, naive_tuple_refinement_splits, permutations_for
+from helpers import edge_pairs, graphs, naive_tuple_refinement_splits, permutations_for
 
 
 def _graph_and_other(data) -> tuple[Graph, Graph]:
@@ -46,7 +46,7 @@ def _graph_and_other(data) -> tuple[Graph, Graph]:
     h = g
     if kind == "toggled" and g.n > 1:
         u, v = sorted(data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)))
-        h = Graph(g.n, tuple(set(g.edges) ^ {(u, v)}), g.features)
+        h = Graph(g.n, tuple(set(edge_pairs(g)) ^ {(u, v)}), g.features)
     return g, apply_permutation(h, Permutation(data.draw(permutations_for(g.n))))
 
 
@@ -196,7 +196,7 @@ class TestWLK:
         cases = {
             "rook4x4": rook4x4(),
             "shrikhande": shrikhande(),
-            "g20_features": Graph(20, g20.edges, rng.integers(0, 3, size=(20, 2)).astype(float)),
+            "g20_features": Graph(20, g20.edge_index, rng.integers(0, 3, size=(20, 2)).astype(float)),
             "g70": erdos_renyi(70, 0.1, seed=5),
             "g18_extra_node": extra_node(erdos_renyi(18, 0.2, seed=4)),
         }
