@@ -389,9 +389,9 @@ class GraphBatch:
         and its feature row moves with it.
 
         The union image of every node maps the union edges at once. Each
-        row's two ends are sorted and the rows put in canonical order; a
-        graph's nodes form one union range, so its rows stay together in
-        graph order. The features of each width move as one block.
+        row's two ends are sorted and the rows lexsorted; a graph's nodes
+        form one union range, so its rows stay together in graph order and
+        come out canonical. The features of each width move as one block.
         """
         if len(perms) != len(self.graphs):
             raise ContractError(f"{len(perms)} permutations for {len(self.graphs)} graphs")
@@ -401,8 +401,9 @@ class GraphBatch:
         shift = self.offsets[self.node_graph]
         image = np.fromiter(chain.from_iterable(p.mapping for p in perms), np.intp, self.n)
         image += shift
-        ends = _canonical_rows(np.sort(image[self.edges], axis=1))
-        ends = ends - shift[ends[:, 0]][:, None]
+        ends = np.sort(image[self.edges], axis=1)
+        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        ends -= shift[ends[:, 0]][:, None]
         ends.setflags(write=False)
         features = [None] * len(self.graphs)
         for members, rows in self._width_groups():

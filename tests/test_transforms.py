@@ -60,13 +60,23 @@ class TestSpecAndTokens:
             spec("laplacian")
 
     def test_rejects_bad_parameters(self):
+        # Each bad value sits on a kind that reads its field, so only the
+        # range check can refuse it.
         big = GRAPH6_MAX_NODES + 1
-        for kw in [
-            {"k": 0}, {"radius": 0}, {"d_max": 0}, {"sign_mode": "abs"}, {"power_tol": 0.0},
-            {"k": big}, {"d_max": big}, {"power_tol": float("nan")}, {"power_tol": float("inf")},
+        for kind, kw, message in [
+            ("graph_encoding", {"k": 0}, "k must lie in"),
+            ("graph_encoding", {"k": big}, "k must lie in"),
+            ("graph_encoding", {"sign_mode": "abs"}, "unknown sign mode"),
+            ("subgraph_extraction", {"radius": 0}, "radius must be >= 1"),
+            ("distance_encoding", {"d_max": 0}, "d_max must lie in"),
+            ("distance_encoding", {"d_max": big}, "d_max must lie in"),
+            ("eigenvector", {"power_tol": 0.0}, "power_tol must be finite and positive"),
+            ("eigenvector", {"power_tol": float("nan")}, "power_tol must be finite and positive"),
+            ("eigenvector", {"power_tol": float("inf")}, "power_tol must be finite and positive"),
+            ("eigenvector", {"power_max_iter": 0}, "power_max_iter must be >= 1"),
         ]:
-            with pytest.raises(ContractError):
-                spec("base", **kw)
+            with pytest.raises(ContractError, match=message):
+                spec(kind, **kw)
         assert spec("graph_encoding", k=big - 1).k == GRAPH6_MAX_NODES
         assert spec("distance_encoding", d_max=big - 1).d_max == GRAPH6_MAX_NODES
 
