@@ -22,15 +22,30 @@ compares each row only with the rows whose coordinate 0 lies within
 pointer jumping. Pairs whose transform or embedding raises are excluded
 and counted, never silently dropped.
 
-A cell runs in three steps. It transforms every distinct input graph
-of its pairs, embeds every distinct transformed graph of the pairs whose
-two transforms succeeded, and scores the pairs. Both passes take graphs
-in first-seen order, left before right, pair by pair, and compute a
-graph whatever its partner's fate: a failed left graph does not spare
-its partner's transform or embedding. A pair is excluded by its left
-graph's error, else its right graph's, transform notes before embed
-notes. The result type decides the classes for every embedder: bytes
-give exact classes by equality, anything else is clustered.
+A dataset is indexed once: its distinct input graph objects in
+first-seen order, left before right, pair by pair, and each pair's two
+positions among them, with its ground truth, as arrays. Every result is
+then kept by position: a spec's transforms in a list aligned with the
+index, a model's embeddings as the rows of one float array, and each
+pass's failures as a boolean mask.
+
+A cell selects its pair rows, all of them or one origin's, and runs in
+three steps. It transforms every distinct input graph of its pairs,
+embeds every distinct transformed graph of the pairs whose two
+transforms succeeded, and scores the pairs. Both passes take graphs in
+first-seen order and compute a graph whatever its partner's fate: a
+failed left graph does not spare its partner's transform or embedding.
+Each pass is one batch call over the graphs it lacks, with
+GraphBatch.each's per-graph results: the result or the IsobenchError
+that the graph alone raises. A model embedder checks each graph alone,
+then embeds those that pass in one forward call. The failure masks,
+gathered at the pairs' positions, exclude pairs; only the excluded
+pairs are visited one by one, to note each by its left graph's error,
+else its right one's, transform notes before embed notes. The
+survivors' embeddings are gathered at once, and the result type decides
+the classes for every embedder: bytes give exact classes by equality,
+anything else is clustered. fn, fp and ecc are counted over label
+arrays.
 
 A grid computes each thing once: it transforms every distinct input
 graph object once per spec and embeds each result once per (spec,
@@ -42,11 +57,6 @@ a spec share one 1-WL refinement per graph; the wl2 cell first checks
 each graph against its tuple budget, as wlk_signature does. A cell's
 seconds cover only the work that cell triggered first, so a grid's rows
 still sum to its wall time.
-
-Each pass of a cell is one batch call over the distinct graphs its memo
-lacks, with GraphBatch.each's per-graph results: the result or the
-IsobenchError that the graph alone raises. A model embedder checks each
-graph alone, then embeds those that pass in one forward call.
 """
 
 from __future__ import annotations
@@ -54,13 +64,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, IsobenchError
 from .graphs import Graph, GraphBatch, Permutation
-from .models import ARCHS, check_graph, forward, init_model
+from .models import ARCHS, ModelParams, check_graph, forward, init_model
 from .quant import check_quant_eps
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
 from .wl import (
@@ -290,75 +300,188 @@ class ReportRow:
 GraphEmbedder = Callable[[Graph], "bytes | np.ndarray"]
 
 
+@dataclass(frozen=True, eq=False)
+class _Index:
+    """A dataset's pairs as arrays over its distinct input graphs.
+
+    graphs holds each distinct input graph object once, in first-seen
+    order, left before right, pair by pair; slots[i] holds the positions
+    of pair i's left and right graph in it. every is every pair row, and
+    by_origin maps each origin, in first-seen order, to its pair rows.
+    """
+
+    pairs: tuple[LabeledPair, ...]
+    graphs: tuple[Graph, ...]
+    slots: np.ndarray
+    isomorphic: np.ndarray
+    every: np.ndarray
+    by_origin: dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, ds: PairDataset) -> _Index:
+        position: dict[int, int] = {}
+        graphs: list[Graph] = []
+        slots: list[int] = []
+        by_origin: dict[str, list[int]] = {}
+        for i, pair in enumerate(ds.pairs):
+            for g in (pair.left, pair.right):
+                slot = position.setdefault(id(g), len(graphs))
+                if slot == len(graphs):
+                    graphs.append(g)
+                slots.append(slot)
+            by_origin.setdefault(pair.origin, []).append(i)
+        return cls(
+            ds.pairs,
+            tuple(graphs),
+            np.array(slots, dtype=np.intp).reshape(-1, 2),
+            np.array([p.isomorphic for p in ds.pairs], dtype=bool),
+            np.arange(len(ds.pairs)),
+            {o: np.array(r, dtype=np.intp) for o, r in by_origin.items()},
+        )
+
+    def cell(self, origin: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """The pair rows of a cell and their slots: every pair's, or one origin's."""
+        if origin is None:
+            return self.every, self.slots
+        rows = self.by_origin.get(origin, self.every[:0])
+        return rows, self.slots[rows]
+
+
+class _Results:
+    """One pass's results over an index's graphs, by position.
+
+    values[p] is graph p's result or the IsobenchError that it raised;
+    done[p] marks a computed graph and failed[p] an error. A model pass
+    writes its embeddings into the rows of vectors instead and keeps
+    None in values. lacking counts the graphs not done, failures the
+    errors.
+    """
+
+    def __init__(self, size: int):
+        self.values: list = [None] * size
+        self.done = np.zeros(size, dtype=bool)
+        self.failed = np.zeros(size, dtype=bool)
+        self.vectors: np.ndarray | None = None
+        self.lacking = size
+        self.failures = 0
+
+    def need(self, slots: np.ndarray) -> list[int]:
+        """The distinct positions of slots, read row by row, that are not
+        done, in first-seen order."""
+        if not self.lacking:
+            return []
+        flat = slots.ravel()
+        flat = flat[~self.done[flat]]
+        # A stable sort puts each position's first appearance first.
+        order = np.argsort(flat, kind="stable")
+        first = np.ones(flat.size, dtype=bool)
+        np.not_equal(flat[order[1:]], flat[order[:-1]], out=first[1:])
+        return flat[np.sort(order[first])].tolist()
+
+    def store(self, need: list[int], results: list) -> None:
+        """Record results[j], a result or an IsobenchError, for position need[j]."""
+        values = self.values
+        failed = []
+        for p, r in zip(need, results, strict=True):
+            values[p] = r
+            if isinstance(r, IsobenchError):
+                failed.append(p)
+        self.done[need] = True
+        self.failed[failed] = True
+        self.lacking -= len(need)
+        self.failures += len(failed)
+
+
 @dataclass
 class _Memo:
-    """Per-graph results that the cells of one grid share.
+    """Per-graph results that the cells of one grid share, by index position.
 
-    `transformed` maps id(input graph) to its transform under one spec;
-    `refined` maps id(transformed graph) to its 1-WL digest, which the
-    wl1 and wl2 cells of that spec share; `embedded` maps (id(transformed
-    graph), model input width or 0) to its embedding under one embedder.
-    A value is the result or the IsobenchError the call raised. A cell
-    adds every distinct graph of its pairs that a map lacks, failed
-    partners included: the right graph of a pair whose left graph failed
-    is computed all the same. Keys are object ids, which stay valid
-    because the dataset and `transformed` keep every keyed graph alive.
+    `transformed` holds each input graph's transform under one spec;
+    `refined` the 1-WL digest of each transformed graph, which the wl1
+    and wl2 cells of that spec share; `embedded` maps a model input width,
+    or 0 for other embedders, to each transformed graph's embedding under
+    one embedder. A cell computes every distinct graph of its pairs that a
+    pass lacks, failed partners included: the right graph of a pair whose
+    left graph failed is computed all the same.
     """
 
-    transformed: dict[int, object] = field(default_factory=dict)
-    refined: dict[int, object] = field(default_factory=dict)
-    embedded: dict[tuple[int, int], object] = field(default_factory=dict)
+    index: _Index
+    transformed: _Results
+    refined: _Results
+    embedded: dict[int, _Results] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, index: _Index) -> _Memo:
+        return cls(index, _Results(len(index.graphs)), _Results(len(index.graphs)))
 
 
-def _fill(cache: dict, keyed: Iterable[tuple], run: Callable[[GraphBatch], list]) -> None:
-    """Give cache an entry for each key of the (key, graph) items that it
-    lacks, from one run(GraphBatch) call over those graphs in first-seen order."""
-    fresh: dict = {}
-    for key, g in keyed:
-        if key not in cache:
-            fresh.setdefault(key, g)
-    if fresh:
-        cache.update(zip(fresh, run(GraphBatch(list(fresh.values()))), strict=True))
-
-
-def _wl_digests(b: GraphBatch, embedder: str, eps: float, budget: int, refined: dict) -> list:
+def _wl_digests(
+    graphs: list[Graph], need: list[int], embedder: str, eps: float, budget: int, refined: _Results
+) -> list:
     """Each graph's digest under a WL embedder, or the IsobenchError it raises.
 
-    wl1 and wl2 read the 1-WL digest from `refined`, refining only the
-    graphs it lacks. wl2 first applies wlk_signature's tuple guards to
-    every graph, so a refused graph stays refused whichever cell ran first.
+    graphs[j] is the transformed graph at position need[j]. wl1 and wl2
+    read the 1-WL digest from `refined`, refining only the graphs it
+    lacks. wl2 first applies wlk_signature's tuple guards to every graph,
+    so a refused graph stays refused whichever cell ran first.
     """
+    b = GraphBatch(graphs)
     if embedder not in ("wl1", "wl2"):
         signature = WL_SIGNATURES[embedder]
         return b.each(lambda g: bytes.fromhex(signature(g, eps, budget).digest))
     if embedder == "wl2":
         out = b.each(lambda g: check_tuple_refinement(g, 2, budget))
     else:
-        out = [None] * len(b.graphs)
-    # Through this module's global: benchmarks/tracing.py patches
-    # evaluate.wl1_signature and counts its calls.
-    _fill(
-        refined,
-        ((id(g), g) for g, e in zip(b.graphs, out) if e is None),
-        lambda fit: fit.each(lambda g: bytes.fromhex(wl1_signature(g, eps).digest)),
-    )
-    return [e if isinstance(e, IsobenchError) else refined[id(g)] for g, e in zip(b.graphs, out)]
+        out = [None] * len(graphs)
+    fresh = [j for j, e in enumerate(out) if e is None and not refined.done[need[j]]]
+    if fresh:
+        # Through this module's global: benchmarks/tracing.py patches
+        # evaluate.wl1_signature and counts its calls.
+        fit = GraphBatch([graphs[j] for j in fresh])
+        refined.store(
+            [need[j] for j in fresh],
+            fit.each(lambda g: bytes.fromhex(wl1_signature(g, eps).digest)),
+        )
+    return [e if e is not None else refined.values[p] for p, e in zip(need, out)]
 
 
-def _sift(rows: Iterable[tuple], notes: list[str]) -> list[tuple]:
-    """The (index, pair, left, right) rows whose two values are results.
+def _embed_model(
+    params: ModelParams, graphs: list[Graph], need: list[int], embedded: _Results
+) -> None:
+    """Check each graph alone, then embed those that pass in one forward
+    call, writing row j of its result into embedded.vectors."""
+    out = GraphBatch(graphs).each(lambda g: check_graph(params, g))
+    fit = [j for j, e in enumerate(out) if e is None]
+    if fit:
+        # Positional, through this module's global: benchmarks/tracing.py
+        # patches evaluate.forward and counts the batch's n node rows.
+        rows = forward(params, GraphBatch([graphs[j] for j in fit]))
+        if embedded.vectors is None:
+            embedded.vectors = np.empty((len(embedded.values), rows.shape[1]))
+        embedded.vectors[[need[j] for j in fit]] = rows
+    embedded.store(need, out)
 
-    A row that holds an IsobenchError is noted by its left value's error,
-    else its right one's, and dropped.
-    """
-    kept = []
-    for index, pair, left, right in rows:
-        error = left if isinstance(left, IsobenchError) else right
-        if isinstance(error, IsobenchError):
-            notes.append(f"pair {index} ({pair.origin}): {error}")
-        else:
-            kept.append((index, pair, left, right))
-    return kept
+
+def _exclude(
+    results: _Results,
+    slots: np.ndarray,
+    kept: np.ndarray,
+    rows: np.ndarray,
+    index: _Index,
+    notes: list[str],
+) -> np.ndarray:
+    """The cell pairs of kept, indices into slots, whose two graphs have
+    results. A dropped pair is noted by its left graph's error, else its
+    right one's."""
+    if not results.failures:
+        return kept
+    bad = results.failed[slots[kept]]
+    dropped = bad[:, 0] | bad[:, 1]
+    for j in np.flatnonzero(dropped).tolist():
+        i = int(kept[j])
+        error = results.values[slots[i, 0] if bad[j, 0] else slots[i, 1]]
+        notes.append(f"pair {i} ({index.pairs[rows[i]].origin}): {error}")
+    return kept[~dropped]
 
 
 def evaluate_pairs(
@@ -377,12 +500,12 @@ def evaluate_pairs(
 
     A custom callable embedder may return either a bytes key (classes by
     exact equality) or a float vector (classes by eps clustering).
-    `memo` holds the transforms and embeddings that evaluate_grid shares
-    between the cells of one spec and embedder; without it the cell
-    computes everything itself. A quant_eps that is not finite and > 0,
-    a cluster_eps that is not finite and >= 0, a kwl_budget that is not
-    an integer >= 1, or an unknown embedder name raises ContractError
-    before any pair runs.
+    `memo` holds the dataset's index and the transforms and embeddings
+    that evaluate_grid shares between the cells of one spec and embedder;
+    without it the cell indexes the dataset and computes everything
+    itself. A quant_eps that is not finite and > 0, a cluster_eps that is
+    not finite and >= 0, a kwl_budget that is not an integer >= 1, or an
+    unknown embedder name raises ContractError before any pair runs.
     """
     check_quant_eps(quant_eps)
     check_cluster_eps(cluster_eps)
@@ -390,77 +513,68 @@ def evaluate_pairs(
     if not callable(embedder) and embedder not in EMBEDDERS:
         raise ContractError(f"unknown embedder {str(embedder)!r}; valid: {', '.join(EMBEDDERS)}")
     start = time.perf_counter()
-    memo = _Memo() if memo is None else memo
-    pairs = ds.pairs if origin is None else tuple(p for p in ds.pairs if p.origin == origin)
+    memo = _Memo.of(_Index.of(ds)) if memo is None else memo
+    index = memo.index
+    rows, slots = index.cell(origin)
 
     transformed = memo.transformed
-    # Positional, through this module's global: benchmarks/tracing.py
-    # patches evaluate.apply_transform and keys the batch by its n,
-    # edges and features.
-    _fill(
-        transformed,
-        ((id(g), g) for p in pairs for g in (p.left, p.right)),
-        lambda b: apply_transform(spec, b),
-    )
+    need = transformed.need(slots)
+    if need:
+        # Positional, through this module's global: benchmarks/tracing.py
+        # patches evaluate.apply_transform and keys the batch by its n,
+        # edges and features.
+        batch = GraphBatch([index.graphs[p] for p in need])
+        transformed.store(need, apply_transform(spec, batch))
     notes: list[str] = []
-    survivors = _sift(
-        ((i, p, transformed[id(p.left)], transformed[id(p.right)]) for i, p in enumerate(pairs)),
-        notes,
-    )
+    kept = _exclude(transformed, slots, np.arange(len(rows)), rows, index, notes)
 
-    embed_dim = survivors[0][2].d if survivors else 1
+    survivors = slots[kept]
+    embed_dim = transformed.values[survivors[0, 0]].d if len(survivors) else 1
     params = init_model(embedder, embed_dim, model_seed) if embedder in ARCHS else None
     # A model's weights depend on its input width; other embedders do not.
     width = 0 if params is None else embed_dim
+    embedded = memo.embedded.get(width)
+    if embedded is None:
+        embedded = memo.embedded[width] = _Results(len(index.graphs))
+    need = embedded.need(survivors)
+    if need:
+        graphs = [transformed.values[p] for p in need]
+        if params is not None:
+            _embed_model(params, graphs, need, embedded)
+        elif callable(embedder):
+            embedded.store(need, GraphBatch(graphs).each(embedder))
+        else:
+            embedded.store(
+                need, _wl_digests(graphs, need, embedder, quant_eps, kwl_budget, memo.refined)
+            )
+    kept = _exclude(embedded, slots, kept, rows, index, notes)
+
+    # Left and right graph of each included pair, pair by pair.
+    ends = slots[kept].ravel()
     if params is not None:
-
-        def embed(b: GraphBatch) -> list:
-            out = b.each(lambda g: check_graph(params, g))
-            fit = [g for g, e in zip(b.graphs, out) if not isinstance(e, IsobenchError)]
-            if fit:
-                # Positional, through this module's global: benchmarks/tracing.py
-                # patches evaluate.forward and counts the batch's n node rows.
-                rows = iter(forward(params, GraphBatch(fit)))
-                out = [e if isinstance(e, IsobenchError) else next(rows) for e in out]
-            return out
-
-    elif callable(embedder):
-        embed = lambda b: b.each(embedder)
+        labels = cluster_embeddings(embedded.vectors[ends], cluster_eps) if ends.size else []
     else:
-        embed = lambda b: _wl_digests(b, embedder, quant_eps, kwl_budget, memo.refined)
-    embedded = memo.embedded
-    _fill(embedded, (((id(g), width), g) for row in survivors for g in row[2:]), embed)
-    included = _sift(
-        ((i, p, embedded[id(a), width], embedded[id(b), width]) for i, p, a, b in survivors),
-        notes,
-    )
-
-    values = [e for _, _, left, right in included for e in (left, right)]
-    if values and isinstance(values[0], (bytes, bytearray)):
-        table: dict[bytes, int] = {}
-        labels = [table.setdefault(bytes(e), len(table)) for e in values]
-    elif values:
-        labels = cluster_embeddings(np.stack([np.asarray(e) for e in values]), cluster_eps)
-    else:
-        labels = []
-
-    fp = fn = 0
-    for slot, (_, pair, _, _) in enumerate(included):
-        same = labels[2 * slot] == labels[2 * slot + 1]
-        if pair.isomorphic and not same:
-            fp += 1
-        if not pair.isomorphic and same:
-            fn += 1
+        values = [embedded.values[p] for p in ends.tolist()]
+        if values and isinstance(values[0], (bytes, bytearray)):
+            table: dict[bytes, int] = {}
+            labels = [table.setdefault(bytes(e), len(table)) for e in values]
+        elif values:
+            labels = cluster_embeddings(np.stack([np.asarray(e) for e in values]), cluster_eps)
+        else:
+            labels = []
+    labels = np.array(labels, dtype=np.intp)
+    same = labels[0::2] == labels[1::2]
+    isomorphic = index.isomorphic[rows[kept]]
     seconds = time.perf_counter() - start
     name = embedder if isinstance(embedder, str) else getattr(embedder, "__name__", "custom")
     return ReportRow(
         method=spec.kind,
         embedder=name,
-        ecc=ecc(labels),
-        fn=fn,
-        fp=fp,
-        pairs=len(included),
-        excluded=len(pairs) - len(included),
+        ecc=int(np.count_nonzero(np.bincount(labels))),
+        fn=int(np.count_nonzero(same & ~isomorphic)),
+        fp=int(np.count_nonzero(isomorphic & ~same)),
+        pairs=len(kept),
+        excluded=len(rows) - len(kept),
         seconds=seconds,
         origin=origin,
         notes=tuple(notes),
@@ -481,21 +595,17 @@ def evaluate_grid(
     """One row per (spec, embedder, origin) cell, in that nesting order.
 
     Equal to calling evaluate_pairs once per cell, `seconds` aside: the
-    cells of one spec share its transforms and its 1-WL digests, and the
-    cells of one (spec, embedder) share its embeddings.
+    dataset is indexed once, the cells of one spec share its transforms
+    and its 1-WL digests, and the cells of one (spec, embedder) share its
+    embeddings.
     """
-    origins: list[str | None] = [None]
-    if by_origin:
-        seen: list[str] = []
-        for pair in ds.pairs:
-            if pair.origin not in seen:
-                seen.append(pair.origin)
-        origins = list(seen)
+    index = _Index.of(ds)
+    origins: list[str | None] = list(index.by_origin) if by_origin else [None]
     rows = []
     for spec in specs:
-        shared = _Memo()
+        shared = _Memo.of(index)
         for embedder in embedders:
-            memo = _Memo(shared.transformed, shared.refined)
+            memo = _Memo(index, shared.transformed, shared.refined)
             for origin in origins:
                 rows.append(
                     evaluate_pairs(

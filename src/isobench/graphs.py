@@ -106,7 +106,9 @@ class Graph:
         fields = out.__dict__
         fields.update(n=n, edge_index=edge_index, features=features)
         if caches:
-            fields.update((name, caches[name]) for name in _STRUCTURE_CACHES if name in caches)
+            for name in _STRUCTURE_CACHES:
+                if name in caches:
+                    fields[name] = caches[name]
         return out
 
     def with_features(self, features) -> "Graph":
@@ -564,7 +566,8 @@ def decode_graph6(texts: Sequence[str], lines: Sequence[int] | None = None) -> l
     layout = np.fromiter(chain.from_iterable(layouts), np.intp, 3 * len(layouts)).reshape(-1, 3)
 
     out: list[Graph] = [None] * len(payloads)
-    for count in np.unique(layout[:, 0]).tolist():
+    # Not np.unique, whose first call imports numpy.ma.
+    for count in sorted(set(layout[:, 0].tolist())):
         members = np.flatnonzero(layout[:, 0] == count)
         need = int(layout[members[0], 2])
         packed = codes[layout[members, 1][:, None] + np.arange(need)]

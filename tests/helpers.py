@@ -14,9 +14,20 @@ from collections import Counter, deque
 import numpy as np
 from hypothesis import strategies as st
 
-from isobench import ContractError, Graph, NumericError, UnsupportedSizeError
+from isobench import ContractError, Graph, GraphBatch, NumericError, UnsupportedSizeError
+from isobench.errors import IsobenchError
+from isobench.evaluate import ReportRow, cluster_embeddings
 from isobench.graphs import GRAPH6_MAX_NODES
+from isobench.models import ARCHS, check_graph, forward, init_model
 from isobench.quant import quantize_matrix
+from isobench.transforms import apply_transform
+from isobench.wl import (
+    DEFAULT_EPS,
+    DEFAULT_TUPLE_BUDGET,
+    check_tuple_refinement,
+    wl1_signature,
+    wlk_signature,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +485,129 @@ def reference_cluster(vectors, eps: float) -> list[int]:
             parent[max(a, b)] = min(a, b)
     relabel: dict[int, int] = {}
     return [relabel.setdefault(root(int(r)), len(relabel)) for r in inverse]
+
+
+# ---------------------------------------------------------------------------
+# one cell by a walk over its pairs (the earlier package code, kept as a
+# reference for evaluate_pairs' index arrays)
+
+
+def _fill(cache: dict, keyed, run) -> None:
+    """Give cache an entry for each key of the (key, graph) items that it
+    lacks, from one run(GraphBatch) call over those graphs in first-seen order."""
+    fresh: dict = {}
+    for key, g in keyed:
+        if key not in cache:
+            fresh.setdefault(key, g)
+    if fresh:
+        cache.update(zip(fresh, run(GraphBatch(list(fresh.values()))), strict=True))
+
+
+def _sift(rows, notes: list[str]) -> list[tuple]:
+    """The (index, pair, left, right) rows whose two values are results; a
+    row holding an IsobenchError is noted by its left value's error, else
+    its right one's, and dropped."""
+    kept = []
+    for index, pair, left, right in rows:
+        error = left if isinstance(left, IsobenchError) else right
+        if isinstance(error, IsobenchError):
+            notes.append(f"pair {index} ({pair.origin}): {error}")
+        else:
+            kept.append((index, pair, left, right))
+    return kept
+
+
+def reference_evaluate_pairs(
+    ds,
+    spec,
+    embedder,
+    *,
+    cluster_eps: float = 1e-5,
+    quant_eps: float = DEFAULT_EPS,
+    model_seed: int = 0,
+    kwl_budget: int = DEFAULT_TUPLE_BUDGET,
+    origin: str | None = None,
+) -> ReportRow:
+    """One cell, with `seconds` 0.0: per-pair generators over id-keyed dicts.
+
+    Each distinct input graph is transformed, and each distinct
+    transformed graph of the pairs whose two transforms succeeded is
+    embedded, in first-seen order, left before right, pair by pair. A
+    pair is excluded by its left graph's error, else its right one's,
+    transform notes before embed notes.
+    """
+    pairs = ds.pairs if origin is None else tuple(p for p in ds.pairs if p.origin == origin)
+    transformed: dict = {}
+    _fill(
+        transformed,
+        ((id(g), g) for p in pairs for g in (p.left, p.right)),
+        lambda b: apply_transform(spec, b),
+    )
+    notes: list[str] = []
+    survivors = _sift(
+        ((i, p, transformed[id(p.left)], transformed[id(p.right)]) for i, p in enumerate(pairs)),
+        notes,
+    )
+    embed_dim = survivors[0][2].d if survivors else 1
+    params = init_model(embedder, embed_dim, model_seed) if embedder in ARCHS else None
+    if params is not None:
+
+        def embed(b):
+            out = b.each(lambda g: check_graph(params, g))
+            fit = [g for g, e in zip(b.graphs, out) if not isinstance(e, IsobenchError)]
+            if fit:
+                rows = iter(forward(params, GraphBatch(fit)))
+                out = [e if isinstance(e, IsobenchError) else next(rows) for e in out]
+            return out
+
+    elif callable(embedder):
+        embed = lambda b: b.each(embedder)
+    elif embedder == "wl1":
+        embed = lambda b: b.each(lambda g: bytes.fromhex(wl1_signature(g, quant_eps).digest))
+    elif embedder == "wl2":
+        # A wl2 digest is the wl1 digest of a graph that passes the tuple guards.
+        def embed(b):
+            out = b.each(lambda g: check_tuple_refinement(g, 2, kwl_budget))
+            digest = lambda g: bytes.fromhex(wl1_signature(g, quant_eps).digest)
+            return [
+                e if isinstance(e, IsobenchError) else digest(g) for g, e in zip(b.graphs, out)
+            ]
+
+    else:
+        embed = lambda b: b.each(
+            lambda g: bytes.fromhex(wlk_signature(g, 3, quant_eps, kwl_budget).digest)
+        )
+    embedded: dict = {}
+    _fill(embedded, ((id(g), g) for row in survivors for g in row[2:]), embed)
+    included = _sift(
+        ((i, p, embedded[id(a)], embedded[id(b)]) for i, p, a, b in survivors), notes
+    )
+    values = [e for _, _, left, right in included for e in (left, right)]
+    if values and isinstance(values[0], (bytes, bytearray)):
+        table: dict[bytes, int] = {}
+        labels = [table.setdefault(bytes(e), len(table)) for e in values]
+    elif values:
+        labels = cluster_embeddings(np.stack([np.asarray(e) for e in values]), cluster_eps)
+    else:
+        labels = []
+    fp = fn = 0
+    for slot, (_, pair, _, _) in enumerate(included):
+        same = labels[2 * slot] == labels[2 * slot + 1]
+        fp += pair.isomorphic and not same
+        fn += not pair.isomorphic and same
+    name = embedder if isinstance(embedder, str) else getattr(embedder, "__name__", "custom")
+    return ReportRow(
+        method=spec.kind,
+        embedder=name,
+        ecc=len(set(labels)),
+        fn=fn,
+        fp=fp,
+        pairs=len(included),
+        excluded=len(pairs) - len(included),
+        seconds=0.0,
+        origin=origin,
+        notes=tuple(notes),
+    )
 
 
 # ---------------------------------------------------------------------------

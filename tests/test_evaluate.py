@@ -23,6 +23,7 @@ from isobench import (
     PairDataset,
     Permutation,
     REPORT_FORMATS,
+    ReportRow,
     ResourceLimitError,
     TransformSpec,
     apply_permutation,
@@ -46,7 +47,13 @@ import isobench.evaluate as evaluate
 import isobench.models as models
 from isobench.cli import _build_parser
 
-from helpers import canonical_key, graphs, random_cubic, reference_cluster
+from helpers import (
+    canonical_key,
+    graphs,
+    random_cubic,
+    reference_cluster,
+    reference_evaluate_pairs,
+)
 
 
 def base_spec() -> TransformSpec:
@@ -723,3 +730,150 @@ class TestModelBatches:
         notes = [note for r in default for note in r.notes]
         assert any("forward pass needs at least one node" in note for note in notes)
         assert any("feature columns, graph has" in note for note in notes)
+
+
+def picky_vector(g: Graph) -> np.ndarray:
+    """Clustered embedder that refuses three-node graphs."""
+    if g.n == 3:
+        raise ResourceLimitError("picky_vector refuses n=3")
+    return np.array([float(g.n), float(g.edge_count), float(g.features.sum())])
+
+
+@st.composite
+def pair_datasets(draw) -> PairDataset:
+    """Pairs over a few graph objects, so that one object sits in several
+    pairs and on both sides of one; some have no nodes or two feature
+    columns, which transforms and models refuse."""
+    drawn_graph = st.one_of(graphs(max_n=5), graphs(max_n=5, feature_dims=2))
+    pool = draw(st.lists(drawn_graph, min_size=1, max_size=4))
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(pool), st.sampled_from(pool), st.booleans(), st.sampled_from("abc")
+            ),
+            max_size=6,
+        )
+    )
+    return PairDataset(tuple(LabeledPair(*t) for t in drawn))
+
+
+class TestArrayCells:
+    """A cell scored from index arrays equals the per-pair walk of
+    helpers.reference_evaluate_pairs, notes and their order included."""
+
+    SPECS = (
+        base_spec(),
+        TransformSpec(kind="closeness"),
+        TransformSpec(kind="virtual_node"),
+        TransformSpec(kind="eigenvector", power_tol=1e-15, power_max_iter=2),
+    )
+    EMBEDDERS = ("wl1", "wl2", "wl3", "gin", "ds", canonical_key, picky, picky_vector)
+    BUDGET = 60  # wl2 and wl3 refuse the larger graphs
+
+    def expected(self, ds: PairDataset, origins: list) -> list[ReportRow]:
+        return [
+            reference_evaluate_pairs(ds, spec, embedder, kwl_budget=self.BUDGET, origin=origin)
+            for spec in self.SPECS
+            for embedder in self.EMBEDDERS
+            for origin in origins
+        ]
+
+    def cells_match(self, ds: PairDataset, origins: list) -> list[ReportRow]:
+        """Assert each cell run alone equals the reference; return its rows."""
+        expected = self.expected(ds, origins)
+        alone = [
+            evaluate_pairs(ds, spec, embedder, kwl_budget=self.BUDGET, origin=origin)
+            for spec in self.SPECS
+            for embedder in self.EMBEDDERS
+            for origin in origins
+        ]
+        assert [dataclasses.replace(r, seconds=0.0) for r in alone] == expected
+        return expected
+
+    def grid_matches(self, ds: PairDataset, by_origin: bool) -> None:
+        origins = list(dict.fromkeys(p.origin for p in ds.pairs)) if by_origin else [None]
+        grid = evaluate_grid(
+            ds, self.SPECS, self.EMBEDDERS, kwl_budget=self.BUDGET, by_origin=by_origin
+        )
+        assert [dataclasses.replace(r, seconds=0.0) for r in grid] == self.expected(ds, origins)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ds=pair_datasets(), by_origin=st.booleans())
+    def test_matches_per_pair_reference(self, ds, by_origin):
+        self.cells_match(ds, list(dict.fromkeys(p.origin for p in ds.pairs)) + [None])
+        self.grid_matches(ds, by_origin)
+
+    def test_every_exclusion_case_matches(self):
+        shared, three, empty = path(4), path(3), Graph(0)
+        ds = PairDataset(
+            (
+                LabeledPair(shared, cycle(4), False, "a"),
+                LabeledPair(star(4), shared, False, "a"),
+                LabeledPair(shared, shared, True, "a"),
+                # Closeness refuses a graph with no nodes; picky three nodes.
+                LabeledPair(empty, shared, False, "b"),
+                LabeledPair(cycle(5), empty, False, "b"),
+                LabeledPair(empty, Graph(0), True, "b"),
+                LabeledPair(three, cycle(5), False, "c"),
+                LabeledPair(cycle(4), three, False, "c"),
+                LabeledPair(three, three, True, "c"),
+            )
+        )
+        rows = self.cells_match(ds, [None, "a", "b", "c", "missing"])
+        self.grid_matches(ds, by_origin=False)
+        self.grid_matches(ds, by_origin=True)
+        by_cell = {(r.method, r.embedder, r.origin): r for r in rows}
+        assert by_cell["closeness", "picky", None].notes == (
+            "pair 3 (b): centrality augmentation needs at least one node",
+            "pair 4 (b): centrality augmentation needs at least one node",
+            "pair 5 (b): centrality augmentation needs at least one node",
+            "pair 6 (c): picky embedder refuses n=3",
+            "pair 7 (c): picky embedder refuses n=3",
+            "pair 8 (c): picky embedder refuses n=3",
+        )
+        none_left = by_cell["closeness", "picky", "b"]
+        assert (none_left.ecc, none_left.pairs, none_left.excluded) == (0, 0, 3)
+        assert by_cell["closeness", "picky_vector", "c"].notes[0] == (
+            "pair 0 (c): picky_vector refuses n=3"
+        )
+        missing = by_cell["base", "gin", "missing"]
+        assert (missing.ecc, missing.pairs, missing.excluded, missing.notes) == (0, 0, 0, ())
+
+    def test_passes_take_graphs_in_first_seen_order(self, monkeypatch):
+        """A graph first seen in an excluded pair, or in another origin's
+        pair, joins a cell's batch where that cell first sees it."""
+        batches: list[tuple[str, list[int]]] = []
+        apply, embed = evaluate.apply_transform, evaluate.forward
+
+        def recording_apply(spec, b):
+            batches.append(("transform", [g.n for g in b.graphs]))
+            return apply(spec, b)
+
+        def recording_forward(params, b):
+            batches.append(("forward", [g.n for g in b.graphs]))
+            return embed(params, b)
+
+        monkeypatch.setattr(evaluate, "apply_transform", recording_apply)
+        monkeypatch.setattr(evaluate, "forward", recording_forward)
+        four, five = path(4), star(5)
+        ds = PairDataset(
+            (
+                LabeledPair(four, Graph(0), False, "x"),
+                LabeledPair(five, four, False, "y"),
+            )
+        )
+        evaluate_pairs(ds, TransformSpec(kind="closeness"), "gin", origin="y")
+        evaluate_pairs(ds, TransformSpec(kind="closeness"), "gin")
+        assert batches == [
+            ("transform", [5, 4]),
+            ("forward", [5, 4]),
+            ("transform", [4, 0, 5]),
+            ("forward", [5, 4]),
+        ]
+
+    def test_empty_dataset_matches(self):
+        rows = self.cells_match(PairDataset(()), [None, "a"])
+        self.grid_matches(PairDataset(()), by_origin=False)
+        assert {(r.ecc, r.fn, r.fp, r.pairs, r.excluded, r.notes) for r in rows} == {
+            (0, 0, 0, 0, 0, ())
+        }

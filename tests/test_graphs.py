@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -213,6 +214,18 @@ class TestWithFeatures:
         assert out.degrees.dtype == fresh.degrees.dtype
         assert not out.degrees.flags.writeable
         assert not out.adjacency_matrix.flags.writeable
+
+    def test_structure_caches_name_every_cached_property(self):
+        """with_features, with_columns and relabeled hand these caches to
+        graphs with the same edges, so each must depend on the edges
+        alone. A new cached property of Graph fails here until it is
+        listed or found to depend on the features."""
+        cached = {name for name, attr in vars(Graph).items() if isinstance(attr, cached_property)}
+        assert cached == set(graphs_module._STRUCTURE_CACHES)
+        g = self.source()
+        other = Graph(g.n, g.edge_index, -np.arange(8.0).reshape(4, 2))
+        for name in graphs_module._STRUCTURE_CACHES:
+            np.testing.assert_equal(getattr(other, name), getattr(g, name))
 
     def test_uncomputed_caches_are_computed_on_demand(self):
         g = Graph(3, ((0, 1), (1, 2)))
