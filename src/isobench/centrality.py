@@ -32,10 +32,9 @@ ceil(n / 64) words, so a graph takes about n^2 / 8 bytes of words, and
 a level touches only the graphs whose balls grew at the level before.
 A batch runs in GraphBatch.runs, so it needs the memory of its largest run.
 
-Betweenness and subgraph extraction run one breadth-first search per
-source node on plain Python lists, since indexing a numpy array element
-by element makes a numpy scalar per read. Each reduces a distance row
-as soon as it gets it, so their extra memory is O(n).
+Betweenness runs one breadth-first search per source node on plain
+Python lists, since indexing a numpy array element by element makes a
+numpy scalar per read, and reduces each distance row at once: O(n) memory.
 """
 
 from __future__ import annotations
@@ -51,21 +50,6 @@ _M1, _M2, _M4, _H01 = (
     np.uint64(c)
     for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
 )
-
-
-def bfs_distances(neighbors: tuple[tuple[int, ...], ...], source: int) -> list[int]:
-    """Hop distances from source as a plain list; -1 marks unreachable nodes."""
-    dist = [-1] * len(neighbors)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        step = dist[v] + 1
-        for u in neighbors[v]:
-            if dist[u] < 0:
-                dist[u] = step
-                queue.append(u)
-    return dist
 
 
 def degree_centrality(x: Graph | GraphBatch) -> np.ndarray:

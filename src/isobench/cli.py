@@ -28,7 +28,6 @@ from .errors import ContractError, CorpusIntegrityError, IsobenchError
 from .evaluate import (
     DEFAULT_CLUSTER_EPS,
     EMBEDDERS,
-    LabeledPair,
     PairDataset,
     REPORT_FORMATS,
     WL_SIGNATURES,
@@ -106,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--augment", type=int, default=0, help="number of relabeled isomorphic pairs to add")
     pe.add_argument("--emit", default="csv", choices=tuple(REPORT_FORMATS), help="report format")
     pe.add_argument("--out", default=None, help="write the report here instead of stdout")
-    pe.add_argument("--by-origin", action="store_true", help="one row per input origin")
+    pe.add_argument("--by-origin", action="store_true", help="one row per input origin; no two inputs may share one")
     pe.add_argument("--timing", action="store_true", help="emit measured wall time (breaks byte-identical output)")
     return parser
 
@@ -217,14 +216,23 @@ def _cmd_wl(args) -> int:
     return EXIT_OK
 
 
+def _refuse_shared_origins(args, datasets: list[PairDataset]) -> None:
+    """Refuse two inputs, --augment among them, whose by-origin rows would merge."""
+    sources = [(path, {p.origin for p in ds.pairs}) for path, ds in zip(args.input, datasets)]
+    sources += [("--augment", {"augmented"})] * bool(args.augment)
+    for i, (source, origins) in enumerate(sources):
+        for earlier, seen in sources[:i]:
+            if shared := origins & seen:
+                raise ContractError(
+                    f"--by-origin: inputs {earlier} and {source} both give origin {min(shared)!r}"
+                )
+
+
 def _cmd_evaluate(args) -> int:
-    datasets = []
-    for path in args.input:
-        datasets.append(_load_pairs(path, args.format))
-    pairs: list[LabeledPair] = []
-    for ds in datasets:
-        pairs.extend(ds.pairs)
-    merged = PairDataset(tuple(pairs), args.seed_data)
+    datasets = [_load_pairs(path, args.format) for path in args.input]
+    if args.by_origin:
+        _refuse_shared_origins(args, datasets)
+    merged = PairDataset(tuple(p for ds in datasets for p in ds.pairs), args.seed_data)
     if args.augment:
         extra = augment_with_iso_pairs(merged.graphs, args.augment, args.seed_data)
         merged = PairDataset(merged.pairs + extra.pairs, args.seed_data)

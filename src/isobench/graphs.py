@@ -61,9 +61,9 @@ class Graph:
     indices in any order. They are stored once, as edge_index: a
     read-only (edge_count, 2) intp array with u < v in each row and the
     rows sorted lexicographically. features is a read-only float64 array
-    of shape (n, d) with d >= 1; it defaults to all ones. neighbors,
-    degrees and adjacency_matrix are computed from edge_index on first
-    use and cached.
+    of shape (n, d) with d >= 1; it defaults to all ones. neighbors and
+    degrees are computed from edge_index on first use and cached;
+    adjacency_matrix builds the dense n x n matrix on each use.
     """
 
     n: int
@@ -117,7 +117,7 @@ class Graph:
         features passes the constructor's shape and finiteness checks
         and is stored as a read-only copy. The edge array is shared, and
         so are the cached structure properties this graph has computed
-        (neighbors, degrees, adjacency_matrix).
+        (neighbors, degrees); adjacency_matrix is not cached.
         """
         return self._trusted(
             self.n, self.edge_index, _checked_features(self.n, features), self.__dict__
@@ -146,7 +146,7 @@ class Graph:
         deg.setflags(write=False)
         return deg
 
-    @cached_property
+    @property
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
         u, v = self.edge_index.T
@@ -169,7 +169,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count}, d={self.d})"
 
 
-_STRUCTURE_CACHES = ("neighbors", "degrees", "adjacency_matrix")
+_STRUCTURE_CACHES = ("neighbors", "degrees")
 
 
 def _edge_key(n: int, u: int, v: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
@@ -440,9 +440,6 @@ class Permutation:
 
     def __len__(self) -> int:
         return len(self.mapping)
-
-    def __call__(self, v: int) -> int:
-        return self.mapping[v]
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.mapping)

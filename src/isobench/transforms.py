@@ -46,7 +46,6 @@ import numpy as np
 from .centrality import (
     ball_growth,
     betweenness_centrality,
-    bfs_distances,
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
@@ -203,18 +202,29 @@ def distance_encoding(x: Graph | GraphBatch, d_max: int = 8) -> np.ndarray:
 
 def subgraph_extraction(g: Graph, radius: int) -> np.ndarray:
     """Each node's ego-graph node and edge counts within radius, as an
-    (n, 2) column block."""
+    (n, 2) column block. Each node's breadth-first search stops at the
+    radius, and a node at the radius counts only its edges into the ball."""
     if radius < 0:
         raise ContractError(f"radius must be >= 0, got {radius}")
-    neighbors = g.neighbors
+    neighbors, degree = g.neighbors, g.degrees.tolist()
+    ball_of = [-1] * g.n
     rows = []
     for v in range(g.n):
-        dist = bfs_distances(neighbors, v)
-        inside = [u for u, d in enumerate(dist) if 0 <= d <= radius]
-        # Each edge inside the ball is seen once from either end; the
-        # neighbours of a reached node are all reached.
-        ends = sum(1 for u in inside for w in neighbors[u] if dist[w] <= radius)
-        rows.append((len(inside), ends // 2))
+        ball_of[v] = v
+        ball, ends, start = [v], 0, 0
+        for _ in range(radius):
+            shell, start = ball[start:], len(ball)
+            if not shell:
+                break
+            for u in shell:
+                ends += degree[u]
+                for w in neighbors[u]:
+                    if ball_of[w] != v:
+                        ball_of[w] = v
+                        ball.append(w)
+        for u in ball[start:]:
+            ends += [ball_of[w] for w in neighbors[u]].count(v)
+        rows.append((len(ball), ends // 2))
     return np.array(rows, dtype=np.float64).reshape(g.n, 2)
 
 

@@ -17,8 +17,10 @@ from isobench import (
     TransformSpec,
     apply_transform,
     cycle,
+    hard_pair_library,
     load_dataset,
     path,
+    star,
     write_edge_list,
     write_graph6,
 )
@@ -92,6 +94,35 @@ class TestEvaluate:
             capsys, "evaluate", "--input", str(a), "--input", str(b), "--by-origin",
         )
         assert code == EXIT_DATA  # identical graphs contradict the default label
+
+    @staticmethod
+    def pair_file(file: Path) -> str:
+        file.parent.mkdir(exist_ok=True)
+        file.write_text(write_graph6(cycle(6)) + "\n" + write_graph6(path(6)) + "\n")
+        return str(file)
+
+    def test_inputs_sharing_a_name_are_refused_by_origin(self, capsys, tmp_path):
+        a = self.pair_file(tmp_path / "d1" / "x.g6")
+        b = self.pair_file(tmp_path / "d2" / "x.g6")
+        code, out, err = run(capsys, "evaluate", "--input", a, "--input", b, "--by-origin")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"isobench: usage error: --by-origin: inputs {a} and {b} both give origin 'x'\n"
+        code, out, _ = run(capsys, "evaluate", "--input", a, "--input", b)
+        assert code == EXIT_OK
+        assert out.endswith("Base,wl1,2,0,0,2,0,0.000\n")
+
+    def test_augmented_file_is_refused_with_augment_by_origin(self, capsys, tmp_path):
+        a = self.pair_file(tmp_path / "augmented.g6")
+        code, _, err = run(capsys, "evaluate", "--input", a, "--augment", "1", "--by-origin")
+        assert code == EXIT_USAGE
+        assert err == (
+            f"isobench: usage error: --by-origin: inputs {a} and --augment "
+            "both give origin 'augmented'\n"
+        )
+        code, out, _ = run(capsys, "evaluate", "--input", a, "--by-origin")
+        assert code == EXIT_OK
+        assert out.endswith("Base,wl1,augmented,2,0,0,1,0,0.000\n")
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.csv"
@@ -187,6 +218,18 @@ class TestTransform:
         )
         assert not dst.exists()
         assert not list(tmp_path.glob(".isobench-*"))
+
+    def test_library_input(self, capsys, tmp_path):
+        dst = tmp_path / "out.el"
+        code, out, _ = run(
+            capsys, "transform", "--input", "hard_pairs", "--transform", "degree", "--out", str(dst),
+        )
+        assert code == EXIT_OK
+        graphs = hard_pair_library().graphs
+        assert len(out.splitlines()) == len(graphs) == 8
+        assert out.splitlines()[0] == "graph 0: nodes 6 -> 6 (+0), edges 6 -> 6 (+0)"
+        spec = TransformSpec(kind="degree")
+        assert dst.read_text() == "".join(write_edge_list(apply_transform(spec, g)) + "\n" for g in graphs)
 
     def test_graph_encoding_over_the_jacobi_cap_is_data_error(self, capsys, tmp_path):
         src = tmp_path / "long.g6"
@@ -491,6 +534,18 @@ class TestWL:
         )
         assert code == EXIT_OK
         assert out.strip().split("\n")[-1] == "distinguished 2/4"
+
+    def test_refused_pair_is_left_out(self, capsys, tmp_path):
+        # Pair 0 holds the empty graph, which degree refuses.
+        src = tmp_path / "pairs.g6"
+        src.write_text("".join(write_graph6(g) + "\n" for g in (Graph(0), Graph(1), path(4), star(4))))
+        code, out, _ = run(capsys, "wl", "--input", str(src), "--transform", "degree")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "pair 0 [pairs]: error: centrality augmentation needs at least one node",
+            "pair 1 [pairs]: distinguished (rounds 1/1)",
+            "distinguished 1/1",
+        ]
 
     def test_bad_k_is_usage_error(self, capsys):
         code, _, err = run(capsys, "wl", "--input", "hard_pairs", "--k", "5")

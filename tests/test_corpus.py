@@ -217,6 +217,15 @@ class TestDatasetFiles:
             load_dataset(str(file))
         assert f"{file}:5:" in str(err.value)
 
+    def test_feature_error_names_file_and_line(self, tmp_path):
+        file = tmp_path / "bad.el"
+        file.write_text("2 1\n0 1\n\n2 1\n0 1\n1.0\nx\n")
+        with pytest.raises(GraphParseError) as err:
+            load_dataset(str(file))
+        assert (err.value.message, err.value.line) == (
+            f"{file}:7: feature value is not a real number", 7
+        )
+
     def test_odd_count_warns(self, tmp_path):
         file = tmp_path / "odd.g6"
         file.write_text("Bw\nBw\nBw\n")

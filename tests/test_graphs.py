@@ -206,7 +206,7 @@ class TestWithFeatures:
         g = self.source()
         out = g.with_features(np.ones((4, 3)))
         fresh = Graph(g.n, g.edge_index)
-        for name in ("neighbors", "degrees", "adjacency_matrix"):
+        for name in ("neighbors", "degrees"):
             assert getattr(out, name) is getattr(g, name)
         assert out.neighbors == fresh.neighbors
         np.testing.assert_array_equal(out.degrees, fresh.degrees)
@@ -310,10 +310,19 @@ class TestBatchRuns:
     def test_peak_memory_stays_near_one_graph(self):
         gs = [erdos_renyi(1000, 6 / 1000, seed) for seed in range(8)]
         closeness = TransformSpec(kind="closeness")
+        eigenvector = TransformSpec(kind="eigenvector")
         pna = init_model("pna", 1, 0)
-        for run in (lambda b: apply_transform(closeness, b), lambda b: forward(pna, b)):
-            one = _peak_mib(lambda: run(GraphBatch(gs[:1])))
-            assert _peak_mib(lambda: run(GraphBatch(gs))) < 1.5 * one
+        # eigenvector runs per graph: each dense adjacency is dropped after
+        # its graph, not kept with the graph.
+        runs = [
+            (gs, lambda b: apply_transform(closeness, b)),
+            (gs, lambda b: forward(pna, b)),
+            ([erdos_renyi(400, 6 / 400, seed) for seed in range(8)],
+             lambda b: apply_transform(eigenvector, b)),
+        ]
+        for graphs, run in runs:
+            one = _peak_mib(lambda: run(GraphBatch(graphs[:1])))
+            assert _peak_mib(lambda: run(GraphBatch(graphs))) < 1.5 * one
 
 
 ERRORS = [
@@ -516,6 +525,11 @@ class TestEdgeList:
         with pytest.raises(GraphParseError):
             parse_edge_list("1 1\ninf\n")
 
+    def test_non_numeric_feature_names_line(self):
+        with pytest.raises(GraphParseError) as err:
+            parse_edge_list("2 1\n0 1\n1.0\nx\n")
+        assert (err.value.message, err.value.line) == ("feature value is not a real number", 4)
+
     def test_self_loop_fails(self):
         with pytest.raises(GraphParseError):
             parse_edge_list("2 1\n0 0\n")
@@ -525,6 +539,20 @@ class TestEdgeList:
             parse_edge_list("3\n")
         with pytest.raises(GraphParseError):
             parse_edge_list("a b\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty edge-list text"),
+            ("\n  \n", "empty edge-list text"),
+            ("-1 1\n", "header requires n >= 0 and d >= 1, got n=-1 d=1"),
+            ("3 0\n0 1\n", "header requires n >= 0 and d >= 1, got n=3 d=0"),
+        ],
+    )
+    def test_refused_header_names_line_one(self, text, message):
+        with pytest.raises(GraphParseError) as err:
+            parse_edge_list(text)
+        assert (err.value.message, err.value.line) == (message, 1)
 
     @settings(max_examples=50, deadline=None)
     @given(graphs(max_n=7, feature_dims=3))
@@ -600,6 +628,10 @@ class TestPermutation:
     def test_length_mismatch_fails(self):
         with pytest.raises(ContractError):
             apply_permutation(Graph(2), Permutation((0, 1, 2)))
+
+    def test_batch_needs_one_permutation_per_graph(self):
+        with pytest.raises(ContractError, match="^1 permutations for 2 graphs$"):
+            GraphBatch([path(3), path(2)]).relabeled([Permutation((2, 0, 1))])
 
 
 class TestAreIsomorphic:

@@ -23,6 +23,7 @@ from isobench import (
     laplacian_encoding_columns,
     normalized_laplacian,
     path,
+    simple_spectrum,
     star,
     virtual_node,
 )
@@ -57,6 +58,12 @@ class TestNormalizedLaplacian:
         vals = np.linalg.eigvalsh(normalized_laplacian(g))
         assert vals.min() >= -1e-9
         assert vals.max() <= 2.0 + 1e-9
+
+
+class TestSimpleSpectrum:
+    @pytest.mark.parametrize("g", [Graph(0), Graph(1)], ids=["n0", "n1"])
+    def test_graphs_under_two_nodes_are_simple(self, g):
+        assert simple_spectrum(g)
 
 
 class TestJacobiEigh:

@@ -386,7 +386,8 @@ class TestDistanceTransformsMatchNumpyArrayReference:
     def test_distance_encoding(self, d_max, g):
         self.check(spec("distance_encoding", d_max=d_max), g, reference_distance_columns(g, d_max))
 
-    @pytest.mark.parametrize("radius", [1, 2, 4])
+    # 12 and 10**9 lie past the diameter of every graph drawn here.
+    @pytest.mark.parametrize("radius", [1, 2, 4, 12, 1000000000])
     @settings(max_examples=60, deadline=None)
     @given(graphs(min_n=1, max_n=11, feature_dims=2))
     @example(Graph(1))
