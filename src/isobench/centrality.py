@@ -69,9 +69,10 @@ def _bit_counts(words: np.ndarray) -> np.ndarray:
     return ((c * _H01) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
 
 
-def _words(rows: int, edges: int, graphs: int, largest: int) -> int:
+def _words(rows, edges, graphs, largest):
     """ball_growth's 8-byte cells for GraphBatch.runs: per node and per edge
-    end, up to ceil(largest / 64) words of sources."""
+    end, up to ceil(largest / 64) words of sources. Elementwise over int
+    arrays."""
     return (rows + 2 * edges) * -(-largest // 64)
 
 

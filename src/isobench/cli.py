@@ -154,9 +154,10 @@ def _atomic_output(path: str):
         raise
 
 
-def _squares(rows: int, edges: int, graphs: int, largest: int) -> int:
+def _squares(rows, edges, graphs, largest):
     """GraphBatch.runs cells: rows * largest bounds the cells of one n x n
-    matrix per graph of a run, the largest array a transform builds."""
+    matrix per graph of a run, the largest array a transform builds.
+    Elementwise over int arrays."""
     return rows * largest
 
 

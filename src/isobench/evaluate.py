@@ -37,8 +37,9 @@ first-seen order and compute a graph whatever its partner's fate: a
 failed left graph does not spare its partner's transform or embedding.
 Each pass is one batch call over the graphs it lacks, with
 GraphBatch.each's per-graph results: the result or the IsobenchError
-that the graph alone raises. A model embedder checks each graph alone,
-then embeds those that pass in one forward call. The failure masks,
+that the graph alone raises. A model embedder finds the graphs it
+refuses by one comparison of the batch's node-count and width arrays,
+then embeds the rest in one forward call. The failure masks,
 gathered at the pairs' positions, exclude pairs; only the excluded
 pairs are visited one by one, to note each by its left graph's error,
 else its right one's, transform notes before embed notes. The
@@ -70,7 +71,7 @@ import numpy as np
 
 from .errors import ContractError, IsobenchError
 from .graphs import Graph, GraphBatch, Permutation
-from .models import ARCHS, ModelParams, check_graph, forward, init_model
+from .models import ARCHS, ModelParams, _refused, check_graph, forward, init_model
 from .quant import check_quant_eps
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
 from .wl import (
@@ -448,17 +449,27 @@ def _wl_digests(
 def _embed_model(
     params: ModelParams, graphs: list[Graph], need: list[int], embedded: _Results
 ) -> None:
-    """Check each graph alone, then embed those that pass in one forward
-    call, writing row j of its result into embedded.vectors."""
-    out = GraphBatch(graphs).each(lambda g: check_graph(params, g))
-    fit = [j for j, e in enumerate(out) if e is None]
-    if fit:
+    """Embed the graphs that the model accepts in one forward call, writing
+    each one's row into embedded.vectors at its position; each other graph
+    gets the error check_graph raises for it. One mask over the batch's
+    count arrays finds them, so check_graph runs only on refused graphs."""
+    b = GraphBatch(graphs)
+    refused = _refused(params, b)
+    out: list = [None] * len(graphs)
+    if refused.any():
+        bad = np.flatnonzero(refused).tolist()
+        errors = GraphBatch([graphs[j] for j in bad]).each(lambda g: check_graph(params, g))
+        for j, e in zip(bad, errors):
+            out[j] = e
+        fit = np.flatnonzero(~refused).tolist()
+        b = GraphBatch([graphs[j] for j in fit]) if fit else None
+    if b is not None:
         # Positional, through this module's global: benchmarks/tracing.py
         # patches evaluate.forward and counts the batch's n node rows.
-        rows = forward(params, GraphBatch([graphs[j] for j in fit]))
+        rows = forward(params, b)
         if embedded.vectors is None:
             embedded.vectors = np.empty((len(embedded.values), rows.shape[1]))
-        embedded.vectors[[need[j] for j in fit]] = rows
+        embedded.vectors[np.asarray(need)[~refused]] = rows
     embedded.store(need, out)
 
 

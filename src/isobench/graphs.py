@@ -48,8 +48,9 @@ GRAPH6_MAX_NODES = 65535
 # Largest n * d an edge-list header may declare: 2**24 float64 cells are
 # 128 MiB, checked before the feature matrix is allocated.
 EDGE_LIST_MAX_CELLS = 2**24
-# Largest array, in 8-byte cells, of a batch kernel's run (GraphBatch.runs):
-# it keeps a batch's peak memory near that of one call per graph.
+# Largest array, in 8-byte cells, of a batch kernel's run (GraphBatch.runs,
+# which cuts the runs from cumulative sums of a batch's count arrays): it
+# keeps a batch's peak memory near that of one call per graph.
 BATCH_CELLS = 2**15
 
 
@@ -209,6 +210,13 @@ def _checked_features(n: int, features) -> np.ndarray:
     return feats
 
 
+def _counts(values: list[int]) -> np.ndarray:
+    """values as a read-only intp array: a batch's runs share its count arrays."""
+    out = np.array(values, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GraphBatch:
     """The disjoint union of graphs, in list order.
@@ -216,7 +224,10 @@ class GraphBatch:
     Node v of graph i is union node offsets[i] + v, and n is the union's
     node count. edges is the union's edge array: a read-only (edges, 2)
     intp array holding each graph's edge_index in turn, shifted by its
-    offset. models.forward embeds the graphs of a batch at once, and
+    offset. sizes, edge_counts and widths hold each graph's node count,
+    edge count and feature width; each is built by one walk over the
+    graphs, and runs, checks and width groups read them, not the graphs.
+    models.forward embeds the graphs of a batch at once, and
     transforms.apply_transform transforms them, in runs where needed.
     """
 
@@ -229,7 +240,18 @@ class GraphBatch:
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return np.array([g.n for g in self.graphs], dtype=np.intp)
+        """Each graph's node count."""
+        return _counts([g.n for g in self.graphs])
+
+    @cached_property
+    def edge_counts(self) -> np.ndarray:
+        """Each graph's edge count."""
+        return _counts([len(g.edge_index) for g in self.graphs])
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """Each graph's feature width d."""
+        return _counts([g.features.shape[1] for g in self.graphs])
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -246,9 +268,8 @@ class GraphBatch:
 
     @cached_property
     def edges(self) -> np.ndarray:
-        counts = [g.edge_count for g in self.graphs]
         index = np.concatenate([g.edge_index for g in self.graphs])
-        index += np.repeat(self.offsets, counts)[:, None]
+        index += np.repeat(self.offsets, self.edge_counts)[:, None]
         index.setflags(write=False)
         return index
 
@@ -331,39 +352,73 @@ class GraphBatch:
                 out.append(exc)
         return out
 
-    def runs(self, cells: Callable[[int, int, int, int], int]) -> Iterator[GraphBatch]:
+    def runs(self, cells: Callable[..., int | np.ndarray]) -> Iterator[GraphBatch]:
         """Consecutive runs of the graphs, each within BATCH_CELLS.
 
         cells(rows, edges, graphs, largest) is the 8-byte cells of a
         kernel's largest array for a run of that many nodes, edges and
-        graphs, the largest with `largest` nodes. A graph over the bound
-        runs alone, and a batch that fits is its one run.
+        graphs, the largest with `largest` nodes. It is called with int
+        arrays as well as ints, so it must be elementwise over them, and
+        it must be non-decreasing in every argument. A batch that fits is
+        its one run, checked by one call on the batch's totals. Otherwise,
+        from a run's first graph on, one call over cumulative sums gives
+        the cells of the run ended at each later graph, and the first over
+        the bound is the cut; a graph over the bound runs alone. The sums
+        span a window: the whole batch for the first run, then twice the
+        last run, doubled while it holds no cut, so cutting takes time
+        linear in the graphs. Each run shares slices of this batch's count
+        arrays.
         """
-        start = rows = edges = largest = 0
-        for i, g in enumerate(self.graphs):
-            grown = (rows + g.n, edges + g.edge_count, i + 1 - start, max(largest, g.n))
-            if i > start and cells(*grown) > BATCH_CELLS:
-                yield GraphBatch(self.graphs[start:i])
-                start, grown = i, (g.n, g.edge_count, 1, g.n)
-            rows, edges, _, largest = grown
-        yield self if start == 0 else GraphBatch(self.graphs[start:])
+        sizes, counts = self.sizes, self.edge_counts
+        total = len(sizes)
+        if cells(self.n, int(counts.sum()), total, int(sizes.max())) <= BATCH_CELLS:
+            yield self
+            return
+        rows = np.concatenate(([0], np.cumsum(sizes)))
+        edges = np.concatenate(([0], np.cumsum(counts)))
+        start, window = 0, total
+        while start < total:
+            stop = min(start + window, total)
+            over = cells(
+                rows[start + 1 : stop + 1] - rows[start],
+                edges[start + 1 : stop + 1] - edges[start],
+                np.arange(1, stop - start + 1),
+                np.maximum.accumulate(sizes[start:stop]),
+            ) > BATCH_CELLS
+            first = int(over.argmax())
+            if not over[first] and stop < total:
+                window *= 2
+                continue
+            cut = start + max(first, 1) if over[first] else stop
+            yield self._part(start, cut)
+            start, window = cut, 2 * (cut - start)
 
-    def _width_groups(self) -> Iterator[tuple[list[int], np.ndarray]]:
-        """(members, rows) per feature width, ascending: the graphs of that
-        width and their union nodes, in order."""
-        widths = np.array([g.d for g in self.graphs])
+    def _part(self, start: int, stop: int) -> GraphBatch:
+        """Graphs start..stop-1 as a batch holding slices of the count
+        arrays this batch has built; all of them are this batch."""
+        if stop - start == len(self.graphs):
+            return self
+        part = GraphBatch(self.graphs[start:stop])
+        for name in ("sizes", "edge_counts", "widths"):
+            if name in self.__dict__:
+                part.__dict__[name] = self.__dict__[name][start:stop]
+        return part
+
+    def _width_groups(self) -> Iterator[tuple[int, list[int], np.ndarray]]:
+        """(d, members, rows) per feature width d, ascending: the graphs of
+        that width and their union nodes, in order."""
+        widths = self.widths
         for d in sorted(set(widths.tolist())):
-            yield np.flatnonzero(widths == d).tolist(), np.flatnonzero((widths == d)[self.node_graph])
+            members = widths == d
+            yield d, np.flatnonzero(members).tolist(), np.flatnonzero(members[self.node_graph])
 
     def _split(self, members: list[int], block: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """(i, graph i's row slice of block) for each member, read-only;
         block holds the members' rows in order."""
         block.setflags(write=False)
-        start = 0
-        for i in members:
-            stop = start + self.graphs[i].n
+        stops = np.cumsum(self.sizes[members]).tolist()
+        for i, start, stop in zip(members, [0] + stops, stops):
             yield i, block[start:stop]
-            start = stop
 
     def with_columns(self, cols: np.ndarray) -> list[Graph]:
         """Each graph with its nodes' rows of cols appended to its features.
@@ -374,8 +429,7 @@ class GraphBatch:
         """
         cols = cols[:, None] if cols.ndim == 1 else cols
         out = [None] * len(self.graphs)
-        for members, rows in self._width_groups():
-            d = self.graphs[members[0]].d
+        for d, members, rows in self._width_groups():
             block = np.empty((rows.size, d + cols.shape[1]), dtype=np.float64)
             np.concatenate([self.graphs[i].features for i in members], out=block[:, :d])
             block[:, d:] = cols[rows]
@@ -397,9 +451,9 @@ class GraphBatch:
         """
         if len(perms) != len(self.graphs):
             raise ContractError(f"{len(perms)} permutations for {len(self.graphs)} graphs")
-        for g, p in zip(self.graphs, perms):
-            if len(p) != g.n:
-                raise ContractError(f"permutation length {len(p)} does not match n={g.n}")
+        for n, p in zip(self.sizes.tolist(), perms):
+            if len(p) != n:
+                raise ContractError(f"permutation length {len(p)} does not match n={n}")
         shift = self.offsets[self.node_graph]
         image = np.fromiter(chain.from_iterable(p.mapping for p in perms), np.intp, self.n)
         image += shift
@@ -408,7 +462,7 @@ class GraphBatch:
         ends -= shift[ends[:, 0]][:, None]
         ends.setflags(write=False)
         features = [None] * len(self.graphs)
-        for members, rows in self._width_groups():
+        for _, members, rows in self._width_groups():
             block = np.concatenate([self.graphs[i].features for i in members])
             at = np.empty(self.n, dtype=np.intp)
             at[rows] = np.arange(rows.size)
@@ -416,8 +470,7 @@ class GraphBatch:
             moved[at[image[rows]]] = block
             for i, feats in self._split(members, moved):
                 features[i] = feats
-        stops = np.cumsum([g.edge_count for g in self.graphs])[:-1]
-        parts = np.split(ends, stops)
+        parts = np.split(ends, np.cumsum(self.edge_counts)[:-1])
         return [Graph._trusted(g.n, e, f) for g, e, f in zip(self.graphs, parts, features)]
 
 

@@ -31,9 +31,11 @@ instead of being canonicalized away.
 The passes are whole-matrix numpy operations that keep that order
 exactly. forward takes a Graph or a graphs.GraphBatch, the disjoint
 union of several graphs, run by its GraphBatch.runs; a Graph runs as a
-batch of one. Row i of a batch's result has the bytes of forward on
-graph i alone. That holds because every operation is row by row, with
-three rules:
+batch of one. A batch is checked at once, by comparing its node-count
+and width arrays with what the model accepts; only a refused batch goes
+to check_graph, on its first refused graph, for that graph's error. Row
+i of a batch's result has the bytes of forward on graph i alone. That
+holds because every operation is row by row, with four rules:
 
 - Neighbor sums run over degree slots of the union: slot j adds, for
   every node of degree > j at once, its j-th smallest neighbor, so each
@@ -261,10 +263,18 @@ def check_graph(m: ModelParams, g: Graph) -> None:
         raise ContractError(f"model expects {m.input_dim} feature columns, graph has {g.d}")
 
 
+def _refused(m: ModelParams, b: GraphBatch) -> np.ndarray:
+    """Per graph of b: whether check_graph raises for it, from b's count arrays."""
+    return (b.sizes < 1) | (b.widths != m.input_dim)
+
+
 def _as_batch(m: ModelParams, x: Graph | GraphBatch) -> GraphBatch:
+    """x as a batch, checked at once; a batch with a refused graph raises
+    check_graph's error for the first one."""
     b = as_batch(x)
-    for g in b.graphs:
-        check_graph(m, g)
+    refused = _refused(m, b)
+    if refused.any():
+        check_graph(m, b.graphs[int(refused.argmax())])
     return b
 
 
@@ -279,8 +289,8 @@ def _by_runs(
     """
     width = max(layer.w1.shape[0] for layer in m.weights)
 
-    def cells(rows: int, edges: int, graphs: int, largest: int) -> int:
-        return max(rows * width, graphs * (1 + largest) * HIDDEN_DIM)
+    def cells(rows, edges, graphs, largest):
+        return np.maximum(rows * width, graphs * (1 + largest) * HIDDEN_DIM)
 
     runs = _as_batch(m, x).runs(cells)
     return np.concatenate([finish(run, _ARCHS[m.arch][1](m, run)) for run in runs])

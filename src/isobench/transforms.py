@@ -237,7 +237,7 @@ def _columns(
 
     def run(b: GraphBatch, spec: TransformSpec) -> list:
         out = b.with_columns(kernel(b, spec))
-        return [ContractError(refusal) if g.n < 1 else t for g, t in zip(b.graphs, out)]
+        return [ContractError(refusal) if n < 1 else t for n, t in zip(b.sizes.tolist(), out)]
 
     return run
 

@@ -488,6 +488,31 @@ def reference_cluster(vectors, eps: float) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# batch runs by a walk over the graphs (the earlier package code, kept as a
+# reference for GraphBatch.runs' cumulative sums)
+
+
+def reference_runs(sizes, edge_counts, cells, bound: int) -> list[tuple[int, int]]:
+    """(start, stop) of each run of graphs with these node and edge counts.
+
+    A graph joins the open run while cells(rows, edges, graphs, largest),
+    called with ints for the run grown by it, stays within bound; otherwise
+    it opens the next run. A run's first graph always joins, so a graph
+    over the bound runs alone.
+    """
+    cuts = []
+    start = rows = edges = largest = 0
+    for i, (n, m) in enumerate(zip(sizes, edge_counts)):
+        grown = (rows + n, edges + m, i + 1 - start, max(largest, n))
+        if i > start and cells(*grown) > bound:
+            cuts.append((start, i))
+            start, grown = i, (n, m, 1, n)
+        rows, edges, _, largest = grown
+    cuts.append((start, len(sizes)))
+    return cuts
+
+
+# ---------------------------------------------------------------------------
 # one cell by a walk over its pairs (the earlier package code, kept as a
 # reference for evaluate_pairs' index arrays)
 

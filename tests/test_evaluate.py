@@ -589,6 +589,50 @@ class TestGridSharing:
         assert "picky embedder refuses n=3" in notes
         assert "model expects" in notes
 
+    @pytest.mark.parametrize("arch", models.ARCHS)
+    def test_model_notes_name_each_pairs_own_fault(self, arch):
+        """One base cell's batch holds an empty graph and graphs of the
+        wrong width, the empty one first and then second; each pair is
+        noted by its own graph's fault."""
+        empty = "forward pass needs at least one node"
+        width = "model expects 1 feature columns, graph has 2"
+        ds = two_width_pairs(with_empty=True)
+        row = evaluate_pairs(ds, base_spec(), arch)
+        assert row.notes == (
+            f"pair 1 (a): {empty}",
+            f"pair 2 (b): {width}",
+            f"pair 3 (augmented): {width}",
+            f"pair 5 (b): {width}",
+        )
+        swapped = PairDataset((ds.pairs[0], ds.pairs[2], ds.pairs[1]) + ds.pairs[3:])
+        row = evaluate_pairs(swapped, base_spec(), arch)
+        assert row.notes == (
+            f"pair 1 (b): {width}",
+            f"pair 2 (a): {empty}",
+            f"pair 3 (augmented): {width}",
+            f"pair 5 (b): {width}",
+        )
+
+    @pytest.mark.parametrize("arch", models.ARCHS)
+    def test_model_cell_over_accepted_graphs_checks_none_alone(self, monkeypatch, arch):
+        """check_graph runs only on graphs the model refuses: never when
+        every graph of a grid passes, and once for the one empty graph."""
+        checked: list[Graph] = []
+        original = models.check_graph
+
+        def counting(m, g):
+            checked.append(g)
+            return original(m, g)
+
+        monkeypatch.setattr(models, "check_graph", counting)
+        monkeypatch.setattr(evaluate, "check_graph", counting)
+        fine = PairDataset((LabeledPair(path(4), star(4), False), LabeledPair(cycle(5), path(5), False)))
+        rows = evaluate_grid(fine, self.SPECS, [arch], by_origin=True)
+        assert checked == [] and [r.excluded for r in rows] == [0, 0, 0]
+        empty = PairDataset(fine.pairs + (LabeledPair(Graph(0), path(3), False),))
+        evaluate_grid(empty, self.SPECS, [arch])
+        assert [g.n for g in checked] == [0]
+
     @pytest.mark.parametrize("embedders", [["wl1", "wl2"], ["wl2", "wl1", "wl2"]])
     def test_wl1_and_wl2_refine_each_graph_once_per_spec(self, monkeypatch, embedders):
         """wl2 reads wl1's refinement and never calls wlk_signature; its

@@ -3,6 +3,7 @@
 import time
 import tracemalloc
 from functools import cached_property
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from isobench import (
 )
 
 import isobench.graphs as graphs_module
+from isobench.centrality import _words
+from isobench.cli import _squares
 from isobench.graphs import GRAPH6_MAX_NODES, decode_graph6
 
 from helpers import (
@@ -51,6 +54,7 @@ from helpers import (
     permutations_for,
     random_cubic,
     reference_graph6,
+    reference_runs,
 )
 
 
@@ -306,6 +310,61 @@ class TestBatchRuns:
             monkeypatch.setattr("isobench.graphs.BATCH_CELLS", bound)
             runs.append(outputs())
         assert runs[0] == runs[1] == runs[2]
+
+    @staticmethod
+    def kernel_cells(monkeypatch) -> dict:
+        """Every cells callable the package hands to GraphBatch.runs: each
+        architecture's (over inputs of width 3), _words and _squares."""
+        found = {"words": _words, "squares": _squares}
+        original = GraphBatch.runs
+        for arch in ARCHS:
+
+            def recording(b, cells):
+                found[arch] = cells
+                return original(b, cells)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(GraphBatch, "runs", recording)
+                forward(init_model(arch, 3, 0), path(2).with_features(np.ones((2, 3))))
+        return found
+
+    @staticmethod
+    def counted(sizes: list[int], edge_counts: list[int]) -> list[Graph]:
+        return [Graph(n, islice(combinations(range(n), 2), m)) for n, m in zip(sizes, edge_counts)]
+
+    def cut_lists(self) -> list[tuple[list[int], list[int]]]:
+        """Seeded random node and edge counts, mostly small with some large
+        graphs, then a first, a last and every graph over 2**15 cells
+        under every kernel, and a batch of one."""
+        rng = np.random.default_rng(7)
+        out = []
+        for k in (2, 9, 60, 400):
+            sizes = np.where(rng.random(k) < 0.1, rng.integers(20, 60, k), rng.integers(0, 8, k))
+            counts = [int(rng.integers(0, n * (n - 1) // 2 + 1)) for n in sizes.tolist()]
+            out.append((sizes.tolist(), counts))
+        big, small = (2100, 2099), [(3, 2), (0, 0), (5, 4), (1, 0)] * 30
+        for graphs in ([big] + small, small + [big], [big] * 4, [big], [(4, 3)]):
+            out.append(tuple(map(list, zip(*graphs))))
+        return out
+
+    def test_cuts_match_the_walk_over_graphs(self, monkeypatch):
+        cells_of = self.kernel_cells(monkeypatch)
+        assert sorted(cells_of) == sorted([*ARCHS, "words", "squares"])
+        for sizes, counts in self.cut_lists():
+            b = GraphBatch(self.counted(sizes, counts))
+            assert b.edge_counts.tolist() == counts
+            for bound in (0, 13, 2**15, 2**62):
+                monkeypatch.setattr("isobench.graphs.BATCH_CELLS", bound)
+                for name, cells in cells_of.items():
+                    runs = list(b.runs(cells))
+                    stops = np.cumsum([len(run.graphs) for run in runs]).tolist()
+                    got = list(zip([0] + stops[:-1], stops))
+                    assert got == reference_runs(sizes, counts, cells, bound), (name, bound)
+                    for run, (start, stop) in zip(runs, got):
+                        assert run.graphs == b.graphs[start:stop]
+                        assert run.sizes.tolist() == sizes[start:stop]
+                        assert run.edge_counts.tolist() == counts[start:stop]
+                    assert (runs == [b]) == (got == [(0, len(sizes))])
 
     def test_peak_memory_stays_near_one_graph(self):
         gs = [erdos_renyi(1000, 6 / 1000, seed) for seed in range(8)]
@@ -626,8 +685,12 @@ class TestPermutation:
         assert out.edge_index.tolist() == [[0, 2]]
 
     def test_length_mismatch_fails(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^permutation length 3 does not match n=2$"):
             apply_permutation(Graph(2), Permutation((0, 1, 2)))
+        # The first graph whose permutation has the wrong length names the error.
+        perms = [Permutation((1, 0)), Permutation((1, 0)), Permutation((0, 1, 2))]
+        with pytest.raises(ContractError, match="^permutation length 2 does not match n=3$"):
+            GraphBatch([path(2), path(3), path(4)]).relabeled(perms)
 
     def test_batch_needs_one_permutation_per_graph(self):
         with pytest.raises(ContractError, match="^1 permutations for 2 graphs$"):

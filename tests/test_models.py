@@ -256,6 +256,14 @@ class TestGraphBatch:
             with pytest.raises(ContractError, match=message):
                 forward(m, x)
 
+    def test_first_refused_graph_names_the_error(self):
+        m = init_model("gin", 1, 0)
+        wide = Graph(2, (), np.ones((2, 2)))
+        with pytest.raises(ContractError, match="model expects 1 feature columns, graph has 2"):
+            forward(m, GraphBatch([path(3), wide, Graph(0)]))
+        with pytest.raises(ContractError, match="forward pass needs at least one node"):
+            forward(m, GraphBatch([path(3), Graph(0), wide]))
+
 
 def with_hub(g: Graph) -> Graph:
     return apply_transform(TransformSpec(kind="virtual_node"), g)
