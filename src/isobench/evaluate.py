@@ -45,19 +45,20 @@ pairs are visited one by one, to note each by its left graph's error,
 else its right one's, transform notes before embed notes. The
 survivors' embeddings are gathered at once, and the result type decides
 the classes for every embedder: bytes give exact classes by equality,
-anything else is clustered. fn, fp and ecc are counted over label
-arrays.
+anything else is clustered, the vectors of each length apart. fn, fp
+and ecc are counted over label arrays.
 
-A grid computes each thing once: it transforms every distinct input
-graph object once per spec and embeds each result once per (spec,
-embedder, model input width), then clusters per cell, because a cell's
-classes depend on which pairs it holds. So a custom embedder must be
-pure: a graph that several cells share is embedded for the first of
-them only. A wl2 digest is the wl1 digest, so the wl1 and wl2 cells of
-a spec share one 1-WL refinement per graph; the wl2 cell first checks
-each graph against its tuple budget, as wlk_signature does. A cell's
-seconds cover only the work that cell triggered first, so a grid's rows
-still sum to its wall time.
+A grid computes each thing once. One memo per spec (_Memo), dropped
+before the next spec, keys each per-graph pass: the spec's transforms,
+each distinct input graph object's once, and each embedder's
+embeddings, each transformed graph's once per model input width.
+Clustering runs per cell, because a cell's classes depend on which pairs
+it holds. So a custom embedder must be pure: a graph that several cells
+share is embedded for the first of them only. A wl2 digest is the wl1
+digest, so wl2 checks each graph against its tuple budget, as
+wlk_signature does, then reads the wl1 pass, refining only the graphs it
+lacks. A cell's seconds cover only the work that cell triggered first,
+so a grid's rows still sum to its wall time.
 """
 
 from __future__ import annotations
@@ -395,65 +396,41 @@ class _Results:
 
 @dataclass
 class _Memo:
-    """Per-graph results that the cells of one grid share, by index position.
+    """A dataset's index and the per-graph passes that the cells of one
+    spec share, each a _Results over the index's graphs.
 
-    `transformed` holds each input graph's transform under one spec;
-    `refined` the 1-WL digest of each transformed graph, which the wl1
-    and wl2 cells of that spec share; `embedded` maps a model input width,
-    or 0 for other embedders, to each transformed graph's embedding under
-    one embedder. A cell computes every distinct graph of its pairs that a
-    pass lacks, failed partners included: the right graph of a pair whose
-    left graph failed is computed all the same.
+    The spec keys its transforms, and (embedder, width) an embedder's
+    embeddings: embedder is a built-in name or a custom callable's id(),
+    so an unhashable callable keys a pass and two that share a name keep
+    their own, and width is a model's input width, or 0. A cell computes
+    every distinct graph of its pairs that a pass lacks, failed partners
+    included.
     """
 
     index: _Index
-    transformed: _Results
-    refined: _Results
-    embedded: dict[int, _Results] = field(default_factory=dict)
+    passes: dict[object, _Results] = field(default_factory=dict)
 
-    @classmethod
-    def of(cls, index: _Index) -> _Memo:
-        return cls(index, _Results(len(index.graphs)), _Results(len(index.graphs)))
-
-
-def _wl_digests(
-    graphs: list[Graph], need: list[int], embedder: str, eps: float, budget: int, refined: _Results
-) -> list:
-    """Each graph's digest under a WL embedder, or the IsobenchError it raises.
-
-    graphs[j] is the transformed graph at position need[j]. wl1 and wl2
-    read the 1-WL digest from `refined`, refining only the graphs it
-    lacks. wl2 first applies wlk_signature's tuple guards to every graph,
-    so a refused graph stays refused whichever cell ran first.
-    """
-    b = GraphBatch(graphs)
-    if embedder not in ("wl1", "wl2"):
-        signature = WL_SIGNATURES[embedder]
-        return b.each(lambda g: bytes.fromhex(signature(g, eps, budget).digest))
-    if embedder == "wl2":
-        out = b.each(lambda g: check_tuple_refinement(g, 2, budget))
-    else:
-        out = [None] * len(graphs)
-    fresh = [j for j, e in enumerate(out) if e is None and not refined.done[need[j]]]
-    if fresh:
-        # Through this module's global: benchmarks/tracing.py patches
-        # evaluate.wl1_signature and counts its calls.
-        fit = GraphBatch([graphs[j] for j in fresh])
-        refined.store(
-            [need[j] for j in fresh],
-            fit.each(lambda g: bytes.fromhex(wl1_signature(g, eps).digest)),
-        )
-    return [e if e is not None else refined.values[p] for p, e in zip(need, out)]
+    def results(self, key: object) -> _Results:
+        """The pass under key, empty on first use."""
+        out = self.passes.get(key)
+        if out is None:
+            out = self.passes[key] = _Results(len(self.index.graphs))
+        return out
 
 
-def _embed_model(
-    params: ModelParams, graphs: list[Graph], need: list[int], embedded: _Results
-) -> None:
-    """Embed the graphs that the model accepts in one forward call, writing
-    each one's row into embedded.vectors at its position; each other graph
-    gets the error check_graph raises for it. One mask over the batch's
-    count arrays finds them, so check_graph runs only on refused graphs."""
-    b = GraphBatch(graphs)
+def _wl_digest(embedder: str, eps: float, budget: int) -> Callable[[Graph], bytes]:
+    """A graph's digest under a WL embedder, as bytes."""
+    signature = WL_SIGNATURES[embedder]
+    return lambda g: bytes.fromhex(signature(g, eps, budget).digest)
+
+
+def _embed_model(params: ModelParams, b: GraphBatch, need: list[int], embedded: _Results) -> None:
+    """Embed the graphs of b that the model accepts in one forward call,
+    writing each one's row into embedded.vectors at its position; each
+    other graph gets the error check_graph raises for it. One mask over the
+    batch's count arrays finds them, so check_graph runs only on refused
+    graphs."""
+    graphs = b.graphs
     refused = _refused(params, b)
     out: list = [None] * len(graphs)
     if refused.any():
@@ -495,6 +472,22 @@ def _exclude(
     return kept[~dropped]
 
 
+def _vector_keys(values: list, eps: float) -> list[tuple]:
+    """Each vector's class key: its shape and its cluster_embeddings label
+    among the vectors of that shape. Vectors of different lengths never lie
+    within eps of each other, so the vectors of each length cluster alone."""
+    vectors = [np.asarray(e) for e in values]
+    by_shape: dict[tuple, list[int]] = {}
+    for i, v in enumerate(vectors):
+        by_shape.setdefault(v.shape, []).append(i)
+    keys: list = [None] * len(vectors)
+    for shape, members in by_shape.items():
+        stacked = np.stack([vectors[i] for i in members])
+        for i, label in zip(members, cluster_embeddings(stacked, eps)):
+            keys[i] = (shape, label)
+    return keys
+
+
 def evaluate_pairs(
     ds: PairDataset,
     spec: TransformSpec,
@@ -510,10 +503,10 @@ def evaluate_pairs(
     """Run one (transform, embedder) cell over the dataset.
 
     A custom callable embedder may return either a bytes key (classes by
-    exact equality) or a float vector (classes by eps clustering).
-    `memo` holds the dataset's index and the transforms and embeddings
-    that evaluate_grid shares between the cells of one spec and embedder;
-    without it the cell indexes the dataset and computes everything
+    exact equality) or a float vector (classes by eps clustering, each
+    length apart). `memo` holds the dataset's index and the transforms
+    and embeddings that evaluate_grid shares between the cells of one
+    spec; without it the cell indexes the dataset and computes everything
     itself. A quant_eps that is not finite and > 0, a cluster_eps that is
     not finite and >= 0, a kwl_budget that is not an integer >= 1, or an
     unknown embedder name raises ContractError before any pair runs.
@@ -524,11 +517,11 @@ def evaluate_pairs(
     if not callable(embedder) and embedder not in EMBEDDERS:
         raise ContractError(f"unknown embedder {str(embedder)!r}; valid: {', '.join(EMBEDDERS)}")
     start = time.perf_counter()
-    memo = _Memo.of(_Index.of(ds)) if memo is None else memo
+    memo = _Memo(_Index.of(ds)) if memo is None else memo
     index = memo.index
     rows, slots = index.cell(origin)
 
-    transformed = memo.transformed
+    transformed = memo.results(spec)
     need = transformed.need(slots)
     if need:
         # Positional, through this module's global: benchmarks/tracing.py
@@ -543,21 +536,26 @@ def evaluate_pairs(
     embed_dim = transformed.values[survivors[0, 0]].d if len(survivors) else 1
     params = init_model(embedder, embed_dim, model_seed) if embedder in ARCHS else None
     # A model's weights depend on its input width; other embedders do not.
-    width = 0 if params is None else embed_dim
-    embedded = memo.embedded.get(width)
-    if embedded is None:
-        embedded = memo.embedded[width] = _Results(len(index.graphs))
+    key = embedder if isinstance(embedder, str) else id(embedder)
+    embedded = memo.results((key, 0 if params is None else embed_dim))
     need = embedded.need(survivors)
     if need:
-        graphs = [transformed.values[p] for p in need]
+        graphs = GraphBatch([transformed.values[p] for p in need])
         if params is not None:
             _embed_model(params, graphs, need, embedded)
-        elif callable(embedder):
-            embedded.store(need, GraphBatch(graphs).each(embedder))
+        elif embedder == "wl2":
+            # The tuple guards run first, so a refused graph stays refused
+            # whichever cell ran first; the rest read the wl1 pass.
+            guards = graphs.each(lambda g: check_tuple_refinement(g, 2, kwl_budget))
+            wl1 = memo.results(("wl1", 0))
+            fresh = wl1.need(np.array([p for p, e in zip(need, guards) if e is None], np.intp))
+            if fresh:
+                fit = GraphBatch([transformed.values[p] for p in fresh])
+                wl1.store(fresh, fit.each(_wl_digest("wl1", quant_eps, kwl_budget)))
+            embedded.store(need, [wl1.values[p] if e is None else e for p, e in zip(need, guards)])
         else:
-            embedded.store(
-                need, _wl_digests(graphs, need, embedder, quant_eps, kwl_budget, memo.refined)
-            )
+            embed = embedder if callable(embedder) else _wl_digest(embedder, quant_eps, kwl_budget)
+            embedded.store(need, graphs.each(embed))
     kept = _exclude(embedded, slots, kept, rows, index, notes)
 
     # Left and right graph of each included pair, pair by pair.
@@ -567,12 +565,11 @@ def evaluate_pairs(
     else:
         values = [embedded.values[p] for p in ends.tolist()]
         if values and isinstance(values[0], (bytes, bytearray)):
-            table: dict[bytes, int] = {}
-            labels = [table.setdefault(bytes(e), len(table)) for e in values]
-        elif values:
-            labels = cluster_embeddings(np.stack([np.asarray(e) for e in values]), cluster_eps)
+            keys: list = [bytes(e) for e in values]
         else:
-            labels = []
+            keys = _vector_keys(values, cluster_eps)
+        table: dict = {}
+        labels = [table.setdefault(key, len(table)) for key in keys]
     labels = np.array(labels, dtype=np.intp)
     same = labels[0::2] == labels[1::2]
     isomorphic = index.isomorphic[rows[kept]]
@@ -614,9 +611,8 @@ def evaluate_grid(
     origins: list[str | None] = list(index.by_origin) if by_origin else [None]
     rows = []
     for spec in specs:
-        shared = _Memo.of(index)
+        memo = _Memo(index)  # dropped with the spec's results
         for embedder in embedders:
-            memo = _Memo(index, shared.transformed, shared.refined)
             for origin in origins:
                 rows.append(
                     evaluate_pairs(

@@ -591,10 +591,10 @@ def decode_graph6(texts: Sequence[str], lines: Sequence[int] | None = None) -> l
     (_graph6_layout), and only the text holding that byte sees it. The
     first bad text raises the GraphParseError that parse_graph6 raises
     for it alone, with line set to lines[i] when lines is given. The
-    texts of one node count n decode together: np.unpackbits gives their
-    bits, which fill the upper triangles of one boolean (graphs, n, n)
-    block column by column, one slice of _graph6_bit positions per
-    column, and np.nonzero reads each graph's edges from it already sorted.
+    texts of one node count n decode together, in chunks whose boolean
+    (graphs, n, n) block holds at most 8 * BATCH_CELLS bytes
+    (_graph6_block); a graph whose n x n block alone is larger decodes in
+    column slabs of at most that many bits (_graph6_slabs).
     """
     payloads = [_strip_graph6_header(t) for t in texts]
     joined = "".join(payloads)
@@ -620,22 +620,67 @@ def decode_graph6(texts: Sequence[str], lines: Sequence[int] | None = None) -> l
     for count in sorted(set(layout[:, 0].tolist())):
         members = np.flatnonzero(layout[:, 0] == count)
         need = int(layout[members[0], 2])
-        packed = codes[layout[members, 1][:, None] + np.arange(need)]
-        bits = np.unpackbits(packed[:, :, None], axis=2)[:, :, 2:].reshape(len(members), -1)
-        # Column v of the upper triangle holds bits _graph6_bit(0, v) on, so
-        # np.nonzero reads each graph's edges in sorted (u, v) order.
-        upper = np.zeros((len(members), count, count), dtype=bool)
-        for v in range(1, count):
-            upper[:, :v, v] = bits[:, _graph6_bit(0, v) : _graph6_bit(0, v + 1)]
-        graph, u, v = np.nonzero(upper)
-        index = np.stack((u, v), axis=1)
-        index.setflags(write=False)
+        # Graphs per chunk whose (graphs, n, n) block fits 8 * BATCH_CELLS
+        # bytes; with none, each graph decodes alone in column slabs.
+        per = 8 * BATCH_CELLS // max(count * count, 1)
+        starts = layout[members, 1]
+        if per:
+            edges = chain.from_iterable(
+                _graph6_block(codes, starts[i : i + per], count, need)
+                for i in range(0, len(starts), per)
+            )
+        else:
+            edges = (_graph6_slabs(codes, start, count) for start in starts.tolist())
         ones = np.ones((count, 1))
         ones.setflags(write=False)
-        stops = np.cumsum(np.bincount(graph, minlength=len(members))[:-1])
-        for i, part in zip(members.tolist(), np.split(index, stops)):
-            out[i] = Graph._trusted(count, part, ones)
+        for i, index in zip(members.tolist(), edges):
+            out[i] = Graph._trusted(count, index, ones)
     return out
+
+
+def _graph6_block(codes: np.ndarray, starts: np.ndarray, n: int, need: int) -> list[np.ndarray]:
+    """The canonical edge arrays of the n-node graph6 bodies of need bytes
+    at offsets starts of codes, decoded together.
+
+    np.unpackbits gives their bits, which fill the upper triangles of one
+    boolean (graphs, n, n) block column by column, one slice of
+    _graph6_bit positions per column, and np.nonzero reads each graph's
+    edges from it already sorted.
+    """
+    packed = codes[starts[:, None] + np.arange(need)]
+    bits = np.unpackbits(packed[:, :, None], axis=2)[:, :, 2:].reshape(len(starts), -1)
+    upper = np.zeros((len(starts), n, n), dtype=bool)
+    for v in range(1, n):
+        upper[:, :v, v] = bits[:, _graph6_bit(0, v) : _graph6_bit(0, v + 1)]
+    graph, u, v = np.nonzero(upper)
+    index = np.stack((u, v), axis=1)
+    index.setflags(write=False)
+    return np.split(index, np.cumsum(np.bincount(graph, minlength=len(starts))[:-1]))
+
+
+def _graph6_slabs(codes: np.ndarray, start: int, n: int) -> np.ndarray:
+    """The canonical edge array of one n-node graph6 body at offset start
+    of codes, decoded in slabs of consecutive columns.
+
+    Each slab spans at most 8 * BATCH_CELLS bits and unpacks only the body
+    bytes that hold them. Its set bits give their columns v by a search
+    over the columns' first bits, and rows u as offsets from them; the
+    rows, found column by column, are then put in canonical order.
+    """
+    first = _graph6_bit(0, np.arange(n + 1))
+    parts = []
+    lo = 0
+    while lo < n:
+        # No column reaches the bound: column v holds v < 65536 bits.
+        hi = int(np.searchsorted(first, first[lo] + 8 * BATCH_CELLS, side="right")) - 1
+        b0, b1 = int(first[lo]), int(first[hi])
+        body = codes[start + b0 // 6 : start + (b1 + 5) // 6]
+        bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[b0 % 6 : b0 % 6 + b1 - b0]
+        pos = b0 + np.flatnonzero(bits)
+        v = np.searchsorted(first, pos, side="right") - 1
+        parts.append(np.stack((pos - first[v], v), axis=1))
+        lo = hi
+    return _canonical_rows(np.concatenate(parts))
 
 
 def write_graph6(g: Graph) -> str:

@@ -38,6 +38,7 @@ either way each graph gets the bytes of its transform alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -67,7 +68,9 @@ class TransformSpec:
     power_tol    eigenvector iteration convergence threshold
     power_max_iter  eigenvector iteration cap
 
-    k and d_max are at most GRAPH6_MAX_NODES; no graph has more nodes.
+    k, radius, d_max and power_max_iter are integers, and power_tol a real
+    number; a bool is neither. k and d_max are at most GRAPH6_MAX_NODES;
+    no graph has more nodes.
     Fields that the kind's TRANSFORMS row does not name keep their defaults.
     """
 
@@ -84,6 +87,10 @@ class TransformSpec:
             raise ContractError(
                 f"unknown transform kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
             )
+        for name, number, what in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ContractError(f"{name} must be {what}, got {value!r}")
         if not 1 <= self.k <= GRAPH6_MAX_NODES:
             raise ContractError(f"k must lie in 1..{GRAPH6_MAX_NODES}, got {self.k}")
         if self.radius < 1:
@@ -102,6 +109,15 @@ class TransformSpec:
             if getattr(self, f.name) != f.default and f.name not in TRANSFORMS[self.kind][1]:
                 raise _foreign(self.kind, f.name)
 
+
+# TransformSpec's numeric fields: (name, number type, its name in errors).
+_NUMBER_FIELDS = (
+    ("k", numbers.Integral, "an integer"),
+    ("radius", numbers.Integral, "an integer"),
+    ("d_max", numbers.Integral, "an integer"),
+    ("power_max_iter", numbers.Integral, "an integer"),
+    ("power_tol", numbers.Real, "a real number"),
+)
 
 # Token option -> (TransformSpec field, cast): every field but kind, cast
 # with the type of its default, and "sign" for sign_mode.

@@ -60,6 +60,12 @@ def base_spec() -> TransformSpec:
     return TransformSpec(kind="base")
 
 
+def augment_library() -> PairDataset:
+    """The hard-pair library with four relabeled controls of its graphs."""
+    library = hard_pair_library()
+    return PairDataset(library.pairs + augment_with_iso_pairs(library.graphs, 4, 0).pairs)
+
+
 def toy_pairs() -> list[LabeledPair]:
     iso = LabeledPair(path(4), apply_permutation(path(4), Permutation((2, 0, 3, 1))), True)
     non = LabeledPair(cycle(6), disjoint_cycles([3, 3]), False)
@@ -339,6 +345,27 @@ class TestEvaluatePairs:
         row = evaluate_pairs(ds, base_spec(), lambda g: np.array([float(g.n)]))
         # path4 pair same size; C6 vs 2C3 same size; path3 vs star4 differ.
         assert row.fn == 1 and row.fp == 0
+
+    def test_vectors_of_different_lengths_cluster_by_length(self):
+        """Sorted degree sequences differ in length across the library's
+        pairs; as float vectors they give the rows of the same sequences
+        as bytes, whose classes are exact."""
+
+        def degree_vector(g):
+            return np.sort(g.degrees).astype(np.float64)
+
+        def degree_bytes(g):
+            return np.sort(g.degrees).astype(np.int64).tobytes()
+
+        ds = augment_library()
+        specs = [base_spec(), TransformSpec(kind="virtual_node"), TransformSpec(kind="extra_node")]
+        vector = evaluate_grid(ds, specs, [degree_vector], by_origin=True)
+        exact = evaluate_grid(ds, specs, [degree_bytes], by_origin=True)
+        assert len({len(degree_vector(g)) for g in ds.graphs}) > 2
+        assert [dataclasses.replace(r, seconds=0.0, embedder="") for r in vector] == [
+            dataclasses.replace(r, seconds=0.0, embedder="") for r in exact
+        ]
+        assert sum(r.fn for r in vector) > 0 and all(r.excluded == 0 for r in vector)
 
     def test_model_embedder_runs(self):
         ds = make_pair_dataset(toy_pairs())
@@ -702,6 +729,43 @@ class TestGridSharing:
         empty = PairDataset((LabeledPair(Graph(0), Graph(0), True),))
         row = evaluate_pairs(empty, base_spec(), arch)
         assert batches == [] and row.excluded == 1
+
+    def test_custom_embedders_sharing_a_name_keep_their_own_results(self):
+        """Two custom embedders named alike, one an unhashable callable
+        instance, each keep their own embeddings in a spec's memo."""
+
+        @dataclasses.dataclass
+        class Scaled:
+            scale: float
+
+            def __call__(self, g):
+                return np.array([self.scale * g.n, float(g.edge_count)])
+
+        scaled = Scaled(2.0)
+        scaled.__name__ = "same"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(scaled)
+
+        def same(g):
+            return np.sort(g.features.sum(axis=1)).tobytes()
+
+        ds = augment_library()
+        embedders = [scaled, same, "wl1"]
+        for by_origin in (False, True):
+            grid = evaluate_grid(ds, self.SPECS, embedders, by_origin=by_origin)
+            origins = list(dict.fromkeys(p.origin for p in ds.pairs)) if by_origin else [None]
+            cells = [(s, e, o) for s in self.SPECS for e in embedders for o in origins]
+            alone = [evaluate_pairs(ds, s, e, origin=o) for s, e, o in cells]
+            reference = [reference_evaluate_pairs(ds, s, e, origin=o) for s, e, o in cells]
+            grid = [dataclasses.replace(r, seconds=0.0) for r in grid]
+            assert grid == [dataclasses.replace(r, seconds=0.0) for r in alone] == reference
+            # The two share a name but not their rows: a memo keyed by
+            # name would give the second the first one's classes.
+            by_cell = {(r.method, r.origin): [] for r in grid}
+            for r in grid:
+                by_cell[(r.method, r.origin)].append(r)
+            assert any(rs[0].embedder == rs[1].embedder == "same" and rs[0] != rs[1]
+                       for rs in by_cell.values())
 
     def test_left_error_is_noted_before_right(self):
         def refuse(g):

@@ -513,6 +513,40 @@ class TestGraph6:
         g = erdos_renyi(n, p, seed)
         assert write_graph6(g) == reference_graph6(g)
 
+    def test_decode_bound_moves_no_edge(self, monkeypatch):
+        """Node counts whose (graphs, n, n) block fits 8 * BATCH_CELLS bytes
+        decode in chunks of graphs, n = 512 one graph per chunk; from
+        n = 513 on, each graph decodes alone in column slabs. Every side of
+        the bound gives the written graphs back, in text order."""
+        calls = {"_graph6_block": [], "_graph6_slabs": []}
+        for name, seen in calls.items():
+            original = getattr(graphs_module, name)
+
+            def counting(codes, starts, n, *rest, seen=seen, original=original):
+                seen.append(n)
+                return original(codes, starts, n, *rest)
+
+            monkeypatch.setattr(graphs_module, name, counting)
+        sizes = [14] * 400 + [0, 1, 2] + [200] * 13 + [512, 513, 513, 600] + [14]
+        written = [erdos_renyi(n, 1.0 if n == 600 else 0.05, seed) for seed, n in enumerate(sizes)]
+        decoded = decode_graph6([write_graph6(g) for g in written])
+        assert [g.n for g in decoded] == sizes
+        for g, back in zip(written, decoded):
+            assert np.array_equal(back.edge_index, g.edge_index)
+            assert back.edge_index.dtype == np.intp and not back.edge_index.flags.writeable
+        # many_small's node counts (8..14) each decode in one chunk.
+        assert 8 * graphs_module.BATCH_CELLS // 14**2 > 401
+        assert calls == {
+            "_graph6_block": [0, 1, 2, 14, 200, 200, 200, 512],
+            "_graph6_slabs": [513, 513, 600],
+        }
+
+    def test_decode_peak_memory_is_bounded(self):
+        # The one (graphs, n, n) block took 14.7 MiB for this line, whose
+        # text is 0.75 MB.
+        text = write_graph6(erdos_renyi(3000, 0.002, 1))
+        assert _peak_mib(lambda: decode_graph6([text])) < 4
+
     @pytest.mark.parametrize(
         "texts,message,offset,line",
         [

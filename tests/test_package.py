@@ -1,5 +1,6 @@
 """Package surface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,37 @@ def test_benchmark_tracer_finds_every_name_it_patches():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# Installs the tracer, runs a small grid and prints the tracer's metrics.
+_TRACED_GRID = """
+import json
+import isobench.evaluate as evaluate
+import tracing
+from isobench import TransformSpec, hard_pair_library
+tracer = tracing.Tracer()
+tracing.install(tracer)
+specs = [TransformSpec(kind=kind) for kind in ("base", "degree", "graph_encoding")]
+evaluate.evaluate_grid(hard_pair_library(), specs, ["wl1", "wl2", "gin"])
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_benchmark_tracer_counts_the_calls_a_grid_makes():
+    # A patched name that the package stops calling resolves all the same,
+    # but reads zero here.
+    paths = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_GRID],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    assert metrics["evaluate.cells"] == 9
+    for name in ("wl.wl1_calls", "models.forward_calls", "transforms.apply_calls"):
+        assert metrics[name] > 0, name
+    assert metrics["spectral.jacobi_calls"] > 0
 
 
 # Records the modules loaded before isobench, writes a graph6 file, runs

@@ -43,3 +43,14 @@ def test_readme_examples_print_what_it_shows(capsys, tmp_path, monkeypatch):
 
     (api,) = re.findall(r"## Python API\n\n```python\n(.*?)```", text, re.S)
     exec(compile(api, str(README), "exec"), {})
+
+
+def test_readme_experiment_grid_runs(capsys):
+    # Its output is not shown, so the transcripts above do not run it.
+    (block,) = re.findall(r"## Experiment grid\n.*?```sh\n(.*?)```", README.read_text(), re.S)
+    argv = shlex.split(block.replace("\\\n", " "))
+    assert argv[:2] == ["isobench", "evaluate"] and "md" in argv
+    assert main(argv[1:]) == EXIT_OK
+    table = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|")]
+    # A header and a rule, then one row per cell: 10 transforms x 5 embedders.
+    assert len(table) - 2 == 50

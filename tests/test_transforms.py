@@ -80,6 +80,30 @@ class TestSpecAndTokens:
         assert spec("graph_encoding", k=big - 1).k == GRAPH6_MAX_NODES
         assert spec("distance_encoding", d_max=big - 1).d_max == GRAPH6_MAX_NODES
 
+    @pytest.mark.parametrize(
+        "kind, field, bad, good",
+        [
+            ("graph_encoding", "k", [2.5, True, "3", None], np.int64(3)),
+            ("subgraph_extraction", "radius", [1.5, True, np.float64(3.0)], np.int32(3)),
+            ("distance_encoding", "d_max", [3.5, False, 4.0], np.uint8(4)),
+            ("eigenvector", "power_max_iter", [2.5, True, "20"], np.int64(20)),
+        ],
+    )
+    def test_integer_fields_refuse_bools_and_non_integers(self, kind, field, bad, good):
+        # Without the type check, a float reached a kernel and died there
+        # with a bare TypeError; numpy integers stay accepted.
+        for value in bad:
+            with pytest.raises(ContractError, match=f"^{field} must be an integer, got "):
+                spec(kind, **{field: value})
+        assert getattr(spec(kind, **{field: good}), field) == good
+
+    def test_power_tol_refuses_bools_and_non_reals(self):
+        for value in ["1e-8", True, None, 1e-8j]:
+            with pytest.raises(ContractError, match="^power_tol must be a real number, got "):
+                spec("eigenvector", power_tol=value)
+        assert spec("eigenvector", power_tol=np.float32(1e-3)).power_tol == np.float32(1e-3)
+        assert spec("eigenvector", power_tol=1).power_tol == 1
+
     def test_plain_token(self):
         assert parse_transform_token("closeness").kind == "closeness"
 
