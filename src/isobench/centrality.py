@@ -138,7 +138,7 @@ def _ball_growth_run(b: GraphBatch, depth: int) -> tuple[np.ndarray, np.ndarray,
             total[rows] += level * added
             if level <= depth:
                 shells[rows, level - 1] = added
-            growing = np.zeros(len(b.graphs), dtype=bool)
+            growing = np.zeros(len(b.sizes), dtype=bool)
             growing[graph[added > 0]] = True
             keep = growing[graph]
             if keep.all():

@@ -25,9 +25,10 @@ and counted, never silently dropped.
 A dataset is indexed once: its distinct input graph objects in
 first-seen order, left before right, pair by pair, and each pair's two
 positions among them, with its ground truth, as arrays. Every result is
-then kept by position: a spec's transforms in a list aligned with the
-index, a model's embeddings as the rows of one float array, and each
-pass's failures as a boolean mask.
+then kept by position: a spec's transforms as the image batches its
+transform calls returned, with each position's batch and row, a model's
+embeddings as the rows of one float array, and each pass's failures as
+a boolean mask.
 
 A cell selects its pair rows, all of them or one origin's, and runs in
 three steps. It transforms every distinct input graph of its pairs,
@@ -37,7 +38,12 @@ first-seen order and compute a graph whatever its partner's fate: a
 failed left graph does not spare its partner's transform or embedding.
 Each pass is one batch call over the graphs it lacks, with
 GraphBatch.each's per-graph results: the result or the IsobenchError
-that the graph alone raises. A model embedder finds the graphs it
+that the graph alone raises. The embed pass takes its graphs by one
+rule: the positions it lacks, cut into runs stored by one transform
+call, gathered run by run (GraphBatch.gather); positions that are one
+whole stored batch, in order, give that batch itself. So a column
+transform's images reach a model as the batch with_columns made, and
+no Graph object is built for them. A model embedder finds the graphs it
 refuses by one comparison of the batch's node-count and width arrays,
 then embeds the rest in one forward call. The failure masks,
 gathered at the pairs' positions, exclude pairs; only the excluded
@@ -355,8 +361,10 @@ class _Results:
     values[p] is graph p's result or the IsobenchError that it raised;
     done[p] marks a computed graph and failed[p] an error. A model pass
     writes its embeddings into the rows of vectors instead and keeps
-    None in values. lacking counts the graphs not done, failures the
-    errors.
+    None in values. A transform pass keeps None in values for an image:
+    the images of each store are one GraphBatch in batches, and image p
+    is row row[p] of batches[batch[p]]. lacking counts the graphs not
+    done, failures the errors.
     """
 
     def __init__(self, size: int):
@@ -364,6 +372,9 @@ class _Results:
         self.done = np.zeros(size, dtype=bool)
         self.failed = np.zeros(size, dtype=bool)
         self.vectors: np.ndarray | None = None
+        self.batches: list[GraphBatch] = []
+        self.batch = np.zeros(size, dtype=np.intp)
+        self.row = np.zeros(size, dtype=np.intp)
         self.lacking = size
         self.failures = 0
 
@@ -380,18 +391,42 @@ class _Results:
         np.not_equal(flat[order[1:]], flat[order[:-1]], out=first[1:])
         return flat[np.sort(order[first])].tolist()
 
-    def store(self, need: list[int], results: list) -> None:
-        """Record results[j], a result or an IsobenchError, for position need[j]."""
+    def store(self, need: list[int], results: list, images: GraphBatch | None = None) -> None:
+        """Record results[j], a result or an IsobenchError, for position
+        need[j]; images, of a transform pass, holds the images of the
+        positions without an error, in order."""
         values = self.values
         failed = []
         for p, r in zip(need, results, strict=True):
-            values[p] = r
-            if isinstance(r, IsobenchError):
-                failed.append(p)
-        self.done[need] = True
+            if r is not None:
+                values[p] = r
+                if isinstance(r, IsobenchError):
+                    failed.append(p)
+        at = np.asarray(need, dtype=np.intp)
+        self.done[at] = True
         self.failed[failed] = True
         self.lacking -= len(need)
         self.failures += len(failed)
+        if images is not None:
+            kept = at[~self.failed[at]]
+            self.batch[kept] = len(self.batches)
+            self.row[kept] = np.arange(len(kept))
+            self.batches.append(images)
+
+    def images(self, need: list[int]) -> GraphBatch:
+        """The images at positions need, in order, as one batch: the rows
+        of each run of positions stored together, gathered run by run."""
+        at = np.asarray(need, dtype=np.intp)
+        batch, row = self.batch[at], self.row[at]
+        cuts = (np.flatnonzero(batch[1:] != batch[:-1]) + 1).tolist()
+        starts = [0] + cuts
+        return GraphBatch.gather(
+            [(self.batches[batch[a]], row[a:b]) for a, b in zip(starts, cuts + [len(need)])]
+        )
+
+    def width(self, p: int) -> int:
+        """The feature width of image p."""
+        return int(self.batches[self.batch[p]].widths[self.row[p]])
 
 
 @dataclass
@@ -430,16 +465,14 @@ def _embed_model(params: ModelParams, b: GraphBatch, need: list[int], embedded: 
     other graph gets the error check_graph raises for it. One mask over the
     batch's count arrays finds them, so check_graph runs only on refused
     graphs."""
-    graphs = b.graphs
     refused = _refused(params, b)
-    out: list = [None] * len(graphs)
+    out: list = [None] * len(refused)
     if refused.any():
-        bad = np.flatnonzero(refused).tolist()
-        errors = GraphBatch([graphs[j] for j in bad]).each(lambda g: check_graph(params, g))
-        for j, e in zip(bad, errors):
+        bad = np.flatnonzero(refused)
+        for j, e in zip(bad.tolist(), b.take(bad).each(lambda g: check_graph(params, g))):
             out[j] = e
-        fit = np.flatnonzero(~refused).tolist()
-        b = GraphBatch([graphs[j] for j in fit]) if fit else None
+        fit = np.flatnonzero(~refused)
+        b = b.take(fit) if fit.size else None
     if b is not None:
         # Positional, through this module's global: benchmarks/tracing.py
         # patches evaluate.forward and counts the batch's n node rows.
@@ -528,19 +561,20 @@ def evaluate_pairs(
         # patches evaluate.apply_transform and keys the batch by its n,
         # edges and features.
         batch = GraphBatch([index.graphs[p] for p in need])
-        transformed.store(need, apply_transform(spec, batch))
+        out = apply_transform(spec, batch)
+        transformed.store(need, out.errors, out.images)
     notes: list[str] = []
     kept = _exclude(transformed, slots, np.arange(len(rows)), rows, index, notes)
 
     survivors = slots[kept]
-    embed_dim = transformed.values[survivors[0, 0]].d if len(survivors) else 1
+    embed_dim = transformed.width(survivors[0, 0]) if len(survivors) else 1
     params = init_model(embedder, embed_dim, model_seed) if embedder in ARCHS else None
     # A model's weights depend on its input width; other embedders do not.
     key = embedder if isinstance(embedder, str) else id(embedder)
     embedded = memo.results((key, 0 if params is None else embed_dim))
     need = embedded.need(survivors)
     if need:
-        graphs = GraphBatch([transformed.values[p] for p in need])
+        graphs = transformed.images(need)
         if params is not None:
             _embed_model(params, graphs, need, embedded)
         elif embedder == "wl2":
@@ -550,7 +584,7 @@ def evaluate_pairs(
             wl1 = memo.results(("wl1", 0))
             fresh = wl1.need(np.array([p for p, e in zip(need, guards) if e is None], np.intp))
             if fresh:
-                fit = GraphBatch([transformed.values[p] for p in fresh])
+                fit = transformed.images(fresh)
                 wl1.store(fresh, fit.each(_wl_digest("wl1", quant_eps, kwl_budget)))
             embedded.store(need, [wl1.values[p] if e is None else e for p, e in zip(need, guards)])
         else:

@@ -3,7 +3,11 @@
 A Graph is an immutable simple undirected graph on nodes 0..n-1 with a
 dense float feature matrix of shape (n, d). Its edges have one form,
 the canonical (edge_count, 2) intp array edge_index, whose row order
-_canonical_rows states. Two serializations are supported:
+_canonical_rows states. A GraphBatch is the disjoint union of graphs as
+arrays. A batch made from arrays, as GraphBatch.with_columns gives,
+shares its source's structure graphs and arrays, holds one feature
+block per width, and builds its Graph objects only when they are read.
+Two serializations are supported:
 
 graph6
     The compact 6-bit printable encoding. A length prefix N(n) is one
@@ -37,7 +41,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -210,14 +214,38 @@ def _checked_features(n: int, features) -> np.ndarray:
     return feats
 
 
-def _counts(values: list[int]) -> np.ndarray:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _counts(values) -> np.ndarray:
     """values as a read-only intp array: a batch's runs share its count arrays."""
-    out = np.array(values, dtype=np.intp)
-    out.setflags(write=False)
-    return out
+    return _read_only(np.asarray(values, dtype=np.intp))
 
 
-@dataclass(frozen=True, eq=False)
+# The arrays of a batch that depend only on its graphs' node counts and
+# edges, and on which graphs share a feature width; a batch with appended
+# feature columns (GraphBatch.with_columns) keeps those its source built.
+_SHARED_ARRAYS = (
+    "sizes",
+    "edge_counts",
+    "offsets",
+    "n",
+    "node_graph",
+    "edges",
+    "degrees",
+    "lone",
+    "slots",
+    "_block_row",
+)
+
+
+def _picked(parts: Iterable[tuple[tuple, np.ndarray]]) -> tuple:
+    """Items rows of each part's tuple, part after part."""
+    return tuple(chain.from_iterable(map(seq.__getitem__, rows.tolist()) for seq, rows in parts))
+
+
 class GraphBatch:
     """The disjoint union of graphs, in list order.
 
@@ -225,28 +253,55 @@ class GraphBatch:
     node count. edges is the union's edge array: a read-only (edges, 2)
     intp array holding each graph's edge_index in turn, shifted by its
     offset. sizes, edge_counts and widths hold each graph's node count,
-    edge count and feature width; each is built by one walk over the
-    graphs, and runs, checks and width groups read them, not the graphs.
+    edge count and feature width, as read-only intp arrays; runs, checks
+    and width groups read them, not the graphs. features is the union's
+    feature matrix, for a batch whose graphs share one width.
+
+    GraphBatch(graphs) holds the given graphs, and builds each array from
+    them on first use. A batch made from arrays (with_columns, and take
+    or runs of such a batch) holds instead, beside its count arrays, its
+    structure graphs, whose node counts, edges and computed structure
+    properties its graphs share, and one read-only feature block per
+    width: the rows of that width's graphs, in order. Its Graph objects
+    are built from them only when something reads graphs.
     models.forward embeds the graphs of a batch at once, and
     transforms.apply_transform transforms them, in runs where needed.
     """
 
-    graphs: tuple[Graph, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "graphs", tuple(self.graphs))
-        if not self.graphs:
+    def __init__(self, graphs: Iterable[Graph]):
+        graphs = tuple(graphs)
+        if not graphs:
             raise ContractError("a graph batch needs at least one graph")
+        self.__dict__.update(graphs=graphs, _structure=graphs)
+
+    @classmethod
+    def _of(cls, structure: tuple[Graph, ...], fields: dict) -> GraphBatch:
+        """A batch over structure graphs whose other arrays, feature blocks
+        or graphs are given in fields."""
+        out = object.__new__(cls)
+        out.__dict__.update(fields, _structure=structure)
+        return out
+
+    @cached_property
+    def graphs(self) -> tuple[Graph, ...]:
+        """Graph i: structure graph i's nodes, edges and computed structure
+        properties, with its rows of the feature block of its width."""
+        out: list[Graph] = [None] * len(self._structure)
+        for d, members, _ in self._width_groups():
+            for i, feats in self._split(members, self._blocks[d]):
+                s = self._structure[i]
+                out[i] = Graph._trusted(s.n, s.edge_index, feats, s.__dict__)
+        return tuple(out)
 
     @cached_property
     def sizes(self) -> np.ndarray:
         """Each graph's node count."""
-        return _counts([g.n for g in self.graphs])
+        return _counts([g.n for g in self._structure])
 
     @cached_property
     def edge_counts(self) -> np.ndarray:
         """Each graph's edge count."""
-        return _counts([len(g.edge_index) for g in self.graphs])
+        return _counts([len(g.edge_index) for g in self._structure])
 
     @cached_property
     def widths(self) -> np.ndarray:
@@ -264,11 +319,11 @@ class GraphBatch:
     @cached_property
     def node_graph(self) -> np.ndarray:
         """The graph index of each union node."""
-        return np.repeat(np.arange(len(self.graphs)), self.sizes)
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
     @cached_property
     def edges(self) -> np.ndarray:
-        index = np.concatenate([g.edge_index for g in self.graphs])
+        index = np.concatenate([g.edge_index for g in self._structure])
         index += np.repeat(self.offsets, self.edge_counts)[:, None]
         index.setflags(write=False)
         return index
@@ -280,8 +335,30 @@ class GraphBatch:
         return deg
 
     @cached_property
+    def _blocks(self) -> dict[int, np.ndarray]:
+        """Feature width d -> the feature rows of the graphs of width d, in order."""
+        widths = self.widths.tolist()
+        feats = [g.features for g in self.graphs]
+        return {
+            d: np.concatenate([f for f, w in zip(feats, widths) if w == d])
+            for d in sorted(set(widths))
+        }
+
+    @cached_property
+    def _block_row(self) -> np.ndarray:
+        """Each union node's row in the feature block of its graph's width."""
+        at = np.empty(self.n, dtype=np.intp)
+        for _, _, rows in self._width_groups():
+            at[rows] = np.arange(rows.size)
+        return at
+
+    @cached_property
     def features(self) -> np.ndarray:
-        return np.concatenate([g.features for g in self.graphs])
+        """The union's feature rows; the graphs must share one feature width."""
+        if len(self._blocks) > 1:
+            widths = sorted(self._blocks)
+            raise ContractError(f"graphs of feature widths {widths} have no one matrix")
+        return next(iter(self._blocks.values()))
 
     @cached_property
     def lone(self) -> np.ndarray:
@@ -291,17 +368,17 @@ class GraphBatch:
     def graph_sums(self, values: np.ndarray) -> np.ndarray:
         """Row i: +0.0 plus the rows of graph i, added in ascending node order.
 
-        Each graph's rows fill one row of a zero-padded (graphs, 1 + max
-        n, width) block after a leading zero, and np.add.accumulate sums
-        each along axis 1 one element after another. The running sum
-        starts at +0.0 and so is never -0.0, so the trailing +0.0 pads
-        leave it unchanged.
+        Each graph's rows fill one column of a zero-padded (1 + max n,
+        graphs, width) block after a leading zero row, position-major, and
+        np.add.accumulate sums along axis 0 one position after another.
+        The running sum starts at +0.0 and so is never -0.0, so the
+        trailing +0.0 pads leave it unchanged.
         """
         graph = self.node_graph
         position = np.arange(self.n) - self.offsets[graph]
-        block = np.zeros((len(self.graphs), 1 + int(self.sizes.max()), values.shape[1]))
-        block[graph, 1 + position] = values
-        return np.add.accumulate(block, axis=1, out=block)[:, -1].copy()
+        block = np.zeros((1 + int(self.sizes.max()), len(self.sizes), values.shape[1]))
+        block[1 + position, graph] = values
+        return np.add.accumulate(block, axis=0, out=block)[-1].copy()
 
     @cached_property
     def slots(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]], np.ndarray]:
@@ -366,8 +443,7 @@ class GraphBatch:
         the bound is the cut; a graph over the bound runs alone. The sums
         span a window: the whole batch for the first run, then twice the
         last run, doubled while it holds no cut, so cutting takes time
-        linear in the graphs. Each run shares slices of this batch's count
-        arrays.
+        linear in the graphs. Each run is a batch of slices (_part).
         """
         sizes, counts = self.sizes, self.edge_counts
         total = len(sizes)
@@ -394,15 +470,70 @@ class GraphBatch:
             start, window = cut, 2 * (cut - start)
 
     def _part(self, start: int, stop: int) -> GraphBatch:
-        """Graphs start..stop-1 as a batch holding slices of the count
-        arrays this batch has built; all of them are this batch."""
-        if stop - start == len(self.graphs):
+        """Graphs start..stop-1 as a batch of slices: of the count arrays
+        this batch has built, and of its graphs if built, else of its
+        feature blocks. All of them are this batch."""
+        if stop - start == len(self.sizes):
             return self
-        part = GraphBatch(self.graphs[start:stop])
-        for name in ("sizes", "edge_counts", "widths"):
-            if name in self.__dict__:
-                part.__dict__[name] = self.__dict__[name][start:stop]
-        return part
+        fields = {
+            name: self.__dict__[name][start:stop]
+            for name in ("sizes", "edge_counts", "widths")
+            if name in self.__dict__
+        }
+        if "graphs" in self.__dict__:
+            fields["graphs"] = self.graphs[start:stop]
+        else:
+            # Each width's rows of these graphs are one range of its block.
+            lo = int(self.offsets[start])
+            at = self._block_row[lo : lo + int(self.sizes[start:stop].sum())]
+            width = np.repeat(self.widths[start:stop], self.sizes[start:stop])
+            fields["_blocks"] = {}
+            for d in set(self.widths[start:stop].tolist()):
+                rows = at[width == d]
+                first = int(rows[0]) if rows.size else 0
+                fields["_blocks"][d] = self._blocks[d][first : first + rows.size]
+        return self._of(self._structure[start:stop], fields)
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> GraphBatch:
+        """Graphs rows of this batch, in that order, as a batch (see gather)."""
+        return GraphBatch.gather([(self, rows)])
+
+    @staticmethod
+    def gather(parts: Sequence[tuple[GraphBatch, Sequence[int] | np.ndarray]]) -> GraphBatch:
+        """Graphs rows of each part's batch, part after part, as one batch.
+
+        One part that is its whole batch in order gives that batch. Else
+        the result holds the parts' count arrays at those rows. When every
+        part's batch has built its graphs, it holds those same Graph
+        objects; otherwise it is made from arrays, with each width's
+        feature rows gathered from the parts' blocks.
+        """
+        parts = [(b, np.asarray(rows, dtype=np.intp)) for b, rows in parts]
+        if len(parts) == 1:
+            b, rows = parts[0]
+            if rows.size == len(b._structure) and np.array_equal(rows, np.arange(rows.size)):
+                return b
+        fields = {
+            name: _counts(np.concatenate([getattr(b, name)[r] for b, r in parts]))
+            for name in ("sizes", "edge_counts", "widths")
+        }
+        if all("graphs" in b.__dict__ for b, _ in parts):
+            fields["graphs"] = _picked((b.graphs, r) for b, r in parts)
+        else:
+            pieces: dict[int, list[np.ndarray]] = {}
+            for b, r in parts:
+                sizes = b.sizes[r]
+                starts = b.offsets[r] - np.cumsum(sizes) + sizes
+                nodes = np.arange(sizes.sum()) + np.repeat(starts, sizes)
+                width = np.repeat(b.widths[r], sizes)
+                for d in set(b.widths[r].tolist()):
+                    at = b._block_row[nodes[width == d]]
+                    pieces.setdefault(d, []).append(b._blocks[d][at])
+            fields["_blocks"] = {
+                d: _read_only(p[0] if len(p) == 1 else np.concatenate(p))
+                for d, p in sorted(pieces.items())
+            }
+        return GraphBatch._of(_picked((b._structure, r) for b, r in parts), fields)
 
     def _width_groups(self) -> Iterator[tuple[int, list[int], np.ndarray]]:
         """(d, members, rows) per feature width d, ascending: the graphs of
@@ -420,25 +551,28 @@ class GraphBatch:
         for i, start, stop in zip(members, [0] + stops, stops):
             yield i, block[start:stop]
 
-    def with_columns(self, cols: np.ndarray) -> list[Graph]:
-        """Each graph with its nodes' rows of cols appended to its features.
+    def with_columns(self, cols: np.ndarray) -> GraphBatch:
+        """This batch's graphs with their nodes' rows of cols appended to
+        their features, as a batch made from arrays.
 
         cols holds a row, or a value, per union node. The graphs of one
         feature width share one read-only block, checked for finiteness
-        once, and each graph's features are its row slice of that block.
+        once. The result shares this batch's structure graphs and the
+        structure arrays it has built; its graphs are built on first read.
         """
         cols = cols[:, None] if cols.ndim == 1 else cols
-        out = [None] * len(self.graphs)
-        for d, members, rows in self._width_groups():
-            block = np.empty((rows.size, d + cols.shape[1]), dtype=np.float64)
-            np.concatenate([self.graphs[i].features for i in members], out=block[:, :d])
+        added = cols.shape[1]
+        blocks = {}
+        for d, _, rows in self._width_groups():
+            block = np.empty((rows.size, d + added), dtype=np.float64)
+            block[:, :d] = self._blocks[d]
             block[:, d:] = cols[rows]
             if not np.all(np.isfinite(block)):
                 raise ContractError("features must be finite")
-            for i, feats in self._split(members, block):
-                g = self.graphs[i]
-                out[i] = Graph._trusted(g.n, g.edge_index, feats, g.__dict__)
-        return out
+            blocks[d + added] = _read_only(block)
+        fields = {name: self.__dict__[name] for name in _SHARED_ARRAYS if name in self.__dict__}
+        fields.update(widths=_counts(self.widths + added), _blocks=blocks)
+        return self._of(self._structure, fields)
 
     def relabeled(self, perms: Sequence[Permutation]) -> list[Graph]:
         """Each graph relabeled by its permutation p: node v becomes p(v),
@@ -449,8 +583,8 @@ class GraphBatch:
         form one union range, so its rows stay together in graph order and
         come out canonical. The features of each width move as one block.
         """
-        if len(perms) != len(self.graphs):
-            raise ContractError(f"{len(perms)} permutations for {len(self.graphs)} graphs")
+        if len(perms) != len(self.sizes):
+            raise ContractError(f"{len(perms)} permutations for {len(self.sizes)} graphs")
         for n, p in zip(self.sizes.tolist(), perms):
             if len(p) != n:
                 raise ContractError(f"permutation length {len(p)} does not match n={n}")
@@ -461,17 +595,15 @@ class GraphBatch:
         ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
         ends -= shift[ends[:, 0]][:, None]
         ends.setflags(write=False)
-        features = [None] * len(self.graphs)
-        for _, members, rows in self._width_groups():
-            block = np.concatenate([self.graphs[i].features for i in members])
-            at = np.empty(self.n, dtype=np.intp)
-            at[rows] = np.arange(rows.size)
+        features = [None] * len(self.sizes)
+        for d, members, rows in self._width_groups():
+            block = self._blocks[d]
             moved = np.empty_like(block)
-            moved[at[image[rows]]] = block
+            moved[self._block_row[image[rows]]] = block
             for i, feats in self._split(members, moved):
                 features[i] = feats
         parts = np.split(ends, np.cumsum(self.edge_counts)[:-1])
-        return [Graph._trusted(g.n, e, f) for g, e, f in zip(self.graphs, parts, features)]
+        return [Graph._trusted(n, e, f) for n, e, f in zip(self.sizes.tolist(), parts, features)]
 
 
 def as_batch(x: Graph | GraphBatch) -> GraphBatch:

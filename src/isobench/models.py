@@ -58,11 +58,12 @@ holds because every operation is row by row, with four rules:
   depend on how many rows the product has. So the rows of 1-node graphs
   and ds's readout rows, one per graph, take the broadcast
   (rows, 1, k) @ w form, which runs gemv row by row; the rest stack.
-- The readout sums each graph's states in one zero-padded (graphs,
-  1 + max n, width) block with np.add.accumulate along the node axis:
-  sequential, from a leading +0.0, like a per-node loop. The running sum
-  is never -0.0, so the trailing +0.0 pads leave it unchanged. The
-  pairwise np.sum, or np.add.reduceat, would change the bits.
+- The readout sums each graph's states in one zero-padded (1 + max n,
+  graphs, width) block, position-major, with np.add.accumulate along
+  the position axis: sequential, from a leading +0.0, like a per-node
+  loop. The running sum is never -0.0, so the trailing +0.0 pads leave
+  it unchanged. The pairwise np.sum, or np.add.reduceat, would change
+  the bits.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _as_batch(m: ModelParams, x: Graph | GraphBatch) -> GraphBatch:
     b = as_batch(x)
     refused = _refused(m, b)
     if refused.any():
-        check_graph(m, b.graphs[int(refused.argmax())])
+        check_graph(m, b.take([int(refused.argmax())]).graphs[0])
     return b
 
 

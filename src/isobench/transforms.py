@@ -21,11 +21,15 @@ kinds
 TRANSFORMS is the one table of kinds. Each row names the TransformSpec
 fields its kind reads, and a spec or token that sets another is refused.
 Each column kind is a kernel and the text that refuses an empty graph.
-The union kernels of degree, closeness and distance_encoding (the last
-two from centrality.ball_growth's breadth-first levels) run through
-_columns over a whole GraphBatch, so the graphs of one feature width
-share one read-only feature block; the per-graph kernels of the other
-four (betweenness, eigenvector, graph_encoding, subgraph_extraction) run
+A batch transform gives a Transformed: each graph's error or None, and
+the images of the graphs without an error as one GraphBatch. The union
+kernels of degree, closeness and distance_encoding (the last two from
+centrality.ball_growth's breadth-first levels) run through _columns over
+a whole GraphBatch, and their images are the batch that
+GraphBatch.with_columns makes from arrays: the graphs of one feature
+width share one read-only feature block, and no Graph object is built
+until one is read. The per-graph kernels of the other four
+(betweenness, eigenvector, graph_encoding, subgraph_extraction) run
 through _each_columns on each graph alone. The two structural kinds,
 virtual_node and extra_node, also run per graph, through GraphBatch.each:
 each appends the new rows to the graph's edge_index, which
@@ -39,7 +43,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -244,23 +250,60 @@ def subgraph_extraction(g: Graph, radius: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(g.n, 2)
 
 
+class Transformed(Sequence):
+    """The transforms of a batch's graphs, one entry per graph, in order:
+    the image, or the IsobenchError that transforming the graph alone
+    raises.
+
+    errors holds each graph's error or None, and images the images of the
+    graphs without one, in order, as a GraphBatch (None when every graph
+    failed). An entry read by position is a Graph, built on first read
+    for images made from arrays.
+    """
+
+    def __init__(self, images: GraphBatch | None, errors: list[IsobenchError | None]):
+        self.images = images
+        self.errors = errors
+
+    @classmethod
+    def of(cls, results: list) -> Transformed:
+        """The entries of a list of per-graph results, as GraphBatch.each gives."""
+        errors = [r if isinstance(r, IsobenchError) else None for r in results]
+        images = [r for r, e in zip(results, errors) if e is None]
+        return cls(GraphBatch(images) if images else None, errors)
+
+    @cached_property
+    def _entries(self) -> list:
+        images = iter(self.images.graphs if self.images is not None else ())
+        return [next(images) if e is None else e for e in self.errors]
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i):
+        return self._entries[i]
+
+
 def _columns(
     kernel: Callable[[GraphBatch, TransformSpec], np.ndarray], refusal: str
-) -> Callable[[GraphBatch, TransformSpec], list]:
+) -> Callable[[GraphBatch, TransformSpec], Transformed]:
     """The batch transform that appends kernel(b, spec), one value or row
-    per union node, to each graph's features; an empty graph gets
-    ContractError(refusal)."""
+    per union node, to each graph's features in one GraphBatch.with_columns
+    batch; an empty graph gets ContractError(refusal) and no image."""
 
-    def run(b: GraphBatch, spec: TransformSpec) -> list:
+    def run(b: GraphBatch, spec: TransformSpec) -> Transformed:
         out = b.with_columns(kernel(b, spec))
-        return [ContractError(refusal) if n < 1 else t for n, t in zip(b.sizes.tolist(), out)]
+        empty = (b.sizes < 1).tolist()
+        kept = [i for i, e in enumerate(empty) if not e]
+        errors = [ContractError(refusal) if e else None for e in empty]
+        return Transformed(out.take(kept) if kept else None, errors)
 
     return run
 
 
 def _each_columns(
     kernel: Callable[[Graph, TransformSpec], np.ndarray], refusal: str
-) -> Callable[[GraphBatch, TransformSpec], list]:
+) -> Callable[[GraphBatch, TransformSpec], Transformed]:
     """The batch transform that appends kernel(g, spec), one value or row
     per node, to the features of each graph alone through GraphBatch.each;
     an empty graph gets ContractError(refusal) before the kernel runs."""
@@ -270,18 +313,20 @@ def _each_columns(
             raise ContractError(refusal)
         return g.with_features(np.hstack([g.features, kernel(g, spec).reshape(g.n, -1)]))
 
-    return lambda b, spec: b.each(lambda g: append(g, spec))
+    return lambda b, spec: Transformed.of(b.each(lambda g: append(g, spec)))
 
 
 # kind -> (report label, the TransformSpec fields it reads, batch
 # transform); the order is the reporting order. A batch transform maps a
-# GraphBatch to one result per graph, as GraphBatch.each does: the
-# transformed graph, or the IsobenchError that transforming the graph
-# alone raises. The lambdas look the kernels up in this module's globals
-# at call time, so a wrapper patched onto this module sees every call.
-TRANSFORMS: dict[str, tuple[str, tuple[str, ...], Callable[[GraphBatch, TransformSpec], list]]] = {
-    "base": ("Base", (), lambda b, spec: list(b.graphs)),
-    "virtual_node": ("Virtual Node", (), lambda b, spec: b.each(virtual_node)),
+# GraphBatch to its Transformed entries: per graph, the transformed graph,
+# or the IsobenchError that transforming the graph alone raises. The
+# lambdas look the kernels up in this module's globals at call time, so a
+# wrapper patched onto this module sees every call.
+TRANSFORMS: dict[
+    str, tuple[str, tuple[str, ...], Callable[[GraphBatch, TransformSpec], Transformed]]
+] = {
+    "base": ("Base", (), lambda b, spec: Transformed(b, [None] * len(b.sizes))),
+    "virtual_node": ("Virtual Node", (), lambda b, spec: Transformed.of(b.each(virtual_node))),
     "degree": ("Degree", (), _columns(lambda b, spec: degree_centrality(b), _CENTRALITY_REFUSAL)),
     "closeness": (
         "Closeness", (),
@@ -319,29 +364,28 @@ TRANSFORMS: dict[str, tuple[str, tuple[str, ...], Callable[[GraphBatch, Transfor
             "subgraph extraction needs at least one node",
         ),
     ),
-    "extra_node": ("Extra Node", (), lambda b, spec: b.each(extra_node)),
+    "extra_node": ("Extra Node", (), lambda b, spec: Transformed.of(b.each(extra_node))),
 }
 
 KINDS = tuple(TRANSFORMS)
 
 
-def apply_transform(
-    spec: TransformSpec, x: Graph | GraphBatch
-) -> Graph | list[Graph | IsobenchError]:
+def apply_transform(spec: TransformSpec, x: Graph | GraphBatch) -> Graph | Transformed:
     """The graph x transformed by spec, or the transform of each graph of a batch.
 
-    A GraphBatch gives a list with one entry per graph, in order: the
-    transformed graph, or the IsobenchError that apply_transform on that
-    graph alone raises. A Graph runs as a batch of one and gives the
+    A GraphBatch gives its Transformed entries, one per graph, in order:
+    the transformed graph, or the IsobenchError that apply_transform on
+    that graph alone raises. A Graph runs as a batch of one and gives the
     transformed graph or raises. degree, closeness and distance_encoding
-    compute their columns over the batch's disjoint union at once; the
-    other kinds run each graph alone through GraphBatch.each.
+    compute their columns over the batch's disjoint union at once, and
+    their images are one batch made from arrays; the other kinds run each
+    graph alone through GraphBatch.each.
     """
     out = TRANSFORMS[spec.kind][2](as_batch(x), spec)
     if isinstance(x, GraphBatch):
         return out
-    if isinstance(out[0], IsobenchError):
-        raise out[0]
+    if out.errors[0] is not None:
+        raise out.errors[0]
     return out[0]
 
 

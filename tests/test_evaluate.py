@@ -42,10 +42,12 @@ from isobench import (
     sort_rows,
     star,
     verify_pair_labels,
+    write_graph6,
 )
 import isobench.evaluate as evaluate
 import isobench.models as models
 from isobench.cli import _build_parser
+from isobench.corpus import load_dataset, pairs_from_graphs
 
 from helpers import (
     canonical_key,
@@ -785,6 +787,109 @@ class TestGridSharing:
             "pair 0 (unlabeled): refuses n=3",
             "pair 1 (unlabeled): refuses n=4",
         )
+
+
+class TestImageBatches:
+    """A column transform's images go to the model cells as one batch
+    made from arrays; no Graph object is built for them."""
+
+    COLUMN_SPECS = tuple(
+        TransformSpec(kind=kind) for kind in ("degree", "closeness", "distance_encoding")
+    )
+
+    @staticmethod
+    def small_pairs(tmp_path) -> PairDataset:
+        """A graph6 file of small G(n, 0.3) pairs, loaded and augmented as
+        `isobench evaluate --augment` does."""
+        rng = np.random.default_rng(11)
+        lines = []
+        for i in range(80):
+            n = 8 + i % 7
+            upper = np.triu(rng.random((n, n)) < 0.3, 1)
+            lines.append(write_graph6(Graph(n, zip(*np.nonzero(upper)))))
+        path = tmp_path / "small.g6"
+        path.write_text("\n".join(lines) + "\n")
+        ds = pairs_from_graphs(load_dataset(str(path)), "small", isomorphic=False)
+        return PairDataset(ds.pairs + augment_with_iso_pairs(ds.graphs, 8, 0).pairs)
+
+    def test_model_cells_over_column_images_build_no_graph(self, monkeypatch, tmp_path):
+        ds = self.small_pairs(tmp_path)
+        built: Counter = Counter()
+        trusted = Graph._trusted.__func__
+        init = Graph.__init__
+
+        def counting_trusted(cls, *args, **kwargs):
+            built["_trusted"] += 1
+            return trusted(cls, *args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            built["__init__"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        rows = evaluate_grid(ds, self.COLUMN_SPECS, list(models.ARCHS))
+        assert built == Counter()
+        assert len(rows) == 9 and all(r.pairs == len(ds.pairs) for r in rows)
+        # The counters see graphs that are read: wl1 reads each image.
+        evaluate_grid(ds, self.COLUMN_SPECS[:1], ["wl1"])
+        assert built == Counter({"_trusted": len({id(g) for g in ds.graphs})})
+        monkeypatch.undo()
+        alone = [
+            evaluate_pairs(ds, spec, arch) for spec in self.COLUMN_SPECS for arch in models.ARCHS
+        ]
+        assert [dataclasses.replace(r, seconds=0.0) for r in rows] == [
+            dataclasses.replace(r, seconds=0.0) for r in alone
+        ]
+
+    @pytest.mark.parametrize("by_origin", [False, True])
+    def test_two_width_rows_match_the_per_pair_reference(self, monkeypatch, by_origin):
+        """Over widths 1 and 2, an empty graph and runs cut at 40 cells,
+        the grid's array-made images give the rows that the per-pair
+        reference computes from Graph objects, notes included."""
+        monkeypatch.setattr("isobench.graphs.BATCH_CELLS", 40)
+        ds = two_width_pairs(with_empty=True)
+        embedders = [*models.ARCHS, "wl1"]
+        origins = ["a", "b", "augmented"] if by_origin else [None]
+        grid = evaluate_grid(ds, self.COLUMN_SPECS, embedders, model_seed=3, by_origin=by_origin)
+        reference = [
+            reference_evaluate_pairs(ds, spec, e, model_seed=3, origin=o)
+            for spec in self.COLUMN_SPECS
+            for e in embedders
+            for o in origins
+        ]
+        assert [dataclasses.replace(r, seconds=0.0) for r in grid] == reference
+        assert any("model expects" in note for r in grid for note in r.notes)
+
+    @pytest.mark.parametrize("arch", models.ARCHS)
+    def test_embed_batch_gathers_images_stored_by_two_cells(self, monkeypatch, arch):
+        """By origin, closeness refuses a's empty graph, so a's other
+        graph is transformed but not embedded there; b's cell embeds it
+        with b's own images, one gather over both stored batches."""
+        x, y = path(4), star(5)
+        ds = PairDataset(
+            (
+                LabeledPair(Graph(0), x, False, "a"),
+                LabeledPair(x, y, False, "b"),
+                LabeledPair(cycle(5), star(6), False, "b"),
+            )
+        )
+        spec = TransformSpec(kind="closeness")
+        parts: list[int] = []
+        gather = GraphBatch.gather
+
+        def recording(items):
+            parts.append(len(items))
+            return gather(items)
+
+        monkeypatch.setattr(GraphBatch, "gather", staticmethod(recording))
+        grid = evaluate_grid(ds, [spec], [arch, "wl1"], by_origin=True)
+        assert 2 in parts
+        reference = [
+            reference_evaluate_pairs(ds, spec, e, origin=o) for e in (arch, "wl1") for o in "ab"
+        ]
+        assert [dataclasses.replace(r, seconds=0.0) for r in grid] == reference
+        assert [r.pairs for r in grid] == [0, 2, 0, 2]
 
 
 class TestModelBatches:

@@ -173,7 +173,7 @@ class TestEdgeForm:
             parse_edge_list(write_edge_list(g)),
             *decode_graph6([write_graph6(g), write_graph6(h)]),
             *batch.relabeled(perms),
-            *batch.with_columns(np.arange(batch.n, dtype=np.float64)),
+            *batch.with_columns(np.arange(batch.n, dtype=np.float64)).graphs,
             g.with_features(np.zeros((g.n, 3))),
         ]
         for out in built:
@@ -183,8 +183,8 @@ class TestEdgeForm:
     def test_array_builders_build_no_tuples(self):
         gs = decode_graph6([write_graph6(cycle(6)), write_graph6(path(4)), "@"])
         moved = GraphBatch(gs).relabeled([Permutation(tuple(reversed(range(g.n)))) for g in gs])
-        wider = GraphBatch(moved).with_columns(np.arange(11.0))
-        for g in gs + moved + wider:
+        wider = GraphBatch(moved).with_columns(np.arange(11.0)).graphs
+        for g in gs + moved + list(wider):
             assert "neighbors" not in g.__dict__
         assert moved[0].edge_index.tolist() == [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]
         built = moved[0].neighbors

@@ -23,10 +23,13 @@ from isobench import (
     disjoint_cycles,
     distance_encoding,
     erdos_renyi,
+    forward,
+    init_model,
     parse_transform_token,
     path,
     quantize_matrix,
     simple_spectrum,
+    star,
     subgraph_extraction,
     wl1_signature,
 )
@@ -559,6 +562,104 @@ class TestBatch:
         out = apply_transform(bad, GraphBatch([Graph(1), path(6)]))
         assert out[0] == apply_transform(bad, Graph(1))
         assert isinstance(out[1], ConvergenceError)
+
+
+class TestColumnImages:
+    """A column kind's images are one batch made from arrays: reading its
+    graphs gives the per-graph images byte for byte, and so do its runs,
+    takes and gathers, without building a graph."""
+
+    SPECS = (spec("degree"), spec("closeness"), spec("distance_encoding", d_max=2))
+    # Widths 1 and 2, with n = 0 and n = 1 graphs of both widths.
+    MEMBERS = (
+        Graph(0),
+        Graph(1, features=[[2.0, -0.0]]),
+        path(5),
+        cycle(6).with_features(np.arange(12.0).reshape(6, 2) - 5.5),
+        Graph(1),
+        Graph(0, features=np.ones((0, 2))),
+        Graph(7, ((0, 1), (1, 2), (4, 5)), np.full((7, 2), -0.0)),
+        erdos_renyi(40, 0.1, seed=4),
+        star(4),
+    )
+
+    @staticmethod
+    def expected(s: TransformSpec, g: Graph) -> Graph | None:
+        """The image the per-graph code built, or None for a refused graph."""
+        if g.n == 0:
+            return None
+        return Graph(g.n, g.edge_index, np.hstack([g.features, _reference_columns(s, g)]))
+
+    @staticmethod
+    def assert_image(t: Graph, g: Graph, e: Graph) -> None:
+        assert t.n == e.n
+        assert t.edge_index is g.edge_index
+        assert t.features.shape == e.features.shape
+        assert t.features.tobytes() == e.features.tobytes()
+        assert not t.features.flags.writeable
+
+    @pytest.mark.parametrize("bound", [None, 0, 40])
+    @pytest.mark.parametrize("s", SPECS, ids=lambda s: s.kind)
+    def test_graphs_read_from_the_batch_equal_per_graph_images(self, monkeypatch, s, bound):
+        if bound is not None:
+            monkeypatch.setattr("isobench.graphs.BATCH_CELLS", bound)
+        gs = list(self.MEMBERS)
+        out = apply_transform(s, GraphBatch(gs))
+        images = out.images
+        assert "graphs" not in images.__dict__
+        expected = [self.expected(s, g) for g in gs]
+        kept = [i for i, e in enumerate(expected) if e is not None]
+        assert images.sizes.tolist() == [gs[i].n for i in kept]
+        assert images.widths.tolist() == [expected[i].d for i in kept]
+        for i, (g, e) in enumerate(zip(gs, expected)):
+            if e is None:
+                with pytest.raises(ContractError) as alone:
+                    apply_transform(s, g)
+                assert type(out[i]) is ContractError and out.errors[i] is out[i]
+                assert str(out[i]) == str(alone.value)
+            else:
+                assert out.errors[i] is None
+                self.assert_image(out[i], g, e)
+        assert out[kept[0]] is images.graphs[0]
+
+    @pytest.mark.parametrize("s", SPECS, ids=lambda s: s.kind)
+    def test_runs_takes_and_gathers_keep_the_bytes(self, monkeypatch, s):
+        """Runs cut by a small BATCH_CELLS, takes and a two-part gather
+        of the images hold the per-graph images' rows, and forward over
+        them gives the rows of forward over those graphs."""
+        gs = [g for g in self.MEMBERS if g.n]
+        expected = [self.expected(s, g) for g in gs]
+        images = apply_transform(s, GraphBatch(gs)).images
+        other = apply_transform(s, GraphBatch(gs[::-1])).images
+        width = expected[0].d
+        one_width = [i for i, e in enumerate(expected) if e.d == width]
+        m = init_model("gin", width, 1)
+        whole = forward(m, GraphBatch([expected[i] for i in one_width]))
+        monkeypatch.setattr("isobench.graphs.BATCH_CELLS", 40)
+        runs = list(images.runs(lambda rows, edges, graphs, largest: rows))
+        assert len(runs) > 2
+        start = 0
+        for run in runs:
+            stop = start + len(run.sizes)
+            for t, g, e in zip(run.graphs, gs[start:stop], expected[start:stop]):
+                self.assert_image(t, g, e)
+            start = stop
+        assert start == len(gs) and "graphs" not in images.__dict__
+        taken = images.take(one_width)
+        assert taken.features.tobytes() == np.vstack(
+            [expected[i].features for i in one_width]
+        ).tobytes()
+        assert forward(m, taken).tobytes() == whole.tobytes()
+        last = len(gs) - 1
+        rows = [last - i for i in one_width[:2]]
+        both = GraphBatch.gather([(images, one_width[2:]), (other, rows)])
+        picked = one_width[2:] + one_width[:2]
+        for t, i in zip(both.graphs, picked):
+            self.assert_image(t, gs[i], expected[i])
+        assert images.take(range(len(gs))) is images
+        assert "graphs" not in images.__dict__ and "graphs" not in other.__dict__
+        with pytest.raises(ContractError, match="feature widths"):
+            images.features
 
 
 class TestRelabelingBehavior:
