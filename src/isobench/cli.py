@@ -32,6 +32,7 @@ from .evaluate import (
     REPORT_FORMATS,
     WL_SIGNATURES,
     augment_with_iso_pairs,
+    check_cluster_eps,
     evaluate_grid,
     report_table,
 )
@@ -189,8 +190,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_wl(args) -> int:
     check_quant_eps(args.eps)
-    ds = _load_pairs(args.input, args.format)
     specs = [parse_transform_token(t) for t in args.transform]
+    ds = _load_pairs(args.input, args.format)
     signature = WL_SIGNATURES[f"wl{args.k}"]
     distinguished = 0
     evaluated = 0
@@ -230,6 +231,15 @@ def _refuse_shared_origins(args, datasets: list[PairDataset]) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    # Every option is checked before any input is read.
+    tokens = args.transform or ["base"]
+    specs = [parse_transform_token(t) for t in tokens]
+    check_quant_eps(args.quant_eps)
+    check_cluster_eps(args.eps)
+    if args.augment < 0:
+        raise ContractError(f"--augment must be >= 0, got {args.augment}")
+    if args.augment and args.seed_data < 0:
+        raise ContractError(f"--seed-data must be >= 0 to augment, got {args.seed_data}")
     datasets = [_load_pairs(path, args.format) for path in args.input]
     if args.by_origin:
         _refuse_shared_origins(args, datasets)
@@ -237,8 +247,6 @@ def _cmd_evaluate(args) -> int:
     if args.augment:
         extra = augment_with_iso_pairs(merged.graphs, args.augment, args.seed_data)
         merged = PairDataset(merged.pairs + extra.pairs, args.seed_data)
-    tokens = args.transform or ["base"]
-    specs = [parse_transform_token(t) for t in tokens]
     embedders = args.embedder or ["wl1"]
     rows = evaluate_grid(
         merged,

@@ -2,10 +2,13 @@
 
 Every error raised on purpose derives from IsobenchError so callers can
 separate expected failures (bad input, resource limits, non-convergence)
-from genuine bugs.
+from genuine bugs. check_number is the one type check of a numeric
+argument.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class IsobenchError(Exception):
@@ -14,6 +17,15 @@ class IsobenchError(Exception):
 
 class ContractError(IsobenchError, ValueError):
     """A precondition on an argument was violated."""
+
+
+def check_number(name: str, value, number: type) -> None:
+    """Raise ContractError naming the argument unless value is a number of
+    the abstract type number, numbers.Integral or numbers.Real; numpy
+    scalars are numbers, and a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, number):
+        what = "an integer" if number is numbers.Integral else "a real number"
+        raise ContractError(f"{name} must be {what}, got {value!r}")
 
 
 class GraphParseError(IsobenchError, ValueError):

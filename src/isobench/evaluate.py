@@ -23,36 +23,34 @@ pointer jumping. Pairs whose transform or embedding raises are excluded
 and counted, never silently dropped.
 
 A dataset is indexed once: its distinct input graph objects in
-first-seen order, left before right, pair by pair, and each pair's two
-positions among them, with its ground truth, as arrays. Every result is
-then kept by position: a spec's transforms as the image batches its
-transform calls returned, with each position's batch and row, a model's
-embeddings as the rows of one float array, and each pass's failures as
-a boolean mask.
+first-seen order, left before right, pair by pair, as one GraphBatch,
+and each pair's two positions among them, with its ground truth, as
+arrays. Every result is then kept by position: a spec's transforms as
+the one image batch its transform call returned, with each position's
+row in it, a model's embeddings as the rows of one float array, and
+each pass's failures as a boolean mask.
 
 A cell selects its pair rows, all of them or one origin's, and runs in
-three steps. It transforms every distinct input graph of its pairs,
-embeds every distinct transformed graph of the pairs whose two
-transforms succeeded, and scores the pairs. Both passes take graphs in
-first-seen order and compute a graph whatever its partner's fate: a
-failed left graph does not spare its partner's transform or embedding.
-Each pass is one batch call over the graphs it lacks, with
-GraphBatch.each's per-graph results: the result or the IsobenchError
-that the graph alone raises. The embed pass takes its graphs by one
-rule: the positions it lacks, cut into runs stored by one transform
-call, gathered run by run (GraphBatch.gather); positions that are one
-whole stored batch, in order, give that batch itself. So a column
-transform's images reach a model as the batch with_columns made, and
-no Graph object is built for them. A model embedder finds the graphs it
-refuses by one comparison of the batch's node-count and width arrays,
-then embeds the rest in one forward call. The failure masks,
-gathered at the pairs' positions, exclude pairs; only the excluded
-pairs are visited one by one, to note each by its left graph's error,
-else its right one's, transform notes before embed notes. The
-survivors' embeddings are gathered at once, and the result type decides
-the classes for every embedder: bytes give exact classes by equality,
-anything else is clustered, the vectors of each length apart. fn, fp
-and ecc are counted over label arrays.
+three steps. The first cell of a spec transforms the whole indexed
+batch in one call; a cell then embeds every distinct transformed graph
+of its pairs whose two transforms succeeded, and scores the pairs. Each
+pass computes a graph whatever its partner's fate: a failed left graph
+does not spare its partner's embedding. Each pass is one batch call,
+with GraphBatch.each's per-graph results: the result or the
+IsobenchError that the graph alone raises. The embed pass takes the
+graphs it lacks, in first-seen order, as the images' rows at their
+positions (GraphBatch.take); rows that are the whole image batch, in
+order, give that batch itself. So a column transform's images reach a
+model as the batch with_columns made, and no Graph object is built for
+them. A model embedder finds the graphs it refuses by one comparison of
+the batch's node-count and width arrays, then embeds the rest in one
+forward call. The failure masks, gathered at the pairs' positions,
+exclude pairs; only the excluded pairs are visited one by one, to note
+each by its left graph's error, else its right one's, transform notes
+before embed notes. The survivors' embeddings are gathered at once, and
+the result type decides the classes for every embedder: bytes give
+exact classes by equality, anything else is clustered, the vectors of
+each length apart. fn, fp and ecc are counted over label arrays.
 
 A grid computes each thing once. One memo per spec (_Memo), dropped
 before the next spec, keys each per-graph pass: the spec's transforms,
@@ -64,19 +62,22 @@ share is embedded for the first of them only. A wl2 digest is the wl1
 digest, so wl2 checks each graph against its tuple budget, as
 wlk_signature does, then reads the wl1 pass, refining only the graphs it
 lacks. A cell's seconds cover only the work that cell triggered first,
-so a grid's rows still sum to its wall time.
+so a grid's rows still sum to its wall time: a by-origin grid charges
+each spec's transform to its first cell.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, IsobenchError
+from .errors import ContractError, IsobenchError, check_number
 from .graphs import Graph, GraphBatch, Permutation
 from .models import ARCHS, ModelParams, _refused, check_graph, forward, init_model
 from .quant import check_quant_eps
@@ -171,6 +172,8 @@ def augment_with_iso_pairs(
     permutation per sampled graph, in order. The sampled graphs are
     relabeled as one GraphBatch. Ground truth is true by construction.
     """
+    check_number("count", count, numbers.Integral)
+    check_number("seed", seed, numbers.Integral)
     if count < 0:
         raise ContractError(f"count must be >= 0, got {count}")
     if seed < 0:
@@ -189,8 +192,10 @@ def augment_with_iso_pairs(
 
 
 def check_cluster_eps(eps: float) -> None:
-    """Raise ContractError unless eps is a usable tolerance: finite and >= 0."""
-    if not (np.isfinite(eps) and eps >= 0.0):
+    """Raise ContractError unless eps is a usable tolerance: a real number,
+    finite and >= 0."""
+    check_number("cluster_eps", eps, numbers.Real)
+    if not 0.0 <= eps < math.inf:
         raise ContractError(f"cluster tolerance must be finite and >= 0, got {eps}")
 
 
@@ -312,26 +317,30 @@ GraphEmbedder = Callable[[Graph], "bytes | np.ndarray"]
 class _Index:
     """A dataset's pairs as arrays over its distinct input graphs.
 
-    graphs holds each distinct input graph object once, in first-seen
-    order, left before right, pair by pair; slots[i] holds the positions
-    of pair i's left and right graph in it. every is every pair row, and
+    batch holds each distinct input graph object once, in first-seen
+    order, left before right, pair by pair, as one GraphBatch (None when
+    there is none), and size counts them; slots[i] holds the positions of
+    pair i's left and right graph in it. every is every pair row, and
     by_origin maps each origin, in first-seen order, to its pair rows.
     """
 
     pairs: tuple[LabeledPair, ...]
-    graphs: tuple[Graph, ...]
+    batch: GraphBatch | None
+    size: int
     slots: np.ndarray
     isomorphic: np.ndarray
     every: np.ndarray
     by_origin: dict[str, np.ndarray]
 
     @classmethod
-    def of(cls, ds: PairDataset) -> _Index:
+    def of(cls, ds: PairDataset, origin: str | None = None) -> _Index:
+        """The index of the dataset's pairs, or of one origin's pairs only."""
+        pairs = ds.pairs if origin is None else tuple(p for p in ds.pairs if p.origin == origin)
         position: dict[int, int] = {}
         graphs: list[Graph] = []
         slots: list[int] = []
         by_origin: dict[str, list[int]] = {}
-        for i, pair in enumerate(ds.pairs):
+        for i, pair in enumerate(pairs):
             for g in (pair.left, pair.right):
                 slot = position.setdefault(id(g), len(graphs))
                 if slot == len(graphs):
@@ -339,11 +348,12 @@ class _Index:
                 slots.append(slot)
             by_origin.setdefault(pair.origin, []).append(i)
         return cls(
-            ds.pairs,
-            tuple(graphs),
+            pairs,
+            GraphBatch(graphs) if graphs else None,
+            len(graphs),
             np.array(slots, dtype=np.intp).reshape(-1, 2),
-            np.array([p.isomorphic for p in ds.pairs], dtype=bool),
-            np.arange(len(ds.pairs)),
+            np.array([p.isomorphic for p in pairs], dtype=bool),
+            np.arange(len(pairs)),
             {o: np.array(r, dtype=np.intp) for o, r in by_origin.items()},
         )
 
@@ -362,9 +372,8 @@ class _Results:
     done[p] marks a computed graph and failed[p] an error. A model pass
     writes its embeddings into the rows of vectors instead and keeps
     None in values. A transform pass keeps None in values for an image:
-    the images of each store are one GraphBatch in batches, and image p
-    is row row[p] of batches[batch[p]]. lacking counts the graphs not
-    done, failures the errors.
+    the images are the one GraphBatch images, and image p is its row
+    row[p]. lacking counts the graphs not done, failures the errors.
     """
 
     def __init__(self, size: int):
@@ -372,8 +381,7 @@ class _Results:
         self.done = np.zeros(size, dtype=bool)
         self.failed = np.zeros(size, dtype=bool)
         self.vectors: np.ndarray | None = None
-        self.batches: list[GraphBatch] = []
-        self.batch = np.zeros(size, dtype=np.intp)
+        self.images: GraphBatch | None = None
         self.row = np.zeros(size, dtype=np.intp)
         self.lacking = size
         self.failures = 0
@@ -391,7 +399,7 @@ class _Results:
         np.not_equal(flat[order[1:]], flat[order[:-1]], out=first[1:])
         return flat[np.sort(order[first])].tolist()
 
-    def store(self, need: list[int], results: list, images: GraphBatch | None = None) -> None:
+    def store(self, need: Sequence[int], results: list, images: GraphBatch | None = None) -> None:
         """Record results[j], a result or an IsobenchError, for position
         need[j]; images, of a transform pass, holds the images of the
         positions without an error, in order."""
@@ -409,24 +417,16 @@ class _Results:
         self.failures += len(failed)
         if images is not None:
             kept = at[~self.failed[at]]
-            self.batch[kept] = len(self.batches)
             self.row[kept] = np.arange(len(kept))
-            self.batches.append(images)
+            self.images = images
 
-    def images(self, need: list[int]) -> GraphBatch:
-        """The images at positions need, in order, as one batch: the rows
-        of each run of positions stored together, gathered run by run."""
-        at = np.asarray(need, dtype=np.intp)
-        batch, row = self.batch[at], self.row[at]
-        cuts = (np.flatnonzero(batch[1:] != batch[:-1]) + 1).tolist()
-        starts = [0] + cuts
-        return GraphBatch.gather(
-            [(self.batches[batch[a]], row[a:b]) for a, b in zip(starts, cuts + [len(need)])]
-        )
+    def take(self, need: list[int]) -> GraphBatch:
+        """The images at positions need, in order, as one batch."""
+        return self.images.take(self.row[need])
 
     def width(self, p: int) -> int:
         """The feature width of image p."""
-        return int(self.batches[self.batch[p]].widths[self.row[p]])
+        return int(self.images.widths[self.row[p]])
 
 
 @dataclass
@@ -437,8 +437,9 @@ class _Memo:
     The spec keys its transforms, and (embedder, width) an embedder's
     embeddings: embedder is a built-in name or a custom callable's id(),
     so an unhashable callable keys a pass and two that share a name keep
-    their own, and width is a model's input width, or 0. A cell computes
-    every distinct graph of its pairs that a pass lacks, failed partners
+    their own, and width is a model's input width, or 0. The spec's first
+    cell transforms every graph of the index; a cell embeds every
+    distinct graph of its pairs that an embed pass lacks, failed partners
     included.
     """
 
@@ -449,7 +450,7 @@ class _Memo:
         """The pass under key, empty on first use."""
         out = self.passes.get(key)
         if out is None:
-            out = self.passes[key] = _Results(len(self.index.graphs))
+            out = self.passes[key] = _Results(self.index.size)
         return out
 
 
@@ -539,10 +540,11 @@ def evaluate_pairs(
     exact equality) or a float vector (classes by eps clustering, each
     length apart). `memo` holds the dataset's index and the transforms
     and embeddings that evaluate_grid shares between the cells of one
-    spec; without it the cell indexes the dataset and computes everything
-    itself. A quant_eps that is not finite and > 0, a cluster_eps that is
-    not finite and >= 0, a kwl_budget that is not an integer >= 1, or an
-    unknown embedder name raises ContractError before any pair runs.
+    spec; without it the cell indexes its own pairs and computes
+    everything itself. A quant_eps that is not finite and > 0, a
+    cluster_eps that is not finite and >= 0, a kwl_budget that is not an
+    integer >= 1, or an unknown embedder name raises ContractError before
+    any pair runs.
     """
     check_quant_eps(quant_eps)
     check_cluster_eps(cluster_eps)
@@ -550,19 +552,18 @@ def evaluate_pairs(
     if not callable(embedder) and embedder not in EMBEDDERS:
         raise ContractError(f"unknown embedder {str(embedder)!r}; valid: {', '.join(EMBEDDERS)}")
     start = time.perf_counter()
-    memo = _Memo(_Index.of(ds)) if memo is None else memo
+    memo = _Memo(_Index.of(ds, origin)) if memo is None else memo
     index = memo.index
     rows, slots = index.cell(origin)
 
     transformed = memo.results(spec)
-    need = transformed.need(slots)
-    if need:
+    if transformed.lacking:
+        # The spec's first cell transforms every indexed graph at once.
         # Positional, through this module's global: benchmarks/tracing.py
         # patches evaluate.apply_transform and keys the batch by its n,
         # edges and features.
-        batch = GraphBatch([index.graphs[p] for p in need])
-        out = apply_transform(spec, batch)
-        transformed.store(need, out.errors, out.images)
+        out = apply_transform(spec, index.batch)
+        transformed.store(range(index.size), out.errors, out.images)
     notes: list[str] = []
     kept = _exclude(transformed, slots, np.arange(len(rows)), rows, index, notes)
 
@@ -574,7 +575,7 @@ def evaluate_pairs(
     embedded = memo.results((key, 0 if params is None else embed_dim))
     need = embedded.need(survivors)
     if need:
-        graphs = transformed.images(need)
+        graphs = transformed.take(need)
         if params is not None:
             _embed_model(params, graphs, need, embedded)
         elif embedder == "wl2":
@@ -584,7 +585,7 @@ def evaluate_pairs(
             wl1 = memo.results(("wl1", 0))
             fresh = wl1.need(np.array([p for p, e in zip(need, guards) if e is None], np.intp))
             if fresh:
-                fit = transformed.images(fresh)
+                fit = transformed.take(fresh)
                 wl1.store(fresh, fit.each(_wl_digest("wl1", quant_eps, kwl_budget)))
             embedded.store(need, [wl1.values[p] if e is None else e for p, e in zip(need, guards)])
         else:
@@ -637,9 +638,9 @@ def evaluate_grid(
     """One row per (spec, embedder, origin) cell, in that nesting order.
 
     Equal to calling evaluate_pairs once per cell, `seconds` aside: the
-    dataset is indexed once, the cells of one spec share its transforms
-    and its 1-WL digests, and the cells of one (spec, embedder) share its
-    embeddings.
+    dataset is indexed once, each spec transforms the indexed graphs in
+    one call, the cells of one spec share those transforms and its 1-WL
+    digests, and the cells of one (spec, embedder) share its embeddings.
     """
     index = _Index.of(ds)
     origins: list[str | None] = list(index.by_origin) if by_origin else [None]

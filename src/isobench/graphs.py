@@ -204,8 +204,15 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _checked_features(n: int, features) -> np.ndarray:
-    """A read-only float64 copy of an (n, d >= 1) matrix of finite values."""
-    feats = np.array(features, dtype=np.float64, copy=True)
+    """A read-only float64 copy of an (n, d >= 1) matrix of finite real
+    numbers; bools and numpy numbers count as real."""
+    try:
+        feats = np.asarray(features)
+    except ValueError:
+        raise ContractError("features must be an array of real numbers, got ragged rows") from None
+    if feats.dtype.kind not in "biuf":
+        raise ContractError(f"features must be an array of real numbers, got dtype {feats.dtype}")
+    feats = feats.astype(np.float64)
     if feats.ndim != 2 or feats.shape[0] != n or feats.shape[1] < 1:
         raise ContractError(f"features must have shape ({n}, d>=1), got {feats.shape}")
     if feats.size and not np.all(np.isfinite(feats)):
@@ -241,9 +248,9 @@ _SHARED_ARRAYS = (
 )
 
 
-def _picked(parts: Iterable[tuple[tuple, np.ndarray]]) -> tuple:
-    """Items rows of each part's tuple, part after part."""
-    return tuple(chain.from_iterable(map(seq.__getitem__, rows.tolist()) for seq, rows in parts))
+def _picked(items: tuple, rows: np.ndarray) -> tuple:
+    """items at rows, in order."""
+    return tuple(map(items.__getitem__, rows.tolist()))
 
 
 class GraphBatch:
@@ -495,45 +502,32 @@ class GraphBatch:
         return self._of(self._structure[start:stop], fields)
 
     def take(self, rows: Sequence[int] | np.ndarray) -> GraphBatch:
-        """Graphs rows of this batch, in that order, as a batch (see gather)."""
-        return GraphBatch.gather([(self, rows)])
+        """Graphs rows of this batch, in that order, as a batch.
 
-    @staticmethod
-    def gather(parts: Sequence[tuple[GraphBatch, Sequence[int] | np.ndarray]]) -> GraphBatch:
-        """Graphs rows of each part's batch, part after part, as one batch.
-
-        One part that is its whole batch in order gives that batch. Else
-        the result holds the parts' count arrays at those rows. When every
-        part's batch has built its graphs, it holds those same Graph
-        objects; otherwise it is made from arrays, with each width's
-        feature rows gathered from the parts' blocks.
+        Rows that are the whole batch in order give the batch itself. Else
+        the result holds this batch's count arrays at those rows. When this
+        batch has built its graphs, it holds those same Graph objects;
+        otherwise it is made from arrays, with each width's feature rows
+        taken from this batch's blocks.
         """
-        parts = [(b, np.asarray(rows, dtype=np.intp)) for b, rows in parts]
-        if len(parts) == 1:
-            b, rows = parts[0]
-            if rows.size == len(b._structure) and np.array_equal(rows, np.arange(rows.size)):
-                return b
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size == len(self._structure) and np.array_equal(rows, np.arange(rows.size)):
+            return self
         fields = {
-            name: _counts(np.concatenate([getattr(b, name)[r] for b, r in parts]))
-            for name in ("sizes", "edge_counts", "widths")
+            name: _counts(getattr(self, name)[rows]) for name in ("sizes", "edge_counts", "widths")
         }
-        if all("graphs" in b.__dict__ for b, _ in parts):
-            fields["graphs"] = _picked((b.graphs, r) for b, r in parts)
+        if "graphs" in self.__dict__:
+            fields["graphs"] = _picked(self.graphs, rows)
         else:
-            pieces: dict[int, list[np.ndarray]] = {}
-            for b, r in parts:
-                sizes = b.sizes[r]
-                starts = b.offsets[r] - np.cumsum(sizes) + sizes
-                nodes = np.arange(sizes.sum()) + np.repeat(starts, sizes)
-                width = np.repeat(b.widths[r], sizes)
-                for d in set(b.widths[r].tolist()):
-                    at = b._block_row[nodes[width == d]]
-                    pieces.setdefault(d, []).append(b._blocks[d][at])
+            sizes = self.sizes[rows]
+            starts = self.offsets[rows] - np.cumsum(sizes) + sizes
+            nodes = np.arange(sizes.sum()) + np.repeat(starts, sizes)
+            width = np.repeat(fields["widths"], sizes)
             fields["_blocks"] = {
-                d: _read_only(p[0] if len(p) == 1 else np.concatenate(p))
-                for d, p in sorted(pieces.items())
+                d: _read_only(self._blocks[d][self._block_row[nodes[width == d]]])
+                for d in sorted(set(fields["widths"].tolist()))
             }
-        return GraphBatch._of(_picked((b._structure, r) for b, r in parts), fields)
+        return GraphBatch._of(_picked(self._structure, rows), fields)
 
     def _width_groups(self) -> Iterator[tuple[int, list[int], np.ndarray]]:
         """(d, members, rows) per feature width d, ascending: the graphs of

@@ -69,12 +69,13 @@ holds because every operation is row by row, with four rules:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_number
 from .graphs import Graph, GraphBatch, as_batch
 
 HIDDEN_DIM = 16
@@ -129,6 +130,8 @@ def init_model(arch: str, input_dim: int, seed: int) -> ModelParams:
     """
     if arch not in ARCHS:
         raise ContractError(f"unknown architecture {arch!r}; valid: {', '.join(ARCHS)}")
+    check_number("input_dim", input_dim, numbers.Integral)
+    check_number("seed", seed, numbers.Integral)
     if input_dim < 1:
         raise ContractError(f"input width must be >= 1, got {input_dim}")
     if seed < 0:

@@ -9,14 +9,19 @@ dictionary keys.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, check_number
 
 
 def check_quant_eps(eps: float) -> None:
-    """Raise ContractError unless eps is a usable granularity: finite and > 0."""
-    if not (np.isfinite(eps) and eps > 0.0):
+    """Raise ContractError unless eps is a usable granularity: a real
+    number, finite and > 0."""
+    check_number("quant_eps", eps, numbers.Real)
+    if not 0.0 < eps < math.inf:
         raise ContractError(f"quantization granularity must be positive and finite, got {eps}")
 
 

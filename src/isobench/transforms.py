@@ -57,7 +57,7 @@ from .centrality import (
     degree_centrality,
     eigenvector_centrality,
 )
-from .errors import ContractError, IsobenchError
+from .errors import ContractError, IsobenchError, check_number
 from .graphs import GRAPH6_MAX_NODES, Graph, GraphBatch, _canonical_rows, as_batch
 from .spectral import SIGN_MODES, laplacian_encoding_columns
 
@@ -93,10 +93,8 @@ class TransformSpec:
             raise ContractError(
                 f"unknown transform kind {self.kind!r}; valid kinds: {', '.join(KINDS)}"
             )
-        for name, number, what in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, number):
-                raise ContractError(f"{name} must be {what}, got {value!r}")
+        for name, number in _NUMBER_FIELDS:
+            check_number(name, getattr(self, name), number)
         if not 1 <= self.k <= GRAPH6_MAX_NODES:
             raise ContractError(f"k must lie in 1..{GRAPH6_MAX_NODES}, got {self.k}")
         if self.radius < 1:
@@ -116,13 +114,13 @@ class TransformSpec:
                 raise _foreign(self.kind, f.name)
 
 
-# TransformSpec's numeric fields: (name, number type, its name in errors).
+# TransformSpec's numeric fields and their number types.
 _NUMBER_FIELDS = (
-    ("k", numbers.Integral, "an integer"),
-    ("radius", numbers.Integral, "an integer"),
-    ("d_max", numbers.Integral, "an integer"),
-    ("power_max_iter", numbers.Integral, "an integer"),
-    ("power_tol", numbers.Real, "a real number"),
+    ("k", numbers.Integral),
+    ("radius", numbers.Integral),
+    ("d_max", numbers.Integral),
+    ("power_max_iter", numbers.Integral),
+    ("power_tol", numbers.Real),
 )
 
 # Token option -> (TransformSpec field, cast): every field but kind, cast

@@ -635,3 +635,28 @@ class TestBadNumbers:
         self.assert_refused(
             capsys, "evaluate", "--input", "hard_pairs", "--embedder", "gin", "--seed-model", "-1",
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("evaluate", "--transform", "bogus"), "bad transform token 'bogus'"),
+            (("evaluate", "--transform", "degree:k=2"), "transform degree takes no option 'k'"),
+            (("evaluate", "--eps", "-1"), "cluster tolerance must be finite and >= 0, got -1.0"),
+            (("evaluate", "--quant-eps", "0"), "quantization granularity must be positive"),
+            (("evaluate", "--augment", "-1"), "--augment must be >= 0, got -1"),
+            (("evaluate", "--augment", "2", "--seed-data", "-1"), "--seed-data must be >= 0"),
+            (("wl", "--transform", "bogus"), "bad transform token 'bogus'"),
+            (("wl", "--eps", "0"), "quantization granularity must be positive"),
+        ],
+    )
+    def test_options_are_checked_before_any_input_is_read(self, capsys, tmp_path, argv, message):
+        """A missing input file would be a data error; a bad option is
+        refused first, by its own message."""
+        command, *options = argv
+        code, out, err = run(capsys, command, "--input", str(tmp_path / "missing.el"), *options)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"isobench: usage error: {message}") and err.count("\n") == 1
+
+    def test_seed_data_is_free_without_augmenting(self, capsys):
+        code, _, _ = run(capsys, "evaluate", "--input", "hard_pairs", "--seed-data", "-1")
+        assert code == EXIT_OK

@@ -310,6 +310,25 @@ class TestDatasets:
         with pytest.raises(ContractError):
             augment_with_iso_pairs([Graph(0)], 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "count, seed, message",
+        [
+            (1.5, 0, "count must be an integer, got 1.5"),
+            (True, 0, "count must be an integer, got True"),
+            (1, 1.5, "seed must be an integer, got 1.5"),
+            (1, "0", "seed must be an integer, got '0'"),
+        ],
+    )
+    def test_augmentation_numbers_must_be_integers(self, count, seed, message):
+        with pytest.raises(ContractError) as err:
+            augment_with_iso_pairs([path(3)], count, seed)
+        assert str(err.value) == message
+
+    def test_augmentation_takes_numpy_integers(self):
+        a = augment_with_iso_pairs([path(3), star(4)], np.int64(1), np.int32(5))
+        b = augment_with_iso_pairs([path(3), star(4)], 1, 5)
+        assert [(p.left, p.right) for p in a.pairs] == [(p.left, p.right) for p in b.pairs]
+
 
 class TestEvaluatePairs:
     def test_exact_refinement_on_library(self):
@@ -465,6 +484,36 @@ class TestGridAndRendering:
         with pytest.raises(ContractError, match="tuple budget must be an integer >= 1"):
             evaluate_grid(ds, [base_spec()], ["wl1"], kwl_budget=budget)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"cluster_eps": "x"}, "cluster_eps must be a real number, got 'x'"),
+            ({"cluster_eps": True}, "cluster_eps must be a real number, got True"),
+            ({"quant_eps": "x"}, "quant_eps must be a real number, got 'x'"),
+            ({"quant_eps": False}, "quant_eps must be a real number, got False"),
+            ({"model_seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"model_seed": True}, "seed must be an integer, got True"),
+        ],
+    )
+    def test_badly_typed_numbers_are_refused(self, options, message):
+        ds = make_pair_dataset(toy_pairs())
+        with pytest.raises(ContractError) as err:
+            evaluate_grid(ds, [base_spec()], ["gin"], **options)
+        assert str(err.value) == message
+
+    def test_numpy_numbers_are_numbers(self):
+        ds = make_pair_dataset(toy_pairs())
+        numpy = evaluate_grid(
+            ds, [base_spec()], ["gin", "wl1"],
+            cluster_eps=np.float32(1e-5), quant_eps=np.float64(1e-6), model_seed=np.int64(2),
+        )
+        plain = evaluate_grid(
+            ds, [base_spec()], ["gin", "wl1"], cluster_eps=float(np.float32(1e-5)), model_seed=2
+        )
+        assert [dataclasses.replace(r, seconds=0.0) for r in numpy] == [
+            dataclasses.replace(r, seconds=0.0) for r in plain
+        ]
+
     def test_grid_by_origin(self):
         pairs = [
             LabeledPair(path(3), path(3), True, origin="a"),
@@ -548,6 +597,20 @@ def two_width_pairs(with_empty: bool) -> PairDataset:
         LabeledPair(b2, a2, False, "b"),
     ]
     return PairDataset(tuple(pairs))
+
+
+def record_transforms(monkeypatch) -> list[tuple[str, list[int]]]:
+    """Patch evaluate.apply_transform to record each call's kind and the
+    node counts of its batch, in the list returned."""
+    calls: list[tuple[str, list[int]]] = []
+    apply = evaluate.apply_transform
+
+    def recording(spec, b):
+        calls.append((spec.kind, b.sizes.tolist()))
+        return apply(spec, b)
+
+    monkeypatch.setattr(evaluate, "apply_transform", recording)
+    return calls
 
 
 class TestGridSharing:
@@ -865,7 +928,8 @@ class TestImageBatches:
     def test_embed_batch_gathers_images_stored_by_two_cells(self, monkeypatch, arch):
         """By origin, closeness refuses a's empty graph, so a's other
         graph is transformed but not embedded there; b's cell embeds it
-        with b's own images, one gather over both stored batches."""
+        with b's own graphs, all taken from the one image batch of the
+        spec's one transform call, which a's cell made."""
         x, y = path(4), star(5)
         ds = PairDataset(
             (
@@ -875,21 +939,67 @@ class TestImageBatches:
             )
         )
         spec = TransformSpec(kind="closeness")
-        parts: list[int] = []
-        gather = GraphBatch.gather
-
-        def recording(items):
-            parts.append(len(items))
-            return gather(items)
-
-        monkeypatch.setattr(GraphBatch, "gather", staticmethod(recording))
+        calls = record_transforms(monkeypatch)
         grid = evaluate_grid(ds, [spec], [arch, "wl1"], by_origin=True)
-        assert 2 in parts
+        assert calls == [("closeness", [0, 4, 5, 5, 6])]
         reference = [
             reference_evaluate_pairs(ds, spec, e, origin=o) for e in (arch, "wl1") for o in "ab"
         ]
         assert [dataclasses.replace(r, seconds=0.0) for r in grid] == reference
         assert [r.pairs for r in grid] == [0, 2, 0, 2]
+
+
+    def test_by_origin_grid_transforms_once_per_spec(self, monkeypatch):
+        """Each spec's first cell, that of origin a, transforms every
+        graph of the dataset in one call, b's and c's included."""
+        shared, hub = path(4), star(6)
+        ds = PairDataset(
+            (
+                LabeledPair(path(3), shared, False, "a"),
+                LabeledPair(shared, cycle(5), False, "b"),
+                LabeledPair(Graph(0), hub, False, "c"),
+                LabeledPair(hub, star(6), True, "c"),
+            )
+        )
+        calls = record_transforms(monkeypatch)
+        grid = evaluate_grid(ds, self.COLUMN_SPECS, ["gin", "wl1"], by_origin=True)
+        sizes = [3, 4, 5, 0, 6, 6]
+        assert calls == [(s.kind, sizes) for s in self.COLUMN_SPECS]
+        reference = [
+            reference_evaluate_pairs(ds, s, e, origin=o)
+            for s in self.COLUMN_SPECS
+            for e in ("gin", "wl1")
+            for o in "abc"
+        ]
+        assert [dataclasses.replace(r, seconds=0.0) for r in grid] == reference
+
+    def test_origin_cell_alone_transforms_only_its_graphs(self, monkeypatch):
+        """evaluate_pairs with an origin and no memo indexes that origin's
+        pairs only, so its one transform call holds only their graphs."""
+        shared, mine = path(4), cycle(5)
+        ds = PairDataset(
+            (
+                LabeledPair(path(3), shared, False, "a"),
+                LabeledPair(shared, mine, False, "b"),
+                LabeledPair(star(6), path(7), False, "c"),
+            )
+        )
+        seen: list[tuple[Graph, ...]] = []
+        apply = evaluate.apply_transform
+
+        def recording(spec, b):
+            seen.append(b.graphs)
+            return apply(spec, b)
+
+        monkeypatch.setattr(evaluate, "apply_transform", recording)
+        row = evaluate_pairs(ds, TransformSpec(kind="degree"), "wl1", origin="b")
+        assert [[id(g) for g in b] for b in seen] == [[id(shared), id(mine)]]
+        assert dataclasses.replace(row, seconds=0.0) == reference_evaluate_pairs(
+            ds, TransformSpec(kind="degree"), "wl1", origin="b"
+        )
+        seen.clear()
+        missing = evaluate_pairs(ds, TransformSpec(kind="degree"), "wl1", origin="d")
+        assert seen == [] and (missing.pairs, missing.excluded) == (0, 0)
 
 
 class TestModelBatches:

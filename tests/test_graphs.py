@@ -133,6 +133,27 @@ class TestGraphType:
             Graph(n, edges)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            ([["a"], ["b"]], "features must be an array of real numbers, got dtype <U1"),
+            ([["1.0"], ["2.0"]], "features must be an array of real numbers, got dtype <U3"),
+            ([[1.0], [None]], "features must be an array of real numbers, got dtype object"),
+            ([[1.0], [1.0, 2.0]], "features must be an array of real numbers, got ragged rows"),
+            ([[1j], [2j]], "features must be an array of real numbers, got dtype complex128"),
+        ],
+        ids=["letters", "numerals", "none-row", "ragged", "complex"],
+    )
+    def test_features_must_be_real_numbers(self, features, message):
+        with pytest.raises(ContractError) as err:
+            Graph(2, features=features)
+        assert str(err.value) == message
+
+    def test_integer_and_bool_features_are_real(self):
+        g = Graph(2, features=np.array([[3], [-1]], dtype=np.int8))
+        assert g.features.dtype == np.float64 and g.features.tolist() == [[3.0], [-1.0]]
+        assert Graph(1, features=[[True]]).features.tolist() == [[1.0]]
+
     def test_numpy_integer_endpoints(self):
         g = Graph(3, [(np.int64(2), np.int32(0)), np.array([1, 2])])
         assert g.edge_index.tolist() == [[0, 2], [1, 2]]

@@ -39,6 +39,24 @@ class TestInit:
         with pytest.raises(ContractError):
             init_model("gin", 0, 0)
 
+    @pytest.mark.parametrize(
+        "width, seed, message",
+        [
+            (1.5, 0, "input_dim must be an integer, got 1.5"),
+            (True, 0, "input_dim must be an integer, got True"),
+            (2, 1.5, "seed must be an integer, got 1.5"),
+            (2, None, "seed must be an integer, got None"),
+        ],
+    )
+    def test_rejects_badly_typed_numbers(self, width, seed, message):
+        with pytest.raises(ContractError) as err:
+            init_model("gin", width, seed)
+        assert str(err.value) == message
+
+    def test_takes_numpy_integers(self):
+        a, b = init_model("pna", np.int64(3), np.uint8(7)), init_model("pna", 3, 7)
+        assert all(np.array_equal(x.w1, y.w1) for x, y in zip(a.weights, b.weights))
+
     def test_same_seed_same_weights(self):
         a = init_model("gin", 3, 7)
         b = init_model("gin", 3, 7)

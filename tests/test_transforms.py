@@ -566,8 +566,8 @@ class TestBatch:
 
 class TestColumnImages:
     """A column kind's images are one batch made from arrays: reading its
-    graphs gives the per-graph images byte for byte, and so do its runs,
-    takes and gathers, without building a graph."""
+    graphs gives the per-graph images byte for byte, and so do its runs
+    and takes, without building a graph."""
 
     SPECS = (spec("degree"), spec("closeness"), spec("distance_encoding", d_max=2))
     # Widths 1 and 2, with n = 0 and n = 1 graphs of both widths.
@@ -624,13 +624,13 @@ class TestColumnImages:
 
     @pytest.mark.parametrize("s", SPECS, ids=lambda s: s.kind)
     def test_runs_takes_and_gathers_keep_the_bytes(self, monkeypatch, s):
-        """Runs cut by a small BATCH_CELLS, takes and a two-part gather
-        of the images hold the per-graph images' rows, and forward over
-        them gives the rows of forward over those graphs."""
+        """Runs cut by a small BATCH_CELLS, and takes of the images, in
+        order and out of order over both widths, hold the per-graph
+        images' rows, and forward over them gives the rows of forward
+        over those graphs."""
         gs = [g for g in self.MEMBERS if g.n]
         expected = [self.expected(s, g) for g in gs]
         images = apply_transform(s, GraphBatch(gs)).images
-        other = apply_transform(s, GraphBatch(gs[::-1])).images
         width = expected[0].d
         one_width = [i for i, e in enumerate(expected) if e.d == width]
         m = init_model("gin", width, 1)
@@ -650,14 +650,14 @@ class TestColumnImages:
             [expected[i].features for i in one_width]
         ).tobytes()
         assert forward(m, taken).tobytes() == whole.tobytes()
-        last = len(gs) - 1
-        rows = [last - i for i in one_width[:2]]
-        both = GraphBatch.gather([(images, one_width[2:]), (other, rows)])
-        picked = one_width[2:] + one_width[:2]
-        for t, i in zip(both.graphs, picked):
+        picked = one_width[2:] + [i for i in range(len(gs))[::-1] if i not in one_width[2:]]
+        shuffled = images.take(picked)
+        assert "graphs" not in shuffled.__dict__
+        assert shuffled.widths.tolist() == [expected[i].d for i in picked]
+        for t, i in zip(shuffled.graphs, picked):
             self.assert_image(t, gs[i], expected[i])
         assert images.take(range(len(gs))) is images
-        assert "graphs" not in images.__dict__ and "graphs" not in other.__dict__
+        assert "graphs" not in images.__dict__
         with pytest.raises(ContractError, match="feature widths"):
             images.features
 
