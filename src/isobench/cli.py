@@ -37,6 +37,7 @@ from .evaluate import (
     report_table,
 )
 from .graphs import GraphBatch, write_edge_list
+from .models import check_model_seed
 from .quant import check_quant_eps
 from .transforms import TransformSpec, apply_transform, parse_transform_token
 from .wl import DEFAULT_EPS, DEFAULT_TUPLE_BUDGET
@@ -236,6 +237,7 @@ def _cmd_evaluate(args) -> int:
     specs = [parse_transform_token(t) for t in tokens]
     check_quant_eps(args.quant_eps)
     check_cluster_eps(args.eps)
+    check_model_seed(args.seed_model)
     if args.augment < 0:
         raise ContractError(f"--augment must be >= 0, got {args.augment}")
     if args.augment and args.seed_data < 0:

@@ -25,45 +25,39 @@ and counted, never silently dropped.
 A dataset is indexed once: its distinct input graph objects in
 first-seen order, left before right, pair by pair, as one GraphBatch,
 and each pair's two positions among them, with its ground truth, as
-arrays. Every result is then kept by position: a spec's transforms as
-the one image batch its transform call returned, with each position's
-row in it, a model's embeddings as the rows of one float array, and
-each pass's failures as a boolean mask.
+arrays.
 
-A cell selects its pair rows, all of them or one origin's, and runs in
-three steps. The first cell of a spec transforms the whole indexed
-batch in one call; a cell then embeds every distinct transformed graph
-of its pairs whose two transforms succeeded, and scores the pairs. Each
-pass computes a graph whatever its partner's fate: a failed left graph
-does not spare its partner's embedding. Each pass is one batch call,
+A grid computes each per-graph pass once per spec, as one batch call
 with GraphBatch.each's per-graph results: the result or the
-IsobenchError that the graph alone raises. The embed pass takes the
-graphs it lacks, in first-seen order, as the images' rows at their
-positions (GraphBatch.take); rows that are the whole image batch, in
-order, give that batch itself. So a column transform's images reach a
-model as the batch with_columns made, and no Graph object is built for
-them. A model embedder finds the graphs it refuses by one comparison of
-the batch's node-count and width arrays, then embeds the rest in one
-forward call. The failure masks, gathered at the pairs' positions,
-exclude pairs; only the excluded pairs are visited one by one, to note
-each by its left graph's error, else its right one's, transform notes
-before embed notes. The survivors' embeddings are gathered at once, and
-the result type decides the classes for every embedder: bytes give
-exact classes by equality, anything else is clustered, the vectors of
-each length apart. fn, fp and ecc are counted over label arrays.
+IsobenchError that the graph alone raises. One memo per spec (_Memo),
+dropped before the next spec, keeps the passes. The transform pass
+transforms the whole indexed batch in one call and keeps each
+position's error, the images as one batch and each position's row in
+it; so a column transform's images reach a model as the batch
+with_columns made, and no Graph object is built for them. Each embed
+pass, one per (embedder, model input width), embeds every image, in
+image order, that of a graph whose partner failed included, and keeps
+its results by image row. A model embedder finds the images it refuses
+by one comparison of the batch's node-count and width arrays, then
+embeds the rest in one forward call. A wl2 digest is the wl1 digest,
+so wl2 checks each image against its tuple budget, as wlk_signature
+does, and reads the spec's one 1-WL digest table for the rest; the
+table refines each image on first ask, and wl1 asks for every image.
+A custom embedder must be pure, and return all bytes or all 1-D real
+vectors.
 
-A grid computes each thing once. One memo per spec (_Memo), dropped
-before the next spec, keys each per-graph pass: the spec's transforms,
-each distinct input graph object's once, and each embedder's
-embeddings, each transformed graph's once per model input width.
-Clustering runs per cell, because a cell's classes depend on which pairs
-it holds. So a custom embedder must be pure: a graph that several cells
-share is embedded for the first of them only. A wl2 digest is the wl1
-digest, so wl2 checks each graph against its tuple budget, as
-wlk_signature does, then reads the wl1 pass, refining only the graphs it
-lacks. A cell's seconds cover only the work that cell triggered first,
-so a grid's rows still sum to its wall time: a by-origin grid charges
-each spec's transform to its first cell.
+A cell selects its pair rows, all of them or one origin's, and only
+gathers. The transform failures at its pairs' positions exclude pairs;
+its first surviving pair's image width picks a model's pass, and that
+pass's failures at the survivors' image rows exclude more. Only the
+excluded pairs are visited one by one, to note each by its left
+graph's error, else its right one's, transform notes before embed
+notes. The survivors' results are gathered at once: bytes give exact
+classes by equality, vectors are clustered, each length apart, per
+cell, since a cell's classes depend on which pairs it holds. fn, fp
+and ecc are counted over label arrays. A cell's seconds cover only the
+passes it computed first, so a grid's rows still sum to its wall time:
+a by-origin grid charges each pass to the first cell that needs it.
 """
 
 from __future__ import annotations
@@ -73,13 +67,22 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, IsobenchError, check_number
 from .graphs import Graph, GraphBatch, Permutation
-from .models import ARCHS, ModelParams, _refused, check_graph, forward, init_model
+from .models import (
+    ARCHS,
+    ModelParams,
+    _refused,
+    check_graph,
+    check_model_seed,
+    forward,
+    init_model,
+)
 from .quant import check_quant_eps
 from .transforms import KINDS, TRANSFORMS, TransformSpec, apply_transform
 from .wl import (
@@ -319,14 +322,13 @@ class _Index:
 
     batch holds each distinct input graph object once, in first-seen
     order, left before right, pair by pair, as one GraphBatch (None when
-    there is none), and size counts them; slots[i] holds the positions of
-    pair i's left and right graph in it. every is every pair row, and
+    there is none); slots[i] holds the positions of pair i's left and
+    right graph in it. every is every pair row, and
     by_origin maps each origin, in first-seen order, to its pair rows.
     """
 
     pairs: tuple[LabeledPair, ...]
     batch: GraphBatch | None
-    size: int
     slots: np.ndarray
     isomorphic: np.ndarray
     every: np.ndarray
@@ -350,7 +352,6 @@ class _Index:
         return cls(
             pairs,
             GraphBatch(graphs) if graphs else None,
-            len(graphs),
             np.array(slots, dtype=np.intp).reshape(-1, 2),
             np.array([p.isomorphic for p in pairs], dtype=bool),
             np.arange(len(pairs)),
@@ -365,93 +366,68 @@ class _Index:
         return rows, self.slots[rows]
 
 
-class _Results:
-    """One pass's results over an index's graphs, by position.
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """One per-graph pass's results, in graph order.
 
-    values[p] is graph p's result or the IsobenchError that it raised;
-    done[p] marks a computed graph and failed[p] an error. A model pass
-    writes its embeddings into the rows of vectors instead and keeps
-    None in values. A transform pass keeps None in values for an image:
-    the images are the one GraphBatch images, and image p is its row
-    row[p]. lacking counts the graphs not done, failures the errors.
+    values[i] is graph i's result or the IsobenchError that it raised,
+    and failed[i] marks an error. A transform pass keeps its images as
+    the one GraphBatch images, and a model pass its embeddings as the
+    rows of vectors, for the graphs without an error only, in order:
+    graph i's is row row[i], and values holds None for it.
     """
 
-    def __init__(self, size: int):
-        self.values: list = [None] * size
-        self.done = np.zeros(size, dtype=bool)
-        self.failed = np.zeros(size, dtype=bool)
-        self.vectors: np.ndarray | None = None
-        self.images: GraphBatch | None = None
-        self.row = np.zeros(size, dtype=np.intp)
-        self.lacking = size
-        self.failures = 0
+    values: list
+    failed: np.ndarray
+    images: GraphBatch | None = None
+    vectors: np.ndarray | None = None
 
-    def need(self, slots: np.ndarray) -> list[int]:
-        """The distinct positions of slots, read row by row, that are not
-        done, in first-seen order."""
-        if not self.lacking:
-            return []
-        flat = slots.ravel()
-        flat = flat[~self.done[flat]]
-        # A stable sort puts each position's first appearance first.
-        order = np.argsort(flat, kind="stable")
-        first = np.ones(flat.size, dtype=bool)
-        np.not_equal(flat[order[1:]], flat[order[:-1]], out=first[1:])
-        return flat[np.sort(order[first])].tolist()
+    @classmethod
+    def of(cls, values: list, images: GraphBatch | None = None) -> _Pass:
+        """The pass of per-graph results, each a result or an IsobenchError."""
+        return cls(values, np.array([isinstance(v, IsobenchError) for v in values], bool), images)
 
-    def store(self, need: Sequence[int], results: list, images: GraphBatch | None = None) -> None:
-        """Record results[j], a result or an IsobenchError, for position
-        need[j]; images, of a transform pass, holds the images of the
-        positions without an error, in order."""
-        values = self.values
-        failed = []
-        for p, r in zip(need, results, strict=True):
-            if r is not None:
-                values[p] = r
-                if isinstance(r, IsobenchError):
-                    failed.append(p)
-        at = np.asarray(need, dtype=np.intp)
-        self.done[at] = True
-        self.failed[failed] = True
-        self.lacking -= len(need)
-        self.failures += len(failed)
-        if images is not None:
-            kept = at[~self.failed[at]]
-            self.row[kept] = np.arange(len(kept))
-            self.images = images
+    @cached_property
+    def failures(self) -> bool:
+        return bool(self.failed.any())
 
-    def take(self, need: list[int]) -> GraphBatch:
-        """The images at positions need, in order, as one batch."""
-        return self.images.take(self.row[need])
-
-    def width(self, p: int) -> int:
-        """The feature width of image p."""
-        return int(self.images.widths[self.row[p]])
+    @cached_property
+    def row(self) -> np.ndarray:
+        return np.cumsum(~self.failed) - 1
 
 
 @dataclass
 class _Memo:
-    """A dataset's index and the per-graph passes that the cells of one
-    spec share, each a _Results over the index's graphs.
+    """A dataset's index and the passes that the cells of one spec share.
 
-    The spec keys its transforms, and (embedder, width) an embedder's
-    embeddings: embedder is a built-in name or a custom callable's id(),
-    so an unhashable callable keys a pass and two that share a name keep
-    their own, and width is a model's input width, or 0. The spec's first
-    cell transforms every graph of the index; a cell embeds every
-    distinct graph of its pairs that an embed pass lacks, failed partners
-    included.
+    passes keys the spec's transform pass by the spec, and each embed
+    pass by (embedder, width): embedder is a built-in name or a custom
+    callable's id(), so an unhashable callable keys a pass and two that
+    share a name keep their own, and width is a model's input width, or
+    0. wl1 maps image rows to their 1-WL digests, filled on first ask.
     """
 
     index: _Index
-    passes: dict[object, _Results] = field(default_factory=dict)
+    passes: dict[object, _Pass] = field(default_factory=dict)
+    wl1: dict[int, object] = field(default_factory=dict)
 
-    def results(self, key: object) -> _Results:
-        """The pass under key, empty on first use."""
+    def get(self, key: object, compute: Callable[[], _Pass]) -> _Pass:
+        """The pass under key, computed on first use."""
         out = self.passes.get(key)
         if out is None:
-            out = self.passes[key] = _Results(self.index.size)
+            out = self.passes[key] = compute()
         return out
+
+
+def _transform(spec: TransformSpec, batch: GraphBatch | None) -> _Pass:
+    """The transform pass over an index's batch, in one call."""
+    if batch is None:
+        return _Pass.of([])
+    # Positional, through this module's global: benchmarks/tracing.py
+    # patches evaluate.apply_transform and keys the batch by its n,
+    # edges and features.
+    out = apply_transform(spec, batch)
+    return _Pass.of(out.errors, out.images)
 
 
 def _wl_digest(embedder: str, eps: float, budget: int) -> Callable[[Graph], bytes]:
@@ -460,50 +436,79 @@ def _wl_digest(embedder: str, eps: float, budget: int) -> Callable[[Graph], byte
     return lambda g: bytes.fromhex(signature(g, eps, budget).digest)
 
 
-def _embed_model(params: ModelParams, b: GraphBatch, need: list[int], embedded: _Results) -> None:
-    """Embed the graphs of b that the model accepts in one forward call,
-    writing each one's row into embedded.vectors at its position; each
-    other graph gets the error check_graph raises for it. One mask over the
+def _embed_wl1(memo: _Memo, images: GraphBatch, wl2: bool, eps: float, budget: int) -> _Pass:
+    """Each image's 1-WL digest, from the memo's table, which refines only
+    the images it lacks. For wl2 the tuple guards run first, as in
+    wlk_signature, and an image they refuse keeps its error unrefined."""
+    size = len(images.sizes)
+    guards = images.each(lambda g: check_tuple_refinement(g, 2, budget)) if wl2 else [None] * size
+    fresh = [i for i, e in enumerate(guards) if e is None and i not in memo.wl1]
+    if fresh:
+        memo.wl1.update(zip(fresh, images.take(fresh).each(_wl_digest("wl1", eps, budget))))
+    return _Pass.of([memo.wl1[i] if e is None else e for i, e in enumerate(guards)])
+
+
+def _embed_model(params: ModelParams, images: GraphBatch) -> _Pass:
+    """Embed the images the model accepts in one forward call; each other
+    image gets the error check_graph raises for it. One mask over the
     batch's count arrays finds them, so check_graph runs only on refused
-    graphs."""
-    refused = _refused(params, b)
-    out: list = [None] * len(refused)
+    images."""
+    refused = _refused(params, images)
+    values: list = [None] * len(refused)
     if refused.any():
         bad = np.flatnonzero(refused)
-        for j, e in zip(bad.tolist(), b.take(bad).each(lambda g: check_graph(params, g))):
-            out[j] = e
-        fit = np.flatnonzero(~refused)
-        b = b.take(fit) if fit.size else None
-    if b is not None:
-        # Positional, through this module's global: benchmarks/tracing.py
-        # patches evaluate.forward and counts the batch's n node rows.
-        rows = forward(params, b)
-        if embedded.vectors is None:
-            embedded.vectors = np.empty((len(embedded.values), rows.shape[1]))
-        embedded.vectors[np.asarray(need)[~refused]] = rows
-    embedded.store(need, out)
+        for j, e in zip(bad.tolist(), images.take(bad).each(lambda g: check_graph(params, g))):
+            values[j] = e
+        images = None if refused.all() else images.take(np.flatnonzero(~refused))
+    # Positional, through this module's global: benchmarks/tracing.py
+    # patches evaluate.forward and counts the batch's n node rows.
+    return _Pass(values, refused, vectors=None if images is None else forward(params, images))
+
+
+def _embed_custom(name: str, embed: GraphEmbedder, images: GraphBatch) -> _Pass:
+    """embed over each image; a ContractError naming the embedder unless
+    its results are all bytes or all 1-D real vectors."""
+    values = images.each(embed)
+    kinds = set()
+    for v in values:
+        if isinstance(v, (bytes, bytearray)):
+            kinds.add(bytes)
+        elif not isinstance(v, IsobenchError):
+            try:
+                a = np.asarray(v)
+            except ValueError:  # a ragged sequence
+                a = np.asarray(v, dtype=object)
+            if a.ndim != 1 or a.dtype.kind not in "biuf":
+                raise ContractError(
+                    f"embedder {name!r} returned an array of dtype {a.dtype} and shape "
+                    f"{a.shape}, not bytes or a 1-D real vector"
+                )
+            kinds.add(np.ndarray)
+    if len(kinds) > 1:
+        raise ContractError(f"embedder {name!r} returned bytes for some graphs, vectors for others")
+    return _Pass.of(values)
 
 
 def _exclude(
-    results: _Results,
-    slots: np.ndarray,
+    done: _Pass,
     kept: np.ndarray,
+    at: np.ndarray,
     rows: np.ndarray,
     index: _Index,
     notes: list[str],
-) -> np.ndarray:
-    """The cell pairs of kept, indices into slots, whose two graphs have
-    results. A dropped pair is noted by its left graph's error, else its
-    right one's."""
-    if not results.failures:
-        return kept
-    bad = results.failed[slots[kept]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cell pairs of kept, indices into rows, whose two graphs, at at's
+    rows of done, have results, with those rows. A dropped pair is noted by
+    its left graph's error, else its right one's."""
+    if not done.failures:
+        return kept, at
+    bad = done.failed[at]
     dropped = bad[:, 0] | bad[:, 1]
     for j in np.flatnonzero(dropped).tolist():
         i = int(kept[j])
-        error = results.values[slots[i, 0] if bad[j, 0] else slots[i, 1]]
+        error = done.values[at[j, 0] if bad[j, 0] else at[j, 1]]
         notes.append(f"pair {i} ({index.pairs[rows[i]].origin}): {error}")
-    return kept[~dropped]
+    return kept[~dropped], at[~dropped]
 
 
 def _vector_keys(values: list, eps: float) -> list[tuple]:
@@ -522,6 +527,22 @@ def _vector_keys(values: list, eps: float) -> list[tuple]:
     return keys
 
 
+def _labels(done: _Pass, ends: np.ndarray, eps: float) -> list[int]:
+    """The class label of each result at rows ends of done: vectors are
+    clustered, and bytes grouped by equality."""
+    if not ends.size:
+        return []
+    if done.vectors is not None:
+        return cluster_embeddings(done.vectors[done.row[ends]], eps)
+    values = [done.values[p] for p in ends.tolist()]
+    if isinstance(values[0], (bytes, bytearray)):
+        keys: list = [bytes(e) for e in values]
+    else:
+        keys = _vector_keys(values, eps)
+    table: dict = {}
+    return [table.setdefault(key, len(table)) for key in keys]
+
+
 def evaluate_pairs(
     ds: PairDataset,
     spec: TransformSpec,
@@ -536,80 +557,56 @@ def evaluate_pairs(
 ) -> ReportRow:
     """Run one (transform, embedder) cell over the dataset.
 
-    A custom callable embedder may return either a bytes key (classes by
-    exact equality) or a float vector (classes by eps clustering, each
-    length apart). `memo` holds the dataset's index and the transforms
-    and embeddings that evaluate_grid shares between the cells of one
-    spec; without it the cell indexes its own pairs and computes
-    everything itself. A quant_eps that is not finite and > 0, a
-    cluster_eps that is not finite and >= 0, a kwl_budget that is not an
-    integer >= 1, or an unknown embedder name raises ContractError before
-    any pair runs.
+    A custom callable embedder returns either bytes keys (classes by
+    exact equality) or 1-D real vectors (classes by eps clustering, each
+    length apart) for all graphs. `memo` holds the dataset's index and
+    the passes that evaluate_grid shares between the cells of one spec;
+    without it the cell indexes its own pairs and computes everything
+    itself. A quant_eps that is not finite and > 0, a cluster_eps that
+    is not finite and >= 0, a kwl_budget that is not an integer >= 1, a
+    model_seed that is not an integer >= 0, or an unknown embedder name
+    raises ContractError before any pair runs.
     """
     check_quant_eps(quant_eps)
     check_cluster_eps(cluster_eps)
     check_kwl_budget(kwl_budget)
+    check_model_seed(model_seed)
     if not callable(embedder) and embedder not in EMBEDDERS:
         raise ContractError(f"unknown embedder {str(embedder)!r}; valid: {', '.join(EMBEDDERS)}")
     start = time.perf_counter()
     memo = _Memo(_Index.of(ds, origin)) if memo is None else memo
     index = memo.index
-    rows, slots = index.cell(origin)
+    rows, at = index.cell(origin)
+    name = embedder if isinstance(embedder, str) else getattr(embedder, "__name__", "custom")
 
-    transformed = memo.results(spec)
-    if transformed.lacking:
-        # The spec's first cell transforms every indexed graph at once.
-        # Positional, through this module's global: benchmarks/tracing.py
-        # patches evaluate.apply_transform and keys the batch by its n,
-        # edges and features.
-        out = apply_transform(spec, index.batch)
-        transformed.store(range(index.size), out.errors, out.images)
+    transformed = memo.get(spec, lambda: _transform(spec, index.batch))
     notes: list[str] = []
-    kept = _exclude(transformed, slots, np.arange(len(rows)), rows, index, notes)
+    kept, at = _exclude(transformed, np.arange(len(rows)), at, rows, index, notes)
+    labels: list = []
+    if len(kept):
+        images, at = transformed.images, transformed.row[at]
+        # A model's weights depend on its input width; other embedders do not.
+        model = embedder in ARCHS
+        width = int(images.widths[at[0, 0]]) if model else 0
 
-    survivors = slots[kept]
-    embed_dim = transformed.width(survivors[0, 0]) if len(survivors) else 1
-    params = init_model(embedder, embed_dim, model_seed) if embedder in ARCHS else None
-    # A model's weights depend on its input width; other embedders do not.
-    key = embedder if isinstance(embedder, str) else id(embedder)
-    embedded = memo.results((key, 0 if params is None else embed_dim))
-    need = embedded.need(survivors)
-    if need:
-        graphs = transformed.take(need)
-        if params is not None:
-            _embed_model(params, graphs, need, embedded)
-        elif embedder == "wl2":
-            # The tuple guards run first, so a refused graph stays refused
-            # whichever cell ran first; the rest read the wl1 pass.
-            guards = graphs.each(lambda g: check_tuple_refinement(g, 2, kwl_budget))
-            wl1 = memo.results(("wl1", 0))
-            fresh = wl1.need(np.array([p for p, e in zip(need, guards) if e is None], np.intp))
-            if fresh:
-                fit = transformed.take(fresh)
-                wl1.store(fresh, fit.each(_wl_digest("wl1", quant_eps, kwl_budget)))
-            embedded.store(need, [wl1.values[p] if e is None else e for p, e in zip(need, guards)])
-        else:
-            embed = embedder if callable(embedder) else _wl_digest(embedder, quant_eps, kwl_budget)
-            embedded.store(need, graphs.each(embed))
-    kept = _exclude(embedded, slots, kept, rows, index, notes)
+        def embed() -> _Pass:
+            if model:
+                return _embed_model(init_model(embedder, width, model_seed), images)
+            if callable(embedder):
+                return _embed_custom(name, embedder, images)
+            if embedder == "wl3":
+                return _Pass.of(images.each(_wl_digest("wl3", quant_eps, kwl_budget)))
+            return _embed_wl1(memo, images, embedder == "wl2", quant_eps, kwl_budget)
 
-    # Left and right graph of each included pair, pair by pair.
-    ends = slots[kept].ravel()
-    if params is not None:
-        labels = cluster_embeddings(embedded.vectors[ends], cluster_eps) if ends.size else []
-    else:
-        values = [embedded.values[p] for p in ends.tolist()]
-        if values and isinstance(values[0], (bytes, bytearray)):
-            keys: list = [bytes(e) for e in values]
-        else:
-            keys = _vector_keys(values, cluster_eps)
-        table: dict = {}
-        labels = [table.setdefault(key, len(table)) for key in keys]
+        key = embedder if isinstance(embedder, str) else id(embedder)
+        embedded = memo.get((key, width), embed)
+        kept, at = _exclude(embedded, kept, at, rows, index, notes)
+        # Left and right graph of each included pair, pair by pair.
+        labels = _labels(embedded, at.ravel(), cluster_eps)
     labels = np.array(labels, dtype=np.intp)
     same = labels[0::2] == labels[1::2]
     isomorphic = index.isomorphic[rows[kept]]
     seconds = time.perf_counter() - start
-    name = embedder if isinstance(embedder, str) else getattr(embedder, "__name__", "custom")
     return ReportRow(
         method=spec.kind,
         embedder=name,
@@ -639,8 +636,8 @@ def evaluate_grid(
 
     Equal to calling evaluate_pairs once per cell, `seconds` aside: the
     dataset is indexed once, each spec transforms the indexed graphs in
-    one call, the cells of one spec share those transforms and its 1-WL
-    digests, and the cells of one (spec, embedder) share its embeddings.
+    one call, and each (embedder, model width) embeds the spec's images
+    in one pass that the spec's cells share.
     """
     index = _Index.of(ds)
     origins: list[str | None] = list(index.by_origin) if by_origin else [None]

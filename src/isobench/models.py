@@ -122,6 +122,13 @@ def _draw_mlp(rng: np.random.Generator, dims: tuple[int, int, int]) -> MLPParams
     return MLPParams(*parts)
 
 
+def check_model_seed(seed: int) -> None:
+    """Raise ContractError unless seed is a usable model seed: an integer >= 0."""
+    check_number("seed", seed, numbers.Integral)
+    if seed < 0:
+        raise ContractError(f"model seed must be >= 0, got {seed}")
+
+
 def init_model(arch: str, input_dim: int, seed: int) -> ModelParams:
     """Draw all weights for one architecture from a seeded generator.
 
@@ -131,11 +138,9 @@ def init_model(arch: str, input_dim: int, seed: int) -> ModelParams:
     if arch not in ARCHS:
         raise ContractError(f"unknown architecture {arch!r}; valid: {', '.join(ARCHS)}")
     check_number("input_dim", input_dim, numbers.Integral)
-    check_number("seed", seed, numbers.Integral)
+    check_model_seed(seed)
     if input_dim < 1:
         raise ContractError(f"input width must be >= 1, got {input_dim}")
-    if seed < 0:
-        raise ContractError(f"model seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = tuple(
         _draw_mlp(rng, (dim_in, HIDDEN_DIM, HIDDEN_DIM))

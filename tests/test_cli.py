@@ -632,9 +632,11 @@ class TestBadNumbers:
         )
 
     def test_negative_model_seed(self, capsys):
-        self.assert_refused(
-            capsys, "evaluate", "--input", "hard_pairs", "--embedder", "gin", "--seed-model", "-1",
-        )
+        """Refused whether or not a model cell would run."""
+        for embedder in ((), ("--embedder", "gin")):
+            self.assert_refused(
+                capsys, "evaluate", "--input", "hard_pairs", *embedder, "--seed-model", "-1",
+            )
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -647,6 +649,7 @@ class TestBadNumbers:
             (("evaluate", "--augment", "2", "--seed-data", "-1"), "--seed-data must be >= 0"),
             (("wl", "--transform", "bogus"), "bad transform token 'bogus'"),
             (("wl", "--eps", "0"), "quantization granularity must be positive"),
+            (("evaluate", "--seed-model", "-1"), "model seed must be >= 0, got -1"),
         ],
     )
     def test_options_are_checked_before_any_input_is_read(self, capsys, tmp_path, argv, message):

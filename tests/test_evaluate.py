@@ -388,6 +388,42 @@ class TestEvaluatePairs:
         ]
         assert sum(r.fn for r in vector) > 0 and all(r.excluded == 0 for r in vector)
 
+    @pytest.mark.parametrize(
+        "four, other, message",
+        [
+            (b"k", np.array([1.0]), "returned bytes for some graphs, vectors for others"),
+            (np.array([1.0]).tobytes(), np.array([1.0]), "for some graphs, vectors for others"),
+            (np.array([1.0]), np.array([1.0]).tobytes(), "for some graphs, vectors for others"),
+            (1.5, 2.5, "dtype float64 and shape ()"),
+            (np.eye(2), np.eye(2), "dtype float64 and shape (2, 2)"),
+            (np.array([1j]), np.array([1.0]), "dtype complex128 and shape (1,)"),
+            ([1.0, [2.0]], np.array([1.0]), "dtype object and shape (2,)"),
+        ],
+        ids=[
+            "bytes-first", "vector-bytes-first", "vector-first", "scalar", "matrix", "complex",
+            "ragged",
+        ],
+    )
+    def test_custom_embedder_must_return_one_kind(self, four, other, message):
+        """bytes for the 4-node graphs, the other result for the rest: a
+        mix of kinds, or a result that is not bytes or a 1-D real vector,
+        is refused by one ContractError that names the embedder."""
+
+        def mixed(g):
+            return four if g.n == 4 else other
+
+        ds = PairDataset(
+            (
+                LabeledPair(path(4), star(4), False),
+                LabeledPair(path(3), cycle(5), False),
+                LabeledPair(star(5), path(4), False),
+            )
+        )
+        with pytest.raises(ContractError) as err:
+            evaluate_pairs(ds, base_spec(), mixed)
+        assert str(err.value).startswith("embedder 'mixed' ")
+        assert message in str(err.value)
+
     def test_model_embedder_runs(self):
         ds = make_pair_dataset(toy_pairs())
         row = evaluate_pairs(ds, TransformSpec(kind="degree"), "gin", model_seed=3)
@@ -471,6 +507,18 @@ class TestGridAndRendering:
         assert by_name["wl2"].notes == (
             "pair 0 (unlabeled): tuple refinement needs at least one node",
         )
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_unusable_model_seed_is_refused_without_a_model_cell(self, monkeypatch, seed):
+        def never(spec, x):
+            raise AssertionError("no transform may run")
+
+        monkeypatch.setattr(evaluate, "apply_transform", never)
+        ds = make_pair_dataset(toy_pairs())
+        with pytest.raises(ContractError, match="seed must be"):
+            evaluate_grid(ds, [base_spec()], ["wl1"], model_seed=seed)
+        with pytest.raises(ContractError, match="seed must be"):
+            evaluate_pairs(ds, base_spec(), "wl1", model_seed=seed)
 
     @pytest.mark.parametrize("budget", [0, -5, True, 2.5, "100"])
     def test_unusable_kwl_budget_is_refused_before_any_pair(self, monkeypatch, budget):
@@ -654,9 +702,9 @@ class TestGridSharing:
         objects = {id(g) for g in ds.graphs}
         assert len(objects) == (8 if with_empty else 6) < len(ds.graphs)
         assert applied == Counter({(s.kind, o): 1 for s in self.SPECS for o in objects})
-        # Under closeness the pair (Graph(0), path(3)) is excluded before
-        # embedding, so its two graphs are embedded under the other specs only.
-        embedded = len(self.SPECS) * len(objects) - (2 if with_empty else 0)
+        # Closeness refuses Graph(0), so it has no image to embed there;
+        # its partner path(3)'s image is still embedded, once.
+        embedded = len(self.SPECS) * len(objects) - (1 if with_empty else 0)
         for calls in (first_calls, second_calls):
             assert sum(calls.values()) == embedded
             assert set(calls.values()) == {1}
@@ -752,13 +800,59 @@ class TestGridSharing:
         assert [dataclasses.replace(r, seconds=0.0) for r in grid] == [
             dataclasses.replace(r, seconds=0.0) for r in alone
         ]
-        # Closeness refuses Graph(0), so its pair's graphs are never
-        # embedded there; every other transformed graph is refined once.
+        # Closeness refuses Graph(0), so it has no image to refine there;
+        # every transformed graph is refined once.
         objects = len({id(g) for g in ds.graphs})
-        assert len(refined) == len({id(g) for g in refined}) == len(self.SPECS) * objects - 2
+        assert len(refined) == len({id(g) for g in refined}) == len(self.SPECS) * objects - 1
         notes = "\n".join(note for r in grid if r.embedder == "wl2" for note in r.notes)
         assert "tuple refinement needs at least one node" in notes
         assert "needs 16 tuple-neighbor operations per round, budget is 9" in notes
+
+    def test_wl2_refines_no_graph_its_tuple_guard_refuses(self, monkeypatch):
+        """Under a budget of 9 tuple operations only graphs of 1 to 3 nodes
+        pass wl2's guard, and a wl2-only grid refines no other graph; with
+        wl1 beside it, each image is refined once, as by wl1 alone."""
+        refined: list[Graph] = []  # keeps ids unique for the whole grid
+        original = evaluate.wl1_signature
+
+        def recording(g, eps):
+            refined.append(g)
+            return original(g, eps)
+
+        monkeypatch.setattr(evaluate, "wl1_signature", recording)
+        ds = two_width_pairs(with_empty=True)
+        evaluate_grid(ds, self.SPECS, ["wl2"], kwl_budget=9)
+        assert refined and all(1 <= g.n and g.n**2 <= 9 for g in refined)
+        refined.clear()
+        evaluate_grid(ds, self.SPECS, ["wl1"], kwl_budget=9)
+        alone = len(refined)
+        refined.clear()
+        evaluate_grid(ds, self.SPECS, ["wl2", "wl1"], kwl_budget=9)
+        assert len(refined) == len({id(g) for g in refined}) == alone
+
+    def test_by_origin_model_grid_makes_one_forward_call_per_width(self, monkeypatch):
+        """Three origins of one feature width share each spec's model pass:
+        one forward call per (spec, model width), over every image."""
+        widths: list[tuple[int, int]] = []
+        original = evaluate.forward
+
+        def recording(params, b):
+            widths.append((params.input_dim, len(b.sizes)))
+            return original(params, b)
+
+        monkeypatch.setattr(evaluate, "forward", recording)
+        ds = PairDataset(
+            (
+                LabeledPair(path(4), star(4), False, "a"),
+                LabeledPair(cycle(5), path(5), False, "b"),
+                LabeledPair(star(6), cycle(6), False, "c"),
+            )
+        )
+        specs = [base_spec(), TransformSpec(kind="degree")]
+        grid = evaluate_grid(ds, specs, ["gin"], by_origin=True)
+        assert widths == [(1, 6), (2, 6)]
+        reference = [reference_evaluate_pairs(ds, s, "gin", origin=o) for s in specs for o in "abc"]
+        assert [dataclasses.replace(r, seconds=0.0) for r in grid] == reference
 
     @pytest.mark.parametrize("by_origin", [False, True])
     @pytest.mark.parametrize("arch", models.ARCHS)
@@ -926,10 +1020,10 @@ class TestImageBatches:
 
     @pytest.mark.parametrize("arch", models.ARCHS)
     def test_embed_batch_gathers_images_stored_by_two_cells(self, monkeypatch, arch):
-        """By origin, closeness refuses a's empty graph, so a's other
-        graph is transformed but not embedded there; b's cell embeds it
-        with b's own graphs, all taken from the one image batch of the
-        spec's one transform call, which a's cell made."""
+        """By origin, closeness refuses a's empty graph, so a's cell has
+        no pair left and embeds nothing; b's cell embeds every image of
+        the one image batch of the spec's one transform call, which a's
+        cell made, a's other graph included."""
         x, y = path(4), star(5)
         ds = PairDataset(
             (
@@ -1162,9 +1256,10 @@ class TestArrayCells:
         missing = by_cell["base", "gin", "missing"]
         assert (missing.ecc, missing.pairs, missing.excluded, missing.notes) == (0, 0, 0, ())
 
-    def test_passes_take_graphs_in_first_seen_order(self, monkeypatch):
-        """A graph first seen in an excluded pair, or in another origin's
-        pair, joins a cell's batch where that cell first sees it."""
+    def test_passes_take_graphs_in_image_order(self, monkeypatch):
+        """A transform pass takes the indexed graphs in first-seen order,
+        and an embed pass takes every image in image order, that of a graph
+        whose partner failed included."""
         batches: list[tuple[str, list[int]]] = []
         apply, embed = evaluate.apply_transform, evaluate.forward
 
@@ -1191,7 +1286,7 @@ class TestArrayCells:
             ("transform", [5, 4]),
             ("forward", [5, 4]),
             ("transform", [4, 0, 5]),
-            ("forward", [5, 4]),
+            ("forward", [4, 5]),
         ]
 
     def test_empty_dataset_matches(self):
