@@ -140,17 +140,18 @@ def verify_pair_labels(pairs: Sequence[LabeledPair]) -> tuple[LabeledPair, ...]:
     """Re-check ground truth exactly for pairs small enough to afford it.
 
     Pairs with more than VERIFY_MAX_NODES nodes keep their label and stay
-    flagged unverified. A verified contradiction raises.
+    flagged unverified. A verified contradiction raises, naming the pair's
+    position in pairs (from 0) and its origin.
     """
     from .errors import CorpusIntegrityError
 
     out = []
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         if max(pair.left.n, pair.right.n) <= VERIFY_MAX_NODES:
             verdict = are_isomorphic(pair.left, pair.right)
             if verdict.isomorphic != pair.isomorphic:
                 raise CorpusIntegrityError(
-                    f"pair {pair.origin!r} labeled isomorphic={pair.isomorphic} "
+                    f"pair {i} ({pair.origin!r}) labeled isomorphic={pair.isomorphic} "
                     f"but the exact test says {verdict.isomorphic}"
                 )
             out.append(

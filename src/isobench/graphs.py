@@ -36,6 +36,7 @@ edge list
 
 from __future__ import annotations
 
+import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -45,7 +46,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractError, GraphParseError, IsobenchError, UnsupportedSizeError
+from .errors import (
+    ContractError,
+    GraphParseError,
+    IsobenchError,
+    UnsupportedSizeError,
+    check_number,
+)
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_NODES = 65535
@@ -607,15 +614,22 @@ def as_batch(x: Graph | GraphBatch) -> GraphBatch:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of 0..n-1, stored as the image tuple."""
+    """A bijection of 0..n-1, stored as the image tuple.
+
+    Each entry must be an integer (numpy integers count, bools do not)."""
 
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
+        mapping = tuple(self.mapping)
+        # Python ints, the common case, need no check per entry.
+        if not set(map(type, mapping)) <= {int}:
+            for entry in mapping:
+                check_number("permutation entry", entry, numbers.Integral)
+            mapping = tuple(map(int, mapping))
+        if sorted(mapping) != list(range(len(mapping))):
             raise ContractError("mapping is not a bijection of 0..n-1")
-        object.__setattr__(self, "mapping", tuple(map(int, self.mapping)))
+        object.__setattr__(self, "mapping", mapping)
 
     def __len__(self) -> int:
         return len(self.mapping)

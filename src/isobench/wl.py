@@ -31,9 +31,16 @@ searched. The search reuses node refinement (McKay & Piperno 2014,
 "Practical graph isomorphism, II"): it individualises one node, giving
 it a color no refinement round produces, refines again, and repeats
 until every class is a single node. Each candidate node of the second
-graph costs one individualise-and-refine step; a search that needs more
-than ISO_SEARCH_BUDGET steps raises ResourceLimitError instead of
-running on.
+graph costs one individualise-and-refine step. The search prunes by
+orbits (McKay & Piperno 2014, arXiv:1301.1493): once a subtree that
+passed the histogram check fails, generators of the second graph's
+automorphism group are found by the same search of that graph against
+itself, and a candidate is skipped when a generator that fixes the
+nodes individualised above it maps a failed candidate onto it. Only
+subtrees without an isomorphism are skipped, so the witness is the one
+the unpruned search finds. A search whose steps, those of the
+automorphism search included, exceed ISO_SEARCH_BUDGET raises
+ResourceLimitError instead of running on.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import ball_growth
-from .errors import ContractError, ResourceLimitError
+from .errors import ContractError, ResourceLimitError, check_number
 from .graphs import Graph, GraphBatch, Permutation, apply_permutation
 from .quant import quantize_matrix, quantized_row_bytes
 
@@ -290,8 +297,9 @@ def distinguishes(a: WLSignature, b: WLSignature) -> bool:
 class IsoVerdict:
     """Result of an exact isomorphism test, with a witness when positive.
 
-    steps counts the individualise-and-refine steps the search took: 0
-    when a necessary check decided the pair before any search.
+    steps counts the individualise-and-refine steps the search took, those
+    that looked for automorphisms of the second graph included: 0 when a
+    necessary check decided the pair before any search.
     """
 
     isomorphic: bool
@@ -303,6 +311,147 @@ def _individualise(colors: list[ColorKey], v: int) -> list[ColorKey]:
     out = list(colors)
     out[v] = _digest(_INDIVIDUAL + colors[v])
     return out
+
+
+class _Path:
+    """One graph's fixed path down the search tree, each level refined once.
+
+    Level k holds the colors after k individualisations and its target:
+    the lowest-index node in a class of more than one node, None once
+    every class is a single node. want[k] is the color histogram of
+    level k + 1, which a node of the other graph must match.
+    """
+
+    def __init__(self, g: Graph, colors: list[ColorKey]):
+        self.g = g
+        self.colors = [colors]
+        self.targets: list[int | None] = []
+        self.want: list[Counter] = []
+
+    def at(self, k: int) -> tuple[list[ColorKey], int | None]:
+        while len(self.targets) <= k:
+            colors = self.colors[-1]
+            sizes = Counter(colors)
+            v = next((v for v in range(self.g.n) if sizes[colors[v]] > 1), None)
+            self.targets.append(v)
+            if v is not None:
+                child = _refine(self.g, _individualise(colors, v))[0]
+                self.colors.append(child)
+                self.want.append(Counter(child))
+        return self.colors[k], self.targets[k]
+
+
+class _Search:
+    """The search of paths against h, pruned by automorphisms of h.
+
+    steps counts every candidate of h individualised and refined.
+    generators holds automorphisms of h as image tuples, each verified by
+    the leaf's edge check, or None until a subtree that passed the
+    histogram check fails. The pruning is sound because an automorphism
+    that fixes the h-prefix (the candidates individualised above a node)
+    carries the subtree of a tried candidate, which held no isomorphism,
+    onto the subtree of its image.
+    """
+
+    def __init__(self, h: Graph, colors: list[ColorKey]):
+        self.h = h
+        self.colors = colors
+        self.steps = 0
+        self.generators: list[tuple[int, ...]] | None = None
+
+    def leaf(self, path: _Path, depth: int, colors: list[ColorKey], prefix: tuple[int, ...]):
+        """The first leaf below the node (level depth of path, h's colors
+        and h-prefix there) whose map carries path.g's edges onto h's, as a
+        Permutation, or None.
+
+        A stack of branch iterators, not recursion: the depth (< n) never
+        meets Python's recursion limit, whatever max_nodes allows.
+        """
+        stack = [iter([(depth, colors, prefix)])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            depth, colors, prefix = node
+            colors_g, v = path.at(depth)
+            if v is not None:
+                stack.append(self._branches(path, depth, colors, prefix, []))
+                continue
+            at = {c: w for w, c in enumerate(colors)}
+            witness = Permutation(tuple(at[c] for c in colors_g))
+            if np.array_equal(apply_permutation(path.g, witness).edge_index, self.h.edge_index):
+                return witness
+        return None
+
+    def _branches(
+        self,
+        path: _Path,
+        depth: int,
+        colors: list[ColorKey],
+        prefix: tuple[int, ...],
+        tried: list[int],
+    ):
+        """The nodes below one node: each candidate w of h with the color
+        of the path's target, in ascending index, that is not pruned and
+        whose refinement has the histogram of the path's next level.
+        tried lists the candidates already tried there."""
+        colors_g, v = path.at(depth)
+        want = path.want[depth]
+        for w in range(self.h.n):
+            if colors[w] != colors_g[v] or w in self._orbits(tried, prefix):
+                continue
+            self.steps += 1
+            if self.steps > ISO_SEARCH_BUDGET:
+                raise ResourceLimitError(
+                    f"isomorphism search exceeded its budget of {ISO_SEARCH_BUDGET} "
+                    "individualise-and-refine steps"
+                )
+            child = _refine(self.h, _individualise(colors, w))[0]
+            tried.append(w)
+            if Counter(child) == want:
+                yield depth + 1, child, prefix + (w,)
+                # Resumed: the subtree below w held no isomorphism.
+                if self.generators is None:
+                    self.generators = []
+                    self._automorphisms()
+
+    def _orbits(self, points: list[int], prefix: tuple[int, ...]) -> set[int]:
+        """The union of the orbits of points under the group that the
+        generators fixing prefix pointwise generate."""
+        gens = [s for s in self.generators or () if all(s[p] == p for p in prefix)]
+        seen, todo = set(points), list(points)
+        while todo and gens:
+            x = todo.pop()
+            for s in gens:
+                if s[x] not in seen:
+                    seen.add(s[x])
+                    todo.append(s[x])
+        return seen
+
+    def _automorphisms(self) -> None:
+        """Find generators of Aut(h) along h's own path u_0, u_1, ...,
+        deepest level first.
+
+        At level k, each candidate x with u_k's color outside the orbits
+        of u_k and of the candidates already tried there is searched: h
+        with u_0..u_{k-1}, x individualised is the path, matched against
+        h with u_0..u_k individualised, so the generators found at deeper
+        levels, which fix u_0..u_k, prune that search. A leaf found maps
+        x onto u_k and fixes u_0..u_{k-1}; the generators of all levels
+        generate Aut(h).
+        """
+        path = _Path(self.h, self.colors)
+        depth = 0
+        while path.at(depth)[1] is not None:
+            depth += 1
+        for k in reversed(range(depth)):
+            colors, u = path.at(k)
+            prefix = tuple(path.targets[:k])
+            for _, child, _ in self._branches(path, k, colors, prefix, [u]):
+                found = self.leaf(_Path(self.h, child), 0, path.colors[k + 1], prefix + (u,))
+                if found is not None:
+                    self.generators.append(found.mapping)
 
 
 def are_isomorphic(
@@ -331,10 +480,24 @@ def are_isomorphic(
     descends where the histograms agree. Witness: once every class is a
     single node, the color-matching map, if g relabeled by it has h's
     edge_index; the first such leaf in this order, so the same on every
-    run. More than ISO_SEARCH_BUDGET steps raise ResourceLimitError.
-    A pair that a check decides never reaches the search, so one with
-    unequal profiles is decided however large its search tree.
+    run. Orbit pruning: the first time a candidate's subtree passes the
+    histogram check and then fails, generators of Aut(h) are found by
+    the search of h against itself, each verified by the same edge
+    check. From then on a candidate w is skipped when a generator that
+    fixes the candidates chosen above it maps a candidate already tried
+    at that node onto w (closed over those generators). Only subtrees
+    without an isomorphism are skipped, so the witness and the verdict
+    are those of the unpruned search, and a pair whose first path
+    succeeds never looks for automorphisms. steps counts the candidates
+    of h individualised and refined, in both searches; more than
+    ISO_SEARCH_BUDGET raise ResourceLimitError. A pair that a check
+    decides never reaches the search, so one with unequal profiles is
+    decided however large its search tree. max_nodes must be an integer
+    >= 0 (ContractError otherwise).
     """
+    check_number("max_nodes", max_nodes, numbers.Integral)
+    if max_nodes < 0:
+        raise ContractError(f"max_nodes must be >= 0, got {max_nodes}")
     if g.n != h.n:
         return IsoVerdict(False)
     if max(g.n, h.n) > max_nodes:
@@ -362,40 +525,6 @@ def are_isomorphic(
     profiles = ball_growth(GraphBatch((g, h)), n - 1)[2].reshape(2, n, n - 1).tolist()
     if sorted(profiles[0]) != sorted(profiles[1]):
         return IsoVerdict(False)
-    steps = 0
-
-    def branches(colors_g: list[ColorKey], colors_h: list[ColorKey]):
-        nonlocal steps
-        sizes = Counter(colors_g)
-        v = next(v for v in range(n) if sizes[colors_g[v]] > 1)
-        child_g = _refine(g, _individualise(colors_g, v))[0]
-        want = Counter(child_g)
-        for w in range(n):
-            if colors_h[w] != colors_g[v]:
-                continue
-            steps += 1
-            if steps > ISO_SEARCH_BUDGET:
-                raise ResourceLimitError(
-                    f"isomorphism search exceeded its budget of {ISO_SEARCH_BUDGET} "
-                    "individualise-and-refine steps"
-                )
-            child_h = _refine(h, _individualise(colors_h, w))[0]
-            if Counter(child_h) == want:
-                yield child_g, child_h
-
-    # A stack of branch iterators, not recursion: the depth (< n) never
-    # meets Python's recursion limit, whatever max_nodes allows.
-    stack = [iter([(colors_g, colors_h)])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        elif len(set(node[0])) < n:
-            stack.append(branches(*node))
-        else:
-            colors_g, colors_h = node
-            at = {c: w for w, c in enumerate(colors_h)}
-            witness = Permutation(tuple(at[c] for c in colors_g))
-            if np.array_equal(apply_permutation(g, witness).edge_index, h.edge_index):
-                return IsoVerdict(True, witness, steps)
-    return IsoVerdict(False, steps=steps)
+    search = _Search(h, colors_h)
+    witness = search.leaf(_Path(g, colors_g), 0, colors_h, ())
+    return IsoVerdict(witness is not None, witness, search.steps)

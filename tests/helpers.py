@@ -2,7 +2,9 @@
 
 Everything here is written as plainly as possible, without reusing the
 package's internals, so that agreement between a test and the library
-means two separate routes reached the same answer.
+means two separate routes reached the same answer. The one exception is
+reference_are_isomorphic, the isomorphism search before orbit pruning,
+which shares the package's refinement so that it checks the pruning.
 """
 
 from __future__ import annotations
@@ -14,16 +16,19 @@ from collections import Counter, deque
 import numpy as np
 from hypothesis import strategies as st
 
+import isobench.wl as wl
 from isobench import ContractError, Graph, GraphBatch, NumericError, UnsupportedSizeError
-from isobench.errors import IsobenchError
+from isobench.centrality import ball_growth
+from isobench.errors import IsobenchError, ResourceLimitError
 from isobench.evaluate import ReportRow, cluster_embeddings
-from isobench.graphs import GRAPH6_MAX_NODES
+from isobench.graphs import GRAPH6_MAX_NODES, Permutation, apply_permutation
 from isobench.models import ARCHS, check_graph, forward, init_model
 from isobench.quant import quantize_matrix
 from isobench.transforms import apply_transform
 from isobench.wl import (
     DEFAULT_EPS,
     DEFAULT_TUPLE_BUDGET,
+    IsoVerdict,
     check_tuple_refinement,
     wl1_signature,
     wlk_signature,
@@ -93,6 +98,90 @@ def brute_force_isomorphic(g: Graph, h: Graph, eps: float = 1e-6) -> bool:
         ) and all(tuple(qg[v]) == tuple(qh[perm[v]]) for v in range(g.n)):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the isomorphism search without orbit pruning
+
+
+def reference_are_isomorphic(
+    g: Graph,
+    h: Graph,
+    *,
+    structure_only: bool = False,
+    max_nodes: int = 64,
+) -> IsoVerdict:
+    """wl.are_isomorphic as it was before orbit pruning, kept verbatim.
+
+    It shares the package's refinement, so agreement checks the pruning
+    only: the pruned search must give the same verdict and the same
+    witness whenever this one decides. Its steps count only the
+    individualise-and-refine steps of the search of g against h.
+    """
+    if g.n != h.n:
+        return IsoVerdict(False)
+    if max(g.n, h.n) > max_nodes:
+        raise ResourceLimitError(
+            f"isomorphism search supports up to {max_nodes} nodes, got {g.n}"
+        )
+    if g.edge_count != h.edge_count:
+        return IsoVerdict(False)
+    n = g.n
+    if n == 0:
+        return IsoVerdict(True, Permutation(()))
+    if not structure_only and g.d != h.d:
+        raise ContractError(f"feature widths differ ({g.d} vs {h.d})")
+    # An isomorphism preserves degrees: differing sequences need no refinement.
+    if not np.array_equal(np.sort(g.degrees), np.sort(h.degrees)):
+        return IsoVerdict(False)
+    if structure_only:
+        init_g = init_h = [wl._digest(wl._INIT)] * n
+    else:
+        init_g, init_h = wl._initial_colors(g, DEFAULT_EPS), wl._initial_colors(h, DEFAULT_EPS)
+    colors_g, colors_h = wl._refine(g, init_g)[0], wl._refine(h, init_h)[0]
+    if Counter(colors_g) != Counter(colors_h):
+        return IsoVerdict(False)
+    # An isomorphism preserves distances, which 1-WL does not see.
+    profiles = ball_growth(GraphBatch((g, h)), n - 1)[2].reshape(2, n, n - 1).tolist()
+    if sorted(profiles[0]) != sorted(profiles[1]):
+        return IsoVerdict(False)
+    steps = 0
+
+    def branches(colors_g, colors_h):
+        nonlocal steps
+        sizes = Counter(colors_g)
+        v = next(v for v in range(n) if sizes[colors_g[v]] > 1)
+        child_g = wl._refine(g, wl._individualise(colors_g, v))[0]
+        want = Counter(child_g)
+        for w in range(n):
+            if colors_h[w] != colors_g[v]:
+                continue
+            steps += 1
+            if steps > wl.ISO_SEARCH_BUDGET:
+                raise ResourceLimitError(
+                    f"isomorphism search exceeded its budget of {wl.ISO_SEARCH_BUDGET} "
+                    "individualise-and-refine steps"
+                )
+            child_h = wl._refine(h, wl._individualise(colors_h, w))[0]
+            if Counter(child_h) == want:
+                yield child_g, child_h
+
+    # A stack of branch iterators, not recursion: the depth (< n) never
+    # meets Python's recursion limit, whatever max_nodes allows.
+    stack = [iter([(colors_g, colors_h)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(set(node[0])) < n:
+            stack.append(branches(*node))
+        else:
+            colors_g, colors_h = node
+            at = {c: w for w, c in enumerate(colors_h)}
+            witness = Permutation(tuple(at[c] for c in colors_g))
+            if np.array_equal(apply_permutation(g, witness).edge_index, h.edge_index):
+                return IsoVerdict(True, witness, steps)
+    return IsoVerdict(False, steps=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,13 @@ class TestTruncatedInput:
             "of 3 feature rows (found 1 row) (line 3)\n",
         ),
         "empty.el": ("", EXIT_DATA, "isobench: data error: no graphs in {path}\n"),
+        # A triangle and a path, then two labelings of one path.
+        "iso2.g6": (
+            "Bw\nBg\nBg\nBW\n",
+            EXIT_DATA,
+            "isobench: data error: {path}: pair 1 ('iso2') labeled isomorphic=False "
+            "but the exact test says True\n",
+        ),
         "empty.g6": ("\n", EXIT_DATA, "isobench: data error: no graphs in {path}\n"),
     }
 

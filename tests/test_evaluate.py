@@ -235,7 +235,12 @@ class TestDatasets:
         lie = LabeledPair(random_cubic(12, 12), random_cubic(12, 13), True, "cubic")
         with pytest.raises(CorpusIntegrityError) as err:
             verify_pair_labels([lie])
-        assert str(err.value) == "pair 'cubic' labeled isomorphic=True but the exact test says False"
+        assert str(err.value) == "pair 0 ('cubic') labeled isomorphic=True but the exact test says False"
+
+    def test_contradiction_names_the_pair_position(self):
+        pairs = [LabeledPair(path(3), star(4), False, "a"), LabeledPair(path(3), path(3), False, "a")]
+        with pytest.raises(CorpusIntegrityError, match=r"^pair 1 \('a'\) labeled isomorphic=False "):
+            verify_pair_labels(pairs)
 
     def test_width_mismatch_is_refused_before_distance_profiles(self):
         # Same node and edge counts and unequal distance profiles: the

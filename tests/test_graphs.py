@@ -53,6 +53,7 @@ from helpers import (
     graphs,
     permutations_for,
     random_cubic,
+    reference_are_isomorphic,
     reference_graph6,
     reference_runs,
 )
@@ -721,6 +722,15 @@ class TestPermutation:
         with pytest.raises(ContractError):
             Permutation((0, 0, 1))
 
+    @pytest.mark.parametrize("mapping", [(True, False), (0.0, 1.0), (1, "0"), (0, None)])
+    def test_rejects_entries_that_are_not_integers(self, mapping):
+        with pytest.raises(ContractError, match="^permutation entry must be an integer, got "):
+            Permutation(mapping)
+
+    def test_numpy_integers_become_ints(self):
+        p = Permutation(tuple(np.array([1, 0], dtype=np.int64)))
+        assert p.mapping == (1, 0) and all(type(x) is int for x in p.mapping)
+
     def test_inverse(self):
         p = Permutation((2, 0, 1))
         assert p.inverse().mapping == (1, 2, 0)
@@ -796,6 +806,20 @@ class TestAreIsomorphic:
         with pytest.raises(ResourceLimitError):
             are_isomorphic(g, g)
         assert are_isomorphic(g, g, max_nodes=65).isomorphic
+        assert are_isomorphic(g, g, max_nodes=np.int64(65)).isomorphic
+        assert are_isomorphic(Graph(0), Graph(0), max_nodes=0).isomorphic
+        with pytest.raises(ResourceLimitError, match="up to 0 nodes"):
+            are_isomorphic(Graph(1), Graph(1), max_nodes=0)
+
+    @pytest.mark.parametrize("bad", [None, True, 2.5, "64"])
+    def test_max_nodes_must_be_an_integer(self, bad):
+        # Checked first, so not even a pair of unequal sizes gets past it.
+        with pytest.raises(ContractError, match=f"^max_nodes must be an integer, got {bad!r}$"):
+            are_isomorphic(Graph(2), Graph(3), max_nodes=bad)
+
+    def test_max_nodes_must_not_be_negative(self):
+        with pytest.raises(ContractError, match="^max_nodes must be >= 0, got -1$"):
+            are_isomorphic(Graph(2), Graph(2), max_nodes=-1)
 
     def test_different_sizes_not_isomorphic(self):
         assert not are_isomorphic(Graph(2), Graph(3)).isomorphic
@@ -938,6 +962,51 @@ def nx_graph(nx, g: Graph):
     return out
 
 
+def er_pairs():
+    """Seeded G(n, p) pairs with n <= 12: each graph against a relabeling
+    and against an independent draw."""
+    for n in range(4, 13):
+        for seed in range(8):
+            p = 0.3 + 0.05 * (seed % 4)
+            g = erdos_renyi(n, p, seed)
+            yield g, relabeled(g, seed)
+            yield g, erdos_renyi(n, p, seed + 1000)
+
+
+def cubic_pairs():
+    for n in range(8, 17, 2):
+        for seed in range(6):
+            g = random_cubic(n, seed)
+            yield g, relabeled(g, seed)
+            yield g, random_cubic(n, seed + 100)
+
+
+def union_pairs():
+    """Two-part unions of rook4x4, Shrikhande and cycles, against a
+    relabeled union of the parts swapped and against unions that change
+    one part. 2 x rook4x4 vs rook4x4 + Shrikhande and its kin are left
+    out: the unpruned search refuses them."""
+    parts = [rook4x4(), shrikhande(), cycle(16), disjoint_cycles([8, 8])]
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
+            yield disjoint_union(a, b), relabeled(disjoint_union(b, a), i + j)
+            for c in parts[2:]:
+                yield disjoint_union(a, b), disjoint_union(a, c)
+
+
+def csl_pairs():
+    """CSL graphs C41(1, R), built from their formula: each against a
+    relabeling and against the next one."""
+    skips = (2, 3, 4, 5, 6, 9, 11, 12, 13, 16)
+    for r, s in zip(skips, skips[1:] + skips[:1]):
+        g = circulant(41, (1, r))
+        yield g, relabeled(g, r)
+        yield g, circulant(41, (1, s))
+
+
+REFERENCE_FAMILIES = {"er": er_pairs, "cubic": cubic_pairs, "unions": union_pairs, "csl": csl_pairs}
+
+
 class TestIsomorphismSearch:
     """Individualisation-refinement against networkx's VF2, and its budget."""
 
@@ -964,8 +1033,41 @@ class TestIsomorphismSearch:
     def test_strongly_regular_pair_is_searched_in_pinned_steps(self):
         # Same SRG parameters: every node has 6 nodes at distance 1 and 9
         # at distance 2, so the profiles agree and the search decides.
+        # Without orbit pruning it took 112 steps; the 15 include those
+        # that found Shrikhande's automorphisms.
         verdict = are_isomorphic(rook4x4(), shrikhande())
-        assert (verdict.isomorphic, verdict.steps) == (False, 112)
+        assert (verdict.isomorphic, verdict.steps) == (False, 15)
+        assert reference_are_isomorphic(rook4x4(), shrikhande()).steps == 112
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The searches that are_isomorphic runs, in order."""
+        made = []
+
+        class Recorded(wl._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(wl, "_Search", Recorded)
+        return made
+
+    def test_generators_are_automorphisms_of_the_second_graph(self, searches):
+        h = shrikhande()
+        assert not are_isomorphic(rook4x4(), h).isomorphic
+        (search,) = searches
+        for s in search.generators:
+            assert np.array_equal(apply_permutation(h, Permutation(s)).edge_index, h.edge_index)
+        # Shrikhande's graph is vertex-transitive: the generators carry
+        # node 0 onto every node.
+        assert search._orbits([0], ()) == set(range(16))
+
+    def test_a_first_path_that_succeeds_finds_no_automorphisms(self, searches):
+        g = circulant(41, (1, 2))
+        verdict = are_isomorphic(g, relabeled(g, 2))
+        assert verdict.isomorphic and verdict.steps == 2
+        (search,) = searches
+        assert search.generators is None
 
     def test_leaf_check_refuses_a_map_that_moves_an_edge(self, monkeypatch):
         # Refinement that tells every node apart by its index makes the
@@ -994,15 +1096,28 @@ class TestIsomorphismSearch:
         assert sorted(g.degrees) == sorted(h.degrees)
         assert are_isomorphic(g, h) == wl.IsoVerdict(False, None, 0)
 
-    def test_budget_refuses_srg_union_pair(self):
+    def test_srg_union_pair_is_decided(self):
         # 2 x rook4x4 vs rook4x4 + Shrikhande: 1-WL-equal and with equal
-        # distance profiles, with a search tree far beyond the budget.
+        # distance profiles, and not isomorphic, since their components
+        # differ. The unpruned search exceeds the budget on it.
         g = disjoint_union(rook4x4(), rook4x4())
         h = disjoint_union(rook4x4(), shrikhande())
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match=str(wl.ISO_SEARCH_BUDGET)):
+        verdict = are_isomorphic(g, h)
+        assert time.perf_counter() - start < 1.0
+        assert not verdict.isomorphic and verdict.steps <= wl.ISO_SEARCH_BUDGET
+        with pytest.raises(ResourceLimitError):
+            reference_are_isomorphic(g, h)
+
+    def test_budget_counts_automorphism_steps(self, monkeypatch):
+        g = disjoint_union(rook4x4(), rook4x4())
+        h = disjoint_union(rook4x4(), shrikhande())
+        steps = are_isomorphic(g, h).steps
+        monkeypatch.setattr(wl, "ISO_SEARCH_BUDGET", steps)
+        assert not are_isomorphic(g, h).isomorphic
+        monkeypatch.setattr(wl, "ISO_SEARCH_BUDGET", steps - 1)
+        with pytest.raises(ResourceLimitError, match=f"budget of {steps - 1} "):
             are_isomorphic(g, h)
-        assert time.perf_counter() - start < 10.0
 
     def test_known_inputs_need_under_a_tenth_of_the_budget(self, monkeypatch):
         monkeypatch.setattr(wl, "ISO_SEARCH_BUDGET", wl.ISO_SEARCH_BUDGET // 10)
@@ -1011,3 +1126,36 @@ class TestIsomorphismSearch:
         for n in (12, 16, 22, 30):
             g = random_cubic(n, seed=n)
             assert not are_isomorphic(g, random_cubic(n, seed=n + 1)).isomorphic
+
+    @pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+    def test_verdicts_and_witnesses_match_the_unpruned_search(self, family):
+        searched = 0
+        for g, h in REFERENCE_FAMILIES[family]():
+            expected = reference_are_isomorphic(g, h)
+            verdict = are_isomorphic(g, h)
+            assert verdict.isomorphic == expected.isomorphic
+            if expected.witness is None:
+                assert verdict.witness is None
+            else:
+                assert bytes(verdict.witness.mapping) == bytes(expected.witness.mapping)
+            searched += expected.steps > 0
+        assert searched
+
+    def test_pairs_the_unpruned_search_refuses_agree_with_vf2(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        # At this budget the unpruned search refuses every pair below;
+        # the pruned one needs at most 41 steps on each.
+        monkeypatch.setattr(wl, "ISO_SEARCH_BUDGET", 100)
+        rook, shrik = rook4x4(), shrikhande()
+        pairs = [
+            (rook, shrik),
+            (shrik, rook),
+            (disjoint_union(rook, cycle(3)), disjoint_union(shrik, cycle(3))),
+            (disjoint_union(rook, cycle(8)), disjoint_union(shrik, cycle(8))),
+            (disjoint_union(cycle(5), shrik), disjoint_union(cycle(5), rook)),
+        ]
+        for g, h in pairs:
+            with pytest.raises(ResourceLimitError):
+                reference_are_isomorphic(g, h)
+            expected = nx.is_isomorphic(nx_graph(nx, g), nx_graph(nx, h))
+            assert are_isomorphic(g, h).isomorphic == expected
